@@ -1,14 +1,18 @@
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from volclust.bs import bs_put
-from volclust.errors import BadGrid, Instability
+from volclust.errors import BadGrid, Instability, NumericalError
 from volclust.model import Constant, ModelSpec, arctangent_model
-from volclust.pde import (Grid2D, accuracy_sweep, apply_discrete_operator,
-                          make_grid, payoff_initial, price_surface, solve_u,
-                          solve_u_tilde_cole_hopf)
+from volclust.pde import (Grid2D, _march_1d, _march_2d, accuracy_sweep,
+                          apply_discrete_operator, make_grid, payoff_initial,
+                          price_surface, solve_u, solve_u_tilde_cole_hopf)
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +198,55 @@ def test_payoff_initial_matches_contract(fast_spec):
     assert u0.shape == (grid.y.size, grid.x.size)
     assert u0.max() == 0.0
     assert u0.min() == pytest.approx(-(100 - 100 * math.exp(grid.x[0])))
+
+
+def test_surface_matches_golden_output(fast_spec):
+    """Pins the march's output at the speed-up tolerance.
+
+    The files hold ``price_surface(fast_spec, make_grid(fast_spec, 0.25,
+    nx=41))`` of the first-order IMEX march (``np.save`` of ``.P`` and
+    ``.u_tilde``); a change of scheme must regenerate them on purpose.
+    """
+    surface = price_surface(fast_spec, make_grid(fast_spec, 0.25, nx=41))
+    np.testing.assert_allclose(surface.P, np.load(DATA / "golden_fast_nx41_P.npy"),
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(surface.u_tilde, np.load(DATA / "golden_fast_nx41_u_tilde.npy"),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_nan_in_initial_data_raises_instability(fast_spec):
+    grid = make_grid(fast_spec, 0.25, nx=41)
+    U0 = payoff_initial(fast_spec, grid)
+    U0[grid.y.size // 2, grid.x.size // 2] = np.nan
+    with pytest.raises(Instability, match="gradient bound at step 1"):
+        _march_2d(fast_spec, grid, U0)
+    assert issubclass(Instability, NumericalError)  # the CLI maps it to exit code 3
+
+
+def test_coarse_demo_logs_one_halving(caplog):
+    """The demo asked for 125 steps trips the 2-d gradient monitor once."""
+    spec = arctangent_model()
+    grid = make_grid(spec, 0.25, nx=201, dt=0.002)
+    assert grid.n_steps == 125
+    with caplog.at_level(logging.INFO, logger="volclust.pde"):
+        surface = price_surface(spec, grid)
+    assert surface.grid.n_steps == 250
+    records = [r for r in caplog.records if r.name == "volclust.pde"]
+    assert len(records) == 1
+    message = records[0].getMessage()
+    assert message.startswith("dt 2.000e-03 exceeds the gradient bound at step 3 ")
+    assert message.endswith("halving dt to 250 steps")
+
+
+def test_price_band_monitor_trips_on_either_side(fast_spec):
+    grid = make_grid(fast_spec, 0.25, nx=41)
+    _, tilde_steps, _ = _march_1d(fast_spec, grid, keep_steps=True)
+    U0 = payoff_initial(fast_spec, grid)
+    one_step = Grid2D(x=grid.x, y=grid.y, dt=grid.dt, n_steps=1)
+    U1, _ = _march_2d(fast_spec, one_step, U0)
+    for shift in (-1.0, fast_spec.strike + 1.0):  # below 0, then above K
+        price = tilde_steps[1][:, None] + shift - U1
+        with pytest.raises(Instability) as info:
+            _march_2d(fast_spec, grid, U0, u_tilde_steps=tilde_steps + shift)
+        assert str(info.value) == (f"price band violated at step 1: [{price.min():.3e}, "
+                                   f"{price.max():.3e}] vs [0, {fast_spec.strike}]")
