@@ -3,15 +3,18 @@
 Subcommands: constants, price, iv-surface, pde-solve, pde-sweep,
 calibrate, figure1, figure2, measure-dump.  Every CSV written has a
 header row, '.' decimal separators and 17 significant digits, and reruns
-with identical inputs are byte-identical.  Exit codes: 0 success, 2
-configuration error, 3 numerical failure.  Independent PDE solves (the
-eta curves of figure2, the epsilon members of pde-sweep) are dispatched
-to parallel workers; VOLCLUST_THREADS caps the worker count.
+with identical inputs are byte-identical.  The writer takes columns that
+broadcast to one shape, formats each of their values once and streams the
+rows out in blocks.  Exit codes: 0 success, 2 configuration error, 3
+numerical failure.  Independent PDE solves (the eta curves of figure2, the
+epsilon members of pde-sweep) are dispatched to parallel workers;
+VOLCLUST_THREADS caps the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -25,25 +28,37 @@ from .errors import ConfigError, NumericalError, VolclustError
 FIGURE2_ETAS = (-0.25, 0.0, 0.25)
 FIGURE2_LM_SPAN = (-0.3, 0.3)
 FIGURE2_POINTS = 61
+CSV_BLOCK_ROWS = 1024  # rows formatted and written at a time
 
 
 def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_csv(out: str | None, header: list[str], rows) -> None:
-    """Write rows (iterables of numbers) to ``out`` or stdout when '-'/None."""
-    def _dump(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+_text = np.frompyfunc(_fmt, 1, 1)  # elementwise _fmt into an object array
 
-    if out in (None, "-"):
-        _dump(sys.stdout)
-    else:
-        with open(out, "w", newline="") as fh:
-            _dump(fh)
+
+def _write_csv(out: str | None, header: list[str], columns) -> None:
+    """Write the broadcast ``columns``, one row per element in C order, to ``out``.
+
+    A column constant along the leading axis is formatted once, any other
+    one block of leading indices at a time, so memory holds one block.
+    ``out`` of '-' or None means stdout.
+    """
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes((1,), *(a.shape for a in arrays))
+    arrays = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays]
+    fixed = [_text(a) if a.shape[0] == 1 else None for a in arrays]
+    per_lead = int(np.prod(shape[1:]))
+    step = max(1, CSV_BLOCK_ROWS // max(1, per_lead))
+    to_stdout = out in (None, "-")
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, shape[0] if per_lead else 0, step):
+            block = (min(step, shape[0] - start),) + shape[1:]
+            cells = [np.broadcast_to(_text(a[start:start + step]) if t is None else t, block)
+                     .ravel().tolist() for a, t in zip(arrays, fixed)]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -85,19 +100,17 @@ def _cmd_constants(args) -> None:
     gc = poisson.group_constants_for(spec)
     _write_csv(args.out,
                ["sigma1_bar_sq", "avg_b2_over_s2", "A", "A_tilde", "B", "A_alt", "B_alt"],
-               [[gc.sigma1_bar_sq, gc.avg_b2_over_s2, gc.a, gc.a_tilde, gc.b, gc.a_alt, gc.b_alt]])
+               [gc.sigma1_bar_sq, gc.avg_b2_over_s2, gc.a, gc.a_tilde, gc.b, gc.a_alt, gc.b_alt])
 
 
 def _cmd_price(args) -> None:
     spec = _load_spec(args.config)
     gc = poisson.group_constants_for(spec)
     taus = args.tau if args.tau else [spec.maturity]
-    rows = []
-    for tau in taus:
-        for x in args.x:
-            ap = asymptotics.asymptotic_price(gc, spec, tau, x)
-            rows.append([tau, x, ap.P0, ap.P1, ap.corrected])
-    _write_csv(args.out, ["tau", "x", "P0", "P1", "corrected"], rows)
+    points = [[asymptotics.asymptotic_price(gc, spec, tau, x) for x in args.x] for tau in taus]
+    prices = np.array([[(ap.P0, ap.P1, ap.corrected) for ap in row] for row in points])
+    _write_csv(args.out, ["tau", "x", "P0", "P1", "corrected"],
+               [np.array(taus)[:, None], args.x, *np.moveaxis(prices, -1, 0)])
 
 
 def _smile_line(args) -> tuple[float, float]:
@@ -113,21 +126,16 @@ def _smile_line(args) -> tuple[float, float]:
 
 def _cmd_iv_surface(args) -> None:
     a, d = _smile_line(args)
-    taus = args.tau or [0.25]
+    taus = np.array(args.tau or [0.25])[:, None]
     xs = np.linspace(args.x_min, args.x_max, args.nx)
-    rows = []
-    for tau in taus:
-        for x in xs:
-            lmmr = -x / tau
-            rows.append([tau, x, lmmr, a * lmmr + d])
-    _write_csv(args.out, ["tau", "x", "lmmr", "iv"], rows)
+    lmmr = -xs / taus
+    _write_csv(args.out, ["tau", "x", "lmmr", "iv"], [taus, xs, lmmr, a * lmmr + d])
 
 
 def _cmd_figure1(args) -> None:
     taus = np.linspace(args.tau_min, args.tau_max, args.n_tau)
     lmmrs = np.linspace(args.lmmr_min, args.lmmr_max, args.n_lmmr)
-    rows = [[tau, lmmr, args.a * lmmr + args.d] for tau in taus for lmmr in lmmrs]
-    _write_csv(args.out, ["tau", "lmmr", "iv"], rows)
+    _write_csv(args.out, ["tau", "lmmr", "iv"], [taus[:, None], lmmrs, args.a * lmmrs + args.d])
     if args.out not in (None, "-"):
         _write_gnuplot(os.path.splitext(args.out)[0] + ".gp", [
             "set datafile separator ','",
@@ -146,13 +154,9 @@ def _figure2_curve(task) -> list[float]:
     grid = pde.make_grid(spec, spec.maturity, **grid_kwargs)
     surface = pde.price_surface(spec, grid)
     jy = int(np.argmin(np.abs(grid.y - spec.m)))
-    ivs = []
-    for lm in lm_grid:
-        x = -lm
-        ix = int(np.argmin(np.abs(grid.x - x)))
-        price = float(surface.P[ix, jy])
-        ivs.append(bs.implied_vol(price, surface.tau, float(grid.x[ix]), spec.strike))
-    return ivs
+    nearest = np.argmin(np.abs(grid.x[None, :] - (-lm_grid)[:, None]), axis=1)
+    return [bs.implied_vol(float(surface.P[ix, jy]), surface.tau, float(grid.x[ix]), spec.strike)
+            for ix in nearest]
 
 
 def _cmd_figure2(args) -> None:
@@ -162,8 +166,8 @@ def _cmd_figure2(args) -> None:
     grid_kwargs = {"nx": args.nx}
     tasks = [(base.with_(eta=eta), lm_grid, grid_kwargs) for eta in FIGURE2_ETAS]
     curves = _parallel_map(_figure2_curve, tasks)
-    rows = [[lm, *[curve[i] for curve in curves]] for i, lm in enumerate(lm_grid)]
-    _write_csv(args.out, ["log_moneyness", "iv_eta_m025", "iv_eta_0", "iv_eta_p025"], rows)
+    _write_csv(args.out, ["log_moneyness", "iv_eta_m025", "iv_eta_0", "iv_eta_p025"],
+               [lm_grid, *curves])
     if args.out not in (None, "-"):
         name = os.path.basename(args.out)
         _write_gnuplot(os.path.splitext(args.out)[0] + ".gp", [
@@ -180,7 +184,7 @@ def _cmd_figure2(args) -> None:
 def _cmd_measure_dump(args) -> None:
     spec = _load_spec(args.config)
     m = measure.build_invariant_measure(spec, tol=args.tol)
-    _write_csv(args.out, ["y", "density"], zip(m.grid, m.density))
+    _write_csv(args.out, ["y", "density"], [m.grid, m.density])
 
 
 def _cmd_pde_solve(args) -> None:
@@ -189,9 +193,9 @@ def _cmd_pde_solve(args) -> None:
     grid = pde.make_grid(spec, tau, nx=args.nx, x_span=(args.xmin, args.xmax),
                          ny=args.ny, dt=args.dt)
     surface = pde.price_surface(spec, grid)
-    rows = ([tau, x, y, surface.u[i, j], surface.u_tilde[j], surface.P[i, j]]
-            for i, x in enumerate(grid.x) for j, y in enumerate(grid.y))
-    _write_csv(args.out, ["tau", "x", "y", "u", "u_tilde", "P"], rows)
+    _write_csv(args.out, ["tau", "x", "y", "u", "u_tilde", "P"],
+               [tau, grid.x[:, None], grid.y[None, :], surface.u, surface.u_tilde[None, :],
+                surface.P])
 
 
 def _read_probes(path: str) -> list[tuple[float, float, float]]:
@@ -220,21 +224,24 @@ def _cmd_pde_sweep(args) -> None:
     probes = _read_probes(args.probes)
     rows = _parallel_map(_sweep_member, [(spec.with_(epsilon=eps), probes) for eps in eps_list])
     _write_csv(args.out, ["eps", "max_abs_error", "normalized"],
-               [[r.eps, r.max_abs_error, r.normalized] for r in rows])
+               [[r.eps for r in rows], [r.max_abs_error for r in rows],
+                [r.normalized for r in rows]])
 
 
 def _cmd_calibrate(args) -> None:
     quotes = calibrate.read_quotes_csv(args.quotes)
-    a, d, r_squared = calibrate.fit_affine(quotes)
-    big_a, big_b = calibrate.recover_constants((a, d), args.sigma_bar, args.epsilon)
     header = ["a", "d", "r_squared", "A", "B"]
-    row = [a, d, r_squared, big_a, big_b]
-    if args.config:
-        spec = _load_spec(args.config).with_(epsilon=args.epsilon)
-        result = calibrate.calibrate_from_surface(quotes, spec, sigma_bar=args.sigma_bar)
-        header += ["eta", "rho_residual"]
-        row += [result.eta, result.rho_residual]
-    _write_csv(args.out, header, [row])
+    if not args.config:
+        a, d, r_squared = calibrate.fit_affine(quotes)
+        big_a, big_b = calibrate.recover_constants((a, d), args.sigma_bar, args.epsilon)
+        _write_csv(args.out, header, [a, d, r_squared, big_a, big_b])
+        return
+    spec = _load_spec(args.config).with_(epsilon=args.epsilon)
+    result = calibrate.calibrate_from_surface(quotes, spec, sigma_bar=args.sigma_bar)
+    fit = result.fit  # the one fit: (a, d, r^2) and the (A, B) recovered from it
+    _write_csv(args.out, header + ["eta", "rho_residual"],
+               [fit.a, fit.d, fit.r_squared, fit.a_recovered, fit.b_recovered,
+                result.eta, result.rho_residual])
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -246,19 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("constants", help="group constants for a model config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_constants)
+    def command(name, func, summary, out=None):
+        """A subcommand parser with its handler and its --out default."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", default=out)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("price", help="corrected asymptotic price at (tau, x) points")
+    p = command("constants", _cmd_constants, "group constants for a model config")
+    p.add_argument("--config", required=True)
+
+    p = command("price", _cmd_price, "corrected asymptotic price at (tau, x) points")
     p.add_argument("--config", required=True)
     p.add_argument("--tau", type=float, action="append", default=None)
     p.add_argument("--x", type=float, action="append", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_price)
 
-    p = sub.add_parser("iv-surface", help="corrected smile on a (tau, x) grid")
+    p = command("iv-surface", _cmd_iv_surface, "corrected smile on a (tau, x) grid")
     p.add_argument("--config", default=None)
     p.add_argument("--a", type=float, default=None, help="LMMR slope (overrides --config)")
     p.add_argument("--d", type=float, default=None, help="LMMR intercept (overrides --config)")
@@ -266,10 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", type=float, default=-0.5)
     p.add_argument("--x-max", type=float, default=0.5)
     p.add_argument("--nx", type=int, default=51)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_iv_surface)
 
-    p = sub.add_parser("figure1", help="smile surface from a given (a, d) line")
+    p = command("figure1", _cmd_figure1, "smile surface from a given (a, d) line",
+                out="figure1.csv")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--tau-min", type=float, default=0.1)
@@ -278,24 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmmr-min", type=float, default=-1.0)
     p.add_argument("--lmmr-max", type=float, default=1.0)
     p.add_argument("--n-lmmr", type=int, default=41)
-    p.add_argument("--out", default="figure1.csv")
-    p.set_defaults(func=_cmd_figure1)
 
-    p = sub.add_parser("figure2", help="PDE-implied skew for three risk premia")
+    p = command("figure2", _cmd_figure2, "PDE-implied skew for three risk premia",
+                out="figure2.csv")
     p.add_argument("--config", default=None, help="model config (default arctangent demo)")
     p.add_argument("--tau", type=float, default=0.25)
     p.add_argument("--epsilon", type=float, default=0.004)
     p.add_argument("--nx", type=int, default=pde.DEFAULT_NX)
-    p.add_argument("--out", default="figure2.csv")
-    p.set_defaults(func=_cmd_figure2)
 
-    p = sub.add_parser("measure-dump", help="stationary density of the fast factor")
+    p = command("measure-dump", _cmd_measure_dump, "stationary density of the fast factor")
     p.add_argument("--config", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_measure_dump)
 
-    p = sub.add_parser("pde-solve", help="solve the full pricing PDE")
+    p = command("pde-solve", _cmd_pde_solve, "solve the full pricing PDE", out="pde_solution.csv")
     p.add_argument("--config", required=True)
     p.add_argument("--xmin", type=float, default=-3.0)
     p.add_argument("--xmax", type=float, default=3.0)
@@ -303,23 +307,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--out", default="pde_solution.csv")
-    p.set_defaults(func=_cmd_pde_solve)
 
-    p = sub.add_parser("pde-sweep", help="asymptotic-accuracy sweep over epsilon")
+    p = command("pde-sweep", _cmd_pde_sweep, "asymptotic-accuracy sweep over epsilon")
     p.add_argument("--config", required=True)
     p.add_argument("--eps-list", required=True, help="comma-separated, e.g. 0.04,0.01,0.0025")
     p.add_argument("--probes", required=True, help="csv with columns tau,x,y")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pde_sweep)
 
-    p = sub.add_parser("calibrate", help="fit the smile line and recover constants")
+    p = command("calibrate", _cmd_calibrate, "fit the smile line and recover constants")
     p.add_argument("--quotes", required=True, help="csv with columns tau,x,iv[,weight]")
     p.add_argument("--sigma-bar", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--config", default=None, help="model config; enables eta recovery")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_calibrate)
 
     return parser
 

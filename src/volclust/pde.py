@@ -501,8 +501,12 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *, max_retries: int = MAX_DT_RE
     The x-independent function is marched first and kept at every step so
     the 2-d march can monitor the price band as it goes; any monitor trip
     halves dt and restarts both marches.  Each halving is logged at INFO
-    level with the tripped monitor's message and the new step count.
+    level with the tripped monitor's message and the new step count.  When
+    the retries run out, the last monitor's message is raised again with
+    that monitor's ``Instability`` as the cause.
     """
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     _check_grid(spec, grid)
     attempt_grid = grid
     want_snaps = bool(snapshot_steps)
@@ -516,9 +520,10 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *, max_retries: int = MAX_DT_RE
             U, u_snaps = _march_2d(spec, attempt_grid, U0, snapshot_steps=snaps,
                                    u_tilde_steps=tilde_steps)
         except Instability as exc:
-            if attempt < max_retries:
-                attempt_grid = attempt_grid.with_halved_dt()
-                logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
+            if attempt == max_retries:
+                raise Instability(f"{exc} (still, after {max_retries} dt halvings)") from exc
+            attempt_grid = attempt_grid.with_halved_dt()
+            logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue
         P = u_tilde[None, :] - U.T
         surface = PriceSurface(grid=attempt_grid, u=U.T.copy(), u_tilde=u_tilde,
@@ -527,7 +532,6 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *, max_retries: int = MAX_DT_RE
             price_snaps = {s // factor: tilde_snaps[s][None, :] - u_snaps[s].T for s in snaps}
             return surface, price_snaps
         return surface
-    raise Instability(f"price band still violated after {max_retries} dt halvings")
 
 
 def solve_u_tilde_cole_hopf(spec: ModelSpec, grid: Grid2D) -> np.ndarray:

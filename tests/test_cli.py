@@ -185,3 +185,83 @@ def test_seventeen_significant_digits(demo_config, capsys):
     line = capsys.readouterr().out.strip().splitlines()[2001]  # center node
     y, density = line.split(",")
     assert len(density.replace("-", "").replace(".", "").lstrip("0")) >= 16
+
+
+# --- the columnar CSV writer --------------------------------------------------
+
+def _oracle_csv(path, header, rows):
+    """The row-at-a-time writer the columnar one replaced: csv.writer over _fmt."""
+    from volclust.cli import _fmt
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def test_writer_special_values_match_row_oracle(tmp_path):
+    from volclust.cli import _write_csv
+
+    values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 0.1 + 0.2,
+                       -1.2345678901234567e300, 2.0 ** 53 + 2, 3])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_csv(str(got), ["v", "neg", "c"], [values, -values, 7])
+    _oracle_csv(str(want), ["v", "neg", "c"], [(v, -v, 7) for v in values])
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_text().splitlines()[1:4] == ["-0,0,7", "0,-0,7", "nan,nan,7"]
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 1024])
+def test_writer_broadcasts_columns_in_c_order(tmp_path, monkeypatch, block_rows):
+    from volclust import cli
+
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(3)
+    a, b, grid = rng.normal(size=(7, 1)), rng.normal(size=(1, 3)), rng.normal(size=(7, 3))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_csv(str(got), ["s", "a", "b", "grid"], [0.5, a, b, grid])
+    _oracle_csv(str(want), ["s", "a", "b", "grid"],
+                [(0.5, a[i, 0], b[0, j], grid[i, j]) for i in range(7) for j in range(3)])
+    assert got.read_bytes() == want.read_bytes()
+
+    cli._write_csv(str(got), ["k", "k2"], [np.arange(13.0), np.arange(13.0) ** 2])
+    _oracle_csv(str(want), ["k", "k2"], [(k, k * k) for k in range(13)])
+    assert got.read_bytes() == want.read_bytes()
+
+    cli._write_csv(str(got), ["one", "two"], [1.5, 2])  # scalars only: a single row
+    assert got.read_text() == "one,two\n1.5,2\n"
+    for empty in (np.empty(0), np.empty((2, 0))):
+        cli._write_csv(str(got), ["empty", "one"], [empty, 1])
+        assert got.read_text() == "empty,one\n"
+
+
+def test_writer_rejects_columns_that_do_not_broadcast(tmp_path):
+    from volclust.cli import _write_csv
+
+    out = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        _write_csv(str(out), ["a", "b"], [np.zeros(3), np.zeros(4)])
+    assert not out.exists()  # nothing is opened before the shapes agree
+
+
+def test_writer_streams_in_bounded_memory(tmp_path):
+    import tracemalloc
+
+    from volclust.cli import _write_csv
+
+    rng = np.random.default_rng(5)
+    x, y = np.linspace(-3, 3, 100), np.linspace(-1, 1, 400)
+    u, u_tilde = rng.normal(size=(100, 400)), rng.normal(size=400)
+    P = u_tilde - u
+    out = tmp_path / "surface.csv"
+    tracemalloc.start()
+    try:
+        _write_csv(str(out), ["tau", "x", "y", "u", "u_tilde", "P"],
+                   [0.25, x[:, None], y[None, :], u, u_tilde[None, :], P])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = out.stat().st_size
+    assert written > 40000 * 6 * 10
+    assert peak < written / 4, (peak, written)

@@ -238,6 +238,19 @@ def test_coarse_demo_logs_one_halving(caplog):
     assert message.endswith("halving dt to 250 steps")
 
 
+def test_out_of_retries_names_the_monitor_that_tripped():
+    """With no retries left the final error carries the last monitor's cause."""
+    spec = arctangent_model()
+    grid = make_grid(spec, 0.25, nx=201, dt=0.002)
+    with pytest.raises(Instability, match="gradient bound at step 3") as info:
+        price_surface(spec, grid, max_retries=0)
+    assert "price band" not in str(info.value)
+    assert isinstance(info.value.__cause__, Instability)
+    assert str(info.value.__cause__) in str(info.value)
+    with pytest.raises(ValueError):
+        price_surface(spec, grid, max_retries=-1)
+
+
 def test_price_band_monitor_trips_on_either_side(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=41)
     _, tilde_steps, _ = _march_1d(fast_spec, grid, keep_steps=True)
