@@ -17,8 +17,7 @@ from .measure import InvariantMeasure, average, build_invariant_measure
 from .model import (Arctangent, Constant, ModelSpec, Tabulated,
                     arctangent_model, eval_coeffs, read_config, validate,
                     write_config)
-from .pde import (Grid2D, PriceSurface, accuracy_sweep, make_grid,
-                  price_surface, solve_u)
+from .pde import Grid2D, PriceSurface, accuracy_sweep, make_grid, price_surface
 from .poisson import (GroupConstants, PhiDerivatives, compute_group_constants,
                       group_constants_for, solve_phi_derivatives)
 
@@ -32,7 +31,7 @@ __all__ = [
     "average", "build_invariant_measure", "Arctangent", "Constant",
     "ModelSpec", "Tabulated", "arctangent_model", "eval_coeffs",
     "read_config", "validate", "write_config", "Grid2D", "PriceSurface",
-    "accuracy_sweep", "make_grid", "price_surface", "solve_u",
+    "accuracy_sweep", "make_grid", "price_surface",
     "GroupConstants", "PhiDerivatives", "compute_group_constants",
     "group_constants_for", "solve_phi_derivatives",
 ]

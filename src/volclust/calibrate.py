@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .errors import ConfigError, DegenerateDesign, Unidentifiable
 from .measure import average, build_invariant_measure
 from .model import ModelSpec
+from .poisson import model_integrals
 
 
 @dataclass(frozen=True)
@@ -110,39 +110,6 @@ class SurfaceCalibration:
     j_b: float
 
 
-def model_integrals(spec: ModelSpec) -> tuple[float, float]:
-    """The eta-free integrals J_sigma = A/rho and J_b = B/(rho + eta sqrt(1-rho^2)).
-
-    Computed through the double-integral route, where the risk prefactors
-    factor out cleanly, so both integrals exist even when rho or the
-    prefactor vanishes.
-    """
-    measure = build_invariant_measure(spec)
-    return _j_sigma_direct(spec, measure), _j_b_direct(spec, measure)
-
-
-def _inner_cumulative(spec: ModelSpec, measure):
-    y = measure.grid
-    pi = measure.density
-    s1sq = np.asarray(spec.sigma1(y)) ** 2
-    centered = s1sq - trapezoid(s1sq * pi, y) / trapezoid(pi, y)
-    inner = cumulative_trapezoid(centered * pi, y, initial=0.0)
-    return np.where(y <= spec.m, inner, inner - inner[-1])
-
-
-def _j_sigma_direct(spec: ModelSpec, measure) -> float:
-    y = measure.grid
-    inner = _inner_cumulative(spec, measure)
-    return float(trapezoid(np.asarray(spec.sigma1(y)) / np.asarray(spec.sigma2(y)) * inner, y))
-
-
-def _j_b_direct(spec: ModelSpec, measure) -> float:
-    y = measure.grid
-    inner = _inner_cumulative(spec, measure)
-    num = np.asarray(spec.b(y)) / (np.asarray(spec.sigma1(y)) * np.asarray(spec.sigma2(y)))
-    return float(trapezoid(num * inner, y))
-
-
 def calibrate_from_surface(quotes: Sequence[IVQuote], spec: ModelSpec,
                            sigma_bar: float | None = None) -> SurfaceCalibration:
     """Fit the smile, recover (A, B), and back out eta given rho.
@@ -154,8 +121,7 @@ def calibrate_from_surface(quotes: Sequence[IVQuote], spec: ModelSpec,
     measure = build_invariant_measure(spec)
     if sigma_bar is None:
         sigma_bar = math.sqrt(average(measure, lambda y: np.asarray(spec.sigma1(y)) ** 2))
-    j_sigma = _j_sigma_direct(spec, measure)
-    j_b = _j_b_direct(spec, measure)
+    j_sigma, j_b = model_integrals(spec, measure)
 
     a, d, r_squared = fit_affine(quotes)
     big_a, big_b = recover_constants((a, d), sigma_bar, spec.epsilon)

@@ -41,13 +41,18 @@ deviations) that the boundary influence is negligible.
 Since u-tilde is x-independent, its march collapses to one dimension in
 y; an exponential substitution linearizes that equation exactly and is
 kept as an independent oracle for the quadratic term.
+
+``price_surface`` is the one entry point and always returns a
+``PriceSurface``; P at the caller's grid steps named in ``snapshot_steps``
+comes back in its ``snapshots`` dict, as in
+``price_surface(spec, grid, snapshot_steps=[50]).snapshots[50]``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,7 +63,7 @@ from .asymptotics import asymptotic_price
 from .errors import BadGrid, Instability
 from .measure import build_invariant_measure
 from .model import ModelSpec, probe_grid
-from .poisson import GroupConstants, group_constants_for
+from .poisson import group_constants_for
 
 DEFAULT_NX = 601
 DEFAULT_X_SPAN = (-3.0, 3.0)
@@ -118,12 +123,7 @@ class PriceSurface:
     u_tilde: np.ndarray  # shape (ny,)
     P: np.ndarray        # shape (nx, ny)
     tau: float
-
-    def price_at(self, x: float, y: float) -> float:
-        """P at the grid node nearest to (x, y)."""
-        ix = int(np.argmin(np.abs(self.grid.x - x)))
-        jy = int(np.argmin(np.abs(self.grid.y - y)))
-        return float(self.P[ix, jy])
+    snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # requested step -> P
 
 
 def _coefficient_bounds(spec: ModelSpec) -> tuple[float, float, float]:
@@ -157,14 +157,16 @@ def _gradient_tripped(spec: ModelSpec, s2_max: float, dt: float, dy: float,
 
 def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
               x_span: tuple[float, float] = DEFAULT_X_SPAN, ny: int | None = None,
-              dt: float | None = None, n_min_steps: int = MIN_STEPS,
-              safety: float = SAFETY, gmax_est: float | None = None) -> Grid2D:
+              dt: float | None = None) -> Grid2D:
     """Build a grid satisfying the resolution precondition and the dt policy.
 
     The y-domain spans 6 stationary standard deviations each side of the
     mean level (stretched below when epsilon > 1) and the y-spacing
-    resolves the boundary layer: dy <= sqrt(eps) * inf(sigma2) / 4.
+    resolves the boundary layer: dy <= sqrt(eps) * inf(sigma2) / 4.  A
+    given ``dt`` must be finite and positive; it is shrunk to divide tau.
     """
+    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+        raise BadGrid(f"dt must be finite and > 0, got {dt}")
     eps = spec.epsilon
     measure = build_invariant_measure(spec)
     std = measure.std()
@@ -188,17 +190,17 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
         return Grid2D(x=x, y=y, dt=1.0, n_steps=0)
     if dt is None:
         s1_max, _, s2_max = _coefficient_bounds(spec)
-        gmax0 = gmax_est if gmax_est is not None else 0.05 * spec.strike * math.sqrt(eps)
+        gmax0 = 0.05 * spec.strike * math.sqrt(eps)  # estimate of max |u_y|
         candidates = [
             gradient_dt_bound(spec, s2_max, dy, gmax0),
             0.25 * eps,            # resolve the fast relaxation
-            tau / n_min_steps,     # baseline time resolution
+            tau / MIN_STEPS,       # baseline time resolution
         ]
         if abs(spec.rho) > 0.95:
             # near-degenerate correlation: fall back to the raw explicit
             # bound on the mixed term rather than trusting the implicit damping
             candidates.append(math.sqrt(eps) * dx * dy / (2.0 * abs(spec.rho) * s1_max * s2_max))
-        dt = safety * min(candidates)
+        dt = SAFETY * min(candidates)
     n_steps = max(1, int(math.ceil(tau / dt)))
     return Grid2D(x=x, y=y, dt=tau / n_steps, n_steps=n_steps)
 
@@ -350,12 +352,6 @@ def apply_discrete_operator(spec: ModelSpec, grid: Grid2D, U: np.ndarray,
     return out
 
 
-def _check_grid(spec: ModelSpec, grid: Grid2D) -> None:
-    cap = _max_dy(spec)
-    if grid.dy > cap * (1.0 + 1e-9):
-        raise BadGrid(f"y spacing {grid.dy:.3e} exceeds the boundary-layer cap {cap:.3e}")
-
-
 def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
               snapshot_steps: Iterable[int] = (),
               u_tilde_steps: np.ndarray | None = None) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -429,9 +425,8 @@ def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     return U, snapshots
 
 
-def _march_1d(spec: ModelSpec, grid: Grid2D, keep_steps: bool = False,
-              snapshot_steps: Iterable[int] = ()) -> tuple[np.ndarray, np.ndarray | None, dict[int, np.ndarray]]:
-    """March the x-independent value function; optionally keep every step."""
+def _march_1d(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
+    """March the x-independent value function; returns all steps, shape (n_steps + 1, ny)."""
     coeffs = _Coefficients(spec, grid.y)
     dt, dy = grid.dt, grid.dy
     ny = grid.y.size
@@ -441,14 +436,7 @@ def _march_1d(spec: ModelSpec, grid: Grid2D, keep_steps: bool = False,
 
     v = np.zeros(ny)
     v_y = np.empty(ny)
-    all_steps = None
-    if keep_steps:
-        all_steps = np.zeros((grid.n_steps + 1, ny))
-        all_steps[0] = v
-    wanted = set(snapshot_steps)
-    snapshots: dict[int, np.ndarray] = {}
-    if 0 in wanted:
-        snapshots[0] = v.copy()
+    all_steps = np.zeros((grid.n_steps + 1, ny))
     for step in range(1, grid.n_steps + 1):
         _central_y(v, dy, v_y)
         grad_max = float(np.abs(v_y).max())
@@ -459,43 +447,12 @@ def _march_1d(spec: ModelSpec, grid: Grid2D, keep_steps: bool = False,
         peak = float(np.abs(v).max())
         if not np.isfinite(peak) or peak > amplitude_cap:
             raise Instability(f"1-d march left the amplitude bound at step {step}")
-        if keep_steps:
-            all_steps[step] = v
-        if step in wanted:
-            snapshots[step] = v.copy()
-    return v, all_steps, snapshots
-
-
-def solve_u(spec: ModelSpec, grid: Grid2D, initial: str = "payoff", *,
-            force_2d: bool = False, history_every: int = 0):
-    """Time-march one value function to tau_final.
-
-    ``initial`` is "payoff" (starts at the negative put payoff, full 2-d
-    march) or "zero" (x-independent, collapses to a 1-d march in y unless
-    ``force_2d``).  Returns the terminal array, shape (nx, ny) for 2-d
-    and (ny,) for the collapsed march; with ``history_every`` > 0 returns
-    ``(terminal, [(tau_k, array), ...])`` instead.
-    """
-    if initial not in ("payoff", "zero"):
-        raise ValueError(f"initial must be 'payoff' or 'zero', got {initial!r}")
-    _check_grid(spec, grid)
-    snaps = range(0, grid.n_steps + 1, history_every) if history_every > 0 else ()
-
-    if initial == "zero" and not force_2d:
-        v, _, snapshots = _march_1d(spec, grid, snapshot_steps=snaps)
-        if history_every > 0:
-            return v, [(k * grid.dt, snapshots[k]) for k in sorted(snapshots)]
-        return v
-
-    U0 = payoff_initial(spec, grid) if initial == "payoff" else np.zeros((grid.y.size, grid.x.size))
-    U, snapshots = _march_2d(spec, grid, U0, snapshot_steps=snaps)
-    if history_every > 0:
-        return U.T.copy(), [(k * grid.dt, snapshots[k].T.copy()) for k in sorted(snapshots)]
-    return U.T.copy()
+        all_steps[step] = v
+    return all_steps
 
 
 def price_surface(spec: ModelSpec, grid: Grid2D, *, max_retries: int = MAX_DT_RETRIES,
-                  snapshot_steps: Iterable[int] = ()) -> PriceSurface | tuple[PriceSurface, dict]:
+                  snapshot_steps: Iterable[int] = ()) -> PriceSurface:
     """Solve both value functions and form P = u_tilde - u on the grid.
 
     The x-independent function is marched first and kept at every step so
@@ -503,21 +460,22 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *, max_retries: int = MAX_DT_RE
     halves dt and restarts both marches.  Each halving is logged at INFO
     level with the tripped monitor's message and the new step count.  When
     the retries run out, the last monitor's message is raised again with
-    that monitor's ``Instability`` as the cause.
+    that monitor's ``Instability`` as the cause.  P at each of
+    ``snapshot_steps``, steps of ``grid``, lands in ``snapshots``.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    _check_grid(spec, grid)
+    cap = _max_dy(spec)
+    if grid.dy > cap * (1.0 + 1e-9):
+        raise BadGrid(f"y spacing {grid.dy:.3e} exceeds the boundary-layer cap {cap:.3e}")
+    steps = tuple(snapshot_steps)
     attempt_grid = grid
-    want_snaps = bool(snapshot_steps)
     for attempt in range(max_retries + 1):
         factor = attempt_grid.n_steps // grid.n_steps if grid.n_steps else 1
-        snaps = [s * factor for s in snapshot_steps]
         try:
-            u_tilde, tilde_steps, tilde_snaps = _march_1d(spec, attempt_grid, keep_steps=True,
-                                                          snapshot_steps=snaps)
-            U0 = payoff_initial(spec, attempt_grid)
-            U, u_snaps = _march_2d(spec, attempt_grid, U0, snapshot_steps=snaps,
+            tilde_steps = _march_1d(spec, attempt_grid)
+            U, u_snaps = _march_2d(spec, attempt_grid, payoff_initial(spec, attempt_grid),
+                                   snapshot_steps=[s * factor for s in steps],
                                    u_tilde_steps=tilde_steps)
         except Instability as exc:
             if attempt == max_retries:
@@ -525,13 +483,11 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *, max_retries: int = MAX_DT_RE
             attempt_grid = attempt_grid.with_halved_dt()
             logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue
-        P = u_tilde[None, :] - U.T
-        surface = PriceSurface(grid=attempt_grid, u=U.T.copy(), u_tilde=u_tilde,
-                               P=P.copy(), tau=attempt_grid.tau_final)
-        if want_snaps:
-            price_snaps = {s // factor: tilde_snaps[s][None, :] - u_snaps[s].T for s in snaps}
-            return surface, price_snaps
-        return surface
+        u_tilde = tilde_steps[-1].copy()  # the surface must not keep every step alive
+        snapshots = {s: tilde_steps[s * factor][None, :] - u_snaps[s * factor].T for s in steps}
+        return PriceSurface(grid=attempt_grid, u=U.T.copy(), u_tilde=u_tilde,
+                            P=u_tilde[None, :] - U.T, tau=attempt_grid.tau_final,
+                            snapshots=snapshots)
 
 
 def solve_u_tilde_cole_hopf(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
@@ -564,7 +520,6 @@ class SweepRow:
 
 def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
                    probe_points: Sequence[tuple[float, float, float]], *,
-                   gc: GroupConstants | None = None,
                    grid_factory=None) -> list[SweepRow]:
     """Measure the corrected-asymptotics gap across a decreasing epsilon list.
 
@@ -574,21 +529,20 @@ def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
     """
     if not probe_points:
         raise ValueError("need at least one probe point")
-    if gc is None:
-        gc = group_constants_for(spec)  # epsilon-independent
+    gc = group_constants_for(spec)  # epsilon-independent
     tau_final = max(p[0] for p in probe_points)
     rows = []
     for eps in eps_list:
         spec_eps = spec.with_(epsilon=float(eps))
         grid = grid_factory(spec_eps, tau_final) if grid_factory else make_grid(spec_eps, tau_final)
         steps = sorted({_snap_step(p[0], grid) for p in probe_points})
-        _, price_snaps = price_surface(spec_eps, grid, snapshot_steps=steps)
+        snapshots = price_surface(spec_eps, grid, snapshot_steps=steps).snapshots
         worst = 0.0
         for tau_p, x_p, y_p in probe_points:
             step = _snap_step(tau_p, grid)
             ix = int(np.argmin(np.abs(grid.x - x_p)))
             jy = int(np.argmin(np.abs(grid.y - y_p)))
-            p_num = float(price_snaps[step][ix, jy])
+            p_num = float(snapshots[step][ix, jy])
             corrected = asymptotic_price(gc, spec_eps, step * grid.dt, float(grid.x[ix])).corrected
             worst = max(worst, abs(p_num - corrected))
         denom = -eps * math.log(eps)

@@ -47,8 +47,8 @@ class GroupConstants:
     ``a`` multiplies the third x-derivative of the leading price, ``b``
     the first; ``a_tilde`` only enters the diagnostic value-function
     pieces and carries the 1/gamma dependence.  ``a_alt``/``b_alt`` are
-    the same constants evaluated through the double-integral route and
-    are recorded for cross-checking.
+    the same constants evaluated through the double-integral route of
+    ``model_integrals`` and are recorded for cross-checking.
     """
 
     sigma1_bar_sq: float
@@ -116,7 +116,6 @@ def compute_group_constants(spec: ModelSpec, measure: InvariantMeasure,
     if phis.grid.shape != measure.grid.shape or not np.array_equal(phis.grid, measure.grid):
         raise ValueError("corrector derivatives and measure must share the same grid")
     y = measure.grid
-    pi = measure.density
     s1 = np.asarray(spec.sigma1(y))
     s2 = np.asarray(spec.sigma2(y))
     b = np.asarray(spec.b(y))
@@ -128,13 +127,7 @@ def compute_group_constants(spec: ModelSpec, measure: InvariantMeasure,
     a = spec.rho * average(measure, s1 * s2 * phis.phi2_prime)
     a_tilde = prefactor * average(measure, b * s2 / s1 * phis.phi1_prime)
     b_const = prefactor * average(measure, b * s2 / s1 * phis.phi2_prime)
-
-    # double-integral route: outer integral is in plain dy, the inner one
-    # is the cumulative stationary integral of the centered vol level
-    inner = cumulative_trapezoid(_centered(s1 ** 2, measure) * pi, y, initial=0.0)
-    inner = np.where(y <= spec.m, inner, inner - inner[-1])
-    a_alt = spec.rho * float(trapezoid(s1 / s2 * inner, y))
-    b_alt = prefactor * float(trapezoid(b / (s1 * s2) * inner, y))
+    j_sigma, j_b = model_integrals(spec, measure)
 
     return GroupConstants(
         sigma1_bar_sq=float(sigma1_bar_sq),
@@ -142,9 +135,26 @@ def compute_group_constants(spec: ModelSpec, measure: InvariantMeasure,
         a=float(a),
         a_tilde=float(a_tilde),
         b=float(b_const),
-        a_alt=a_alt,
-        b_alt=b_alt,
+        a_alt=spec.rho * j_sigma,
+        b_alt=prefactor * j_b,
     )
+
+
+def model_integrals(spec: ModelSpec, measure: InvariantMeasure) -> tuple[float, float]:
+    """The eta-free integrals J_sigma = A/rho and J_b = B/(rho + eta sqrt(1-rho^2)).
+
+    Double-integral route: the outer integral is in plain dy, the inner one
+    is the cumulative stationary integral of the centered vol level.  The
+    risk prefactors factor out, so both integrals exist even when rho or
+    the prefactor vanishes.
+    """
+    y = measure.grid
+    s1 = np.asarray(spec.sigma1(y))
+    s2 = np.asarray(spec.sigma2(y))
+    b = np.asarray(spec.b(y))
+    inner = cumulative_trapezoid(_centered(s1 ** 2, measure) * measure.density, y, initial=0.0)
+    inner = np.where(y <= spec.m, inner, inner - inner[-1])
+    return float(trapezoid(s1 / s2 * inner, y)), float(trapezoid(b / (s1 * s2) * inner, y))
 
 
 def group_constants_for(spec: ModelSpec, tol: float = 1e-10,

@@ -134,6 +134,15 @@ def test_pde_solve_command(cheap_config, tmp_path):
     assert ps.min() >= -1e-6 * 100 and ps.max() <= 100 * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("dt", ["0", "-0.1", "nan", "inf"])
+def test_pde_solve_rejects_a_bad_dt(cheap_config, tmp_path, capsys, dt):
+    out = tmp_path / "pde.csv"
+    assert main(["pde-solve", "--config", cheap_config, "--nx", "21", "--dt", dt,
+                 "--out", str(out)]) == 2
+    assert "dt must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pde_sweep_command(cheap_config, tmp_path, capsys):
     probes = tmp_path / "probes.csv"
     probes.write_text("tau,x,y\n0.05,0.0,0.0\n0.05,-0.3,0.1\n")

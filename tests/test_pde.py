@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from volclust.errors import BadGrid, Instability, NumericalError
 from volclust.model import Constant, ModelSpec, arctangent_model
 from volclust.pde import (Grid2D, _march_1d, _march_2d, accuracy_sweep,
                           apply_discrete_operator, make_grid, payoff_initial,
-                          price_surface, solve_u, solve_u_tilde_cole_hopf)
+                          price_surface, solve_u_tilde_cole_hopf)
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,7 +62,7 @@ def test_degenerate_black_scholes(bs_degenerate_spec):
 def test_zero_initial_is_fixed_point_without_drift(fast_spec):
     spec = fast_spec.with_(b=Constant(0.0))
     grid = make_grid(spec, 0.25, nx=61)
-    assert np.abs(solve_u(spec, grid, "zero")).max() == 0.0
+    assert np.abs(_march_1d(spec, grid)[-1]).max() == 0.0
 
 
 def test_price_is_payoff_at_tau_zero(fast_spec):
@@ -80,18 +81,21 @@ def test_price_band(fast_spec):
 
 def test_u_tilde_is_x_independent_on_full_grid(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=61)
-    flat = solve_u(fast_spec, grid, "zero")
-    full = solve_u(fast_spec, grid, "zero", force_2d=True)
+    flat = _march_1d(fast_spec, grid)[-1]
+    full = _march_2d(fast_spec, grid, np.zeros((grid.y.size, grid.x.size)))[0].T
     assert np.abs(full - full.mean(axis=0, keepdims=True)).max() < 1e-12
     assert np.abs(full - flat[None, :]).max() < 1e-12
 
 
 def test_ordered_initial_data_stay_ordered(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=101, dt=0.25 / 100)
-    _, hist_pay = solve_u(fast_spec, grid, "payoff", history_every=10)
-    _, hist_zero = solve_u(fast_spec, grid, "zero", force_2d=True, history_every=10)
-    worst = min(float((uz - up).min())
-                for (_, uz), (_, up) in zip(hist_zero, hist_pay))
+    every_tenth = range(0, grid.n_steps + 1, 10)
+    _, hist_pay = _march_2d(fast_spec, grid, payoff_initial(fast_spec, grid),
+                            snapshot_steps=every_tenth)
+    _, hist_zero = _march_2d(fast_spec, grid, np.zeros((grid.y.size, grid.x.size)),
+                             snapshot_steps=every_tenth)
+    assert sorted(hist_pay) == sorted(hist_zero) == list(every_tenth)
+    worst = min(float((hist_zero[k] - hist_pay[k]).min()) for k in every_tenth)
     assert worst > -1e-9 * fast_spec.strike
 
 
@@ -100,7 +104,7 @@ def test_cole_hopf_oracle_for_u_tilde(fast_spec):
     gaps = []
     for n_steps in (100, 400):
         grid = make_grid(spec, 0.25, nx=61, dt=0.25 / n_steps)
-        gaps.append(np.abs(solve_u(spec, grid, "zero")
+        gaps.append(np.abs(_march_1d(spec, grid)[-1]
                            - solve_u_tilde_cole_hopf(spec, grid)).max())
     assert gaps[1] < 5e-3              # both converge to the same function
     assert gaps[0] / gaps[1] > 2.5     # gap shrinks ~first order in dt
@@ -169,7 +173,7 @@ def test_instability_raised_for_reckless_dt():
     reckless = Grid2D(x=grid.x, y=grid.y, dt=grid.dt * 100,
                       n_steps=max(1, grid.n_steps // 100))
     with pytest.raises(Instability):
-        solve_u(spec, reckless, "payoff")
+        _march_2d(spec, reckless, payoff_initial(spec, reckless))
 
 
 def test_price_surface_recovers_by_halving_dt():
@@ -180,6 +184,24 @@ def test_price_surface_recovers_by_halving_dt():
     surface = price_surface(spec, too_big)
     assert surface.grid.dt < too_big.dt  # at least one halving happened
     assert surface.P.min() >= -1e-6 * spec.strike
+    assert surface.snapshots == {}
+
+
+def test_snapshots_map_caller_steps_onto_the_halved_grid():
+    spec = arctangent_model(epsilon=0.01)
+    grid = make_grid(spec, 0.25, nx=61)
+    too_big = Grid2D(x=grid.x, y=grid.y, dt=grid.dt * 16,
+                     n_steps=int(math.ceil(grid.n_steps / 16)))
+    steps = [too_big.n_steps, 1, too_big.n_steps // 2]
+    surface = price_surface(spec, too_big, snapshot_steps=steps)
+    factor = surface.grid.n_steps // too_big.n_steps
+    assert factor > 1
+    assert sorted(surface.snapshots) == sorted(steps)
+    assert np.array_equal(surface.snapshots[too_big.n_steps], surface.P)
+    for k in steps:
+        prefix = price_surface(spec, replace(surface.grid, n_steps=k * factor))
+        assert prefix.grid.n_steps == k * factor  # no halving of its own
+        assert np.array_equal(surface.snapshots[k], prefix.P)
 
 
 def test_accuracy_sweep_single_member(fast_spec):
@@ -253,7 +275,7 @@ def test_out_of_retries_names_the_monitor_that_tripped():
 
 def test_price_band_monitor_trips_on_either_side(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=41)
-    _, tilde_steps, _ = _march_1d(fast_spec, grid, keep_steps=True)
+    tilde_steps = _march_1d(fast_spec, grid)
     U0 = payoff_initial(fast_spec, grid)
     one_step = Grid2D(x=grid.x, y=grid.y, dt=grid.dt, n_steps=1)
     U1, _ = _march_2d(fast_spec, one_step, U0)
