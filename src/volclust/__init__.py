@@ -15,8 +15,7 @@ from .calibrate import (AffineFit, IVQuote, calibrate_from_surface, fit_affine,
 from .errors import VolclustError
 from .measure import InvariantMeasure, average, build_invariant_measure
 from .model import (Arctangent, Constant, ModelSpec, Tabulated,
-                    arctangent_model, eval_coeffs, read_config, validate,
-                    write_config)
+                    arctangent_model, read_config, validate, write_config)
 from .pde import Grid2D, PriceSurface, accuracy_sweep, make_grid, price_surface
 from .poisson import (GroupConstants, PhiDerivatives, compute_group_constants,
                       group_constants_for, solve_phi_derivatives)
@@ -29,9 +28,9 @@ __all__ = [
     "implied_vol", "AffineFit", "IVQuote", "calibrate_from_surface",
     "fit_affine", "recover_constants", "VolclustError", "InvariantMeasure",
     "average", "build_invariant_measure", "Arctangent", "Constant",
-    "ModelSpec", "Tabulated", "arctangent_model", "eval_coeffs",
-    "read_config", "validate", "write_config", "Grid2D", "PriceSurface",
-    "accuracy_sweep", "make_grid", "price_surface",
+    "ModelSpec", "Tabulated", "arctangent_model", "read_config", "validate",
+    "write_config", "Grid2D", "PriceSurface", "accuracy_sweep", "make_grid",
+    "price_surface",
     "GroupConstants", "PhiDerivatives", "compute_group_constants",
     "group_constants_for", "solve_phi_derivatives",
 ]

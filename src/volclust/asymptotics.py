@@ -42,7 +42,6 @@ class AsymptoticPrice:
     u0: float         # diagnostic value function (negative payoff branch)
     u1: float
     u1_tilde: float
-    order: str = "sqrt_eps"
 
 
 def asymptotic_price(gc: GroupConstants, spec: ModelSpec, tau: float, x: float) -> AsymptoticPrice:
@@ -77,10 +76,6 @@ class CorrectedIV:
         if tau <= 0:
             raise ValueError("implied volatility is undefined at tau = 0")
         return self.a * (-x / tau) + self.d
-
-    def iv_lmmr(self, lmmr):
-        """Vectorized evaluation directly against LMMR."""
-        return self.a * lmmr + self.d
 
 
 def corrected_iv(gc: GroupConstants, spec: ModelSpec) -> CorrectedIV:

@@ -57,8 +57,6 @@ class AffineFit:
     r_squared: float
     a_recovered: float
     b_recovered: float
-    sigma_bar_used: float
-    epsilon_used: float
 
 
 def fit_affine(quotes: Sequence[IVQuote]) -> tuple[float, float, float]:
@@ -125,8 +123,7 @@ def calibrate_from_surface(quotes: Sequence[IVQuote], spec: ModelSpec,
 
     a, d, r_squared = fit_affine(quotes)
     big_a, big_b = recover_constants((a, d), sigma_bar, spec.epsilon)
-    fit = AffineFit(a=a, d=d, r_squared=r_squared, a_recovered=big_a, b_recovered=big_b,
-                    sigma_bar_used=sigma_bar, epsilon_used=spec.epsilon)
+    fit = AffineFit(a=a, d=d, r_squared=r_squared, a_recovered=big_a, b_recovered=big_b)
 
     scale = abs(big_b) + abs(spec.rho * j_sigma) + 1e-30
     if abs(j_b) <= 1e-12 * scale:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -105,8 +106,11 @@ def _cmd_constants(args) -> None:
 
 def _cmd_price(args) -> None:
     spec = _load_spec(args.config)
-    gc = poisson.group_constants_for(spec)
     taus = args.tau if args.tau else [spec.maturity]
+    for tau in taus:
+        if not (math.isfinite(tau) and tau >= 0.0):
+            raise ConfigError(f"--tau must be finite and >= 0, got {tau}")
+    gc = poisson.group_constants_for(spec)
     points = [[asymptotics.asymptotic_price(gc, spec, tau, x) for x in args.x] for tau in taus]
     prices = np.array([[(ap.P0, ap.P1, ap.corrected) for ap in row] for row in points])
     _write_csv(args.out, ["tau", "x", "P0", "P1", "corrected"],
@@ -126,6 +130,9 @@ def _smile_line(args) -> tuple[float, float]:
 
 def _cmd_iv_surface(args) -> None:
     a, d = _smile_line(args)
+    for tau in args.tau or [0.25]:
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise ConfigError(f"--tau must be finite and > 0, got {tau}")
     taus = np.array(args.tau or [0.25])[:, None]
     xs = np.linspace(args.x_min, args.x_max, args.nx)
     lmmr = -xs / taus
@@ -182,6 +189,8 @@ def _cmd_figure2(args) -> None:
 
 
 def _cmd_measure_dump(args) -> None:
+    if not args.tol > 0.0:
+        raise ConfigError(f"--tol must be > 0, got {args.tol}")
     spec = _load_spec(args.config)
     m = measure.build_invariant_measure(spec, tol=args.tol)
     _write_csv(args.out, ["y", "density"], [m.grid, m.density])

@@ -34,16 +34,10 @@ class InvariantMeasure:
 
     grid: np.ndarray     # strictly increasing quadrature nodes
     density: np.ndarray  # nonnegative, trapezoid-integrates to 1
-    Z: float             # normalizing constant of the m-anchored integrand
-    domain: tuple[float, float]
 
     def __post_init__(self):
         self.grid.setflags(write=False)
         self.density.setflags(write=False)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.grid[1] - self.grid[0])
 
     def mean(self) -> float:
         return float(trapezoid(self.grid * self.density, self.grid))
@@ -97,10 +91,7 @@ def build_invariant_measure(spec: ModelSpec, tol: float = 1e-10,
                 "stationary density integrand does not decay within |y - m| <= 200; "
                 "check the sigma2 table"
             )
-    Z = float(trapezoid(w, grid))
-    density = w / Z
-    return InvariantMeasure(grid=grid, density=density, Z=Z,
-                            domain=(float(grid[0]), float(grid[-1])))
+    return InvariantMeasure(grid=grid, density=w / float(trapezoid(w, grid)))
 
 
 def average(measure: InvariantMeasure, f: Union[Callable, np.ndarray]) -> float:

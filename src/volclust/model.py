@@ -167,24 +167,12 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class Coefficients:
-    """Pointwise values of the three coefficient functions."""
-
-    b: float
-    sigma1: float
-    sigma2: float
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[str, ...] = field(default=())
 
     @property
     def is_valid(self) -> bool:
         return not self.violations
-
-    def __bool__(self) -> bool:  # truthy when valid, so `if validate(spec):` reads naturally
-        return self.is_valid
 
 
 def probe_grid(spec: ModelSpec) -> np.ndarray:
@@ -217,11 +205,6 @@ def validate(spec: ModelSpec) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def eval_coeffs(spec: ModelSpec, y: float) -> Coefficients:
-    """Pointwise evaluation of (b, sigma1, sigma2)."""
-    return Coefficients(b=float(spec.b(y)), sigma1=float(spec.sigma1(y)), sigma2=float(spec.sigma2(y)))
-
-
 def arctangent_model(eta: float = 0.0, gamma: float = 1.0, epsilon: float = 0.004,
                      strike: float = 100.0, maturity: float = 0.25) -> ModelSpec:
     """Arctangent-volatility demo model used throughout the tests and CLI.
@@ -245,15 +228,14 @@ def arctangent_model(eta: float = 0.0, gamma: float = 1.0, epsilon: float = 0.00
 
 
 # --- config file round trip -------------------------------------------------
-#
-# Layout (ini-style):
-#   [model]   b, sigma1, sigma2, m, rho, epsilon
-#   [driver]  eta, gamma
-#   [option]  strike, maturity
 
-_MODEL_KEYS = ("b", "sigma1", "sigma2", "m", "rho", "epsilon")
-_DRIVER_KEYS = ("eta", "gamma")
-_OPTION_KEYS = ("strike", "maturity")
+#: ini sections and their ModelSpec fields, in file order
+_CONFIG_LAYOUT = (
+    ("model", ("b", "sigma1", "sigma2", "m", "rho", "epsilon")),
+    ("driver", ("eta", "gamma")),
+    ("option", ("strike", "maturity")),
+)
+_COEFFICIENT_FIELDS = ("b", "sigma1", "sigma2")  # stored as config_value() text, the rest as repr
 
 
 def read_config(path: str) -> ModelSpec:
@@ -262,39 +244,25 @@ def read_config(path: str) -> ModelSpec:
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
     base_dir = os.path.dirname(os.path.abspath(path))
+    fields = {}
     try:
-        model = parser["model"]
-        driver = parser["driver"]
-        option = parser["option"]
-        spec = ModelSpec(
-            b=coefficient_from_string(model["b"], base_dir),
-            sigma1=coefficient_from_string(model["sigma1"], base_dir),
-            sigma2=coefficient_from_string(model["sigma2"], base_dir),
-            m=float(model["m"]),
-            rho=float(model["rho"]),
-            epsilon=float(model["epsilon"]),
-            eta=float(driver["eta"]),
-            gamma=float(driver["gamma"]),
-            strike=float(option["strike"]),
-            maturity=float(option["maturity"]),
-        )
+        for section, keys in _CONFIG_LAYOUT:
+            for key in keys:
+                text = parser[section][key]
+                fields[key] = (coefficient_from_string(text, base_dir)
+                               if key in _COEFFICIENT_FIELDS else float(text))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config file {path!r}: {exc}") from exc
-    return spec
+    return ModelSpec(**fields)
 
 
 def write_config(spec: ModelSpec, path: str) -> None:
     """Serialize a ModelSpec to an ini-style config file."""
     parser = configparser.ConfigParser()
-    parser["model"] = {
-        "b": spec.b.config_value(),
-        "sigma1": spec.sigma1.config_value(),
-        "sigma2": spec.sigma2.config_value(),
-        "m": repr(spec.m),
-        "rho": repr(spec.rho),
-        "epsilon": repr(spec.epsilon),
-    }
-    parser["driver"] = {"eta": repr(spec.eta), "gamma": repr(spec.gamma)}
-    parser["option"] = {"strike": repr(spec.strike), "maturity": repr(spec.maturity)}
+    for section, keys in _CONFIG_LAYOUT:
+        parser[section] = {}
+        for key in keys:
+            value = getattr(spec, key)
+            parser[section][key] = value.config_value() if key in _COEFFICIENT_FIELDS else repr(value)
     with open(path, "w") as fh:
         parser.write(fh)

@@ -71,7 +71,7 @@ MIN_NY = 201
 MIN_STEPS = 200
 SAFETY = 0.5
 BAND_SLACK = 1e-6  # relative to strike; explicit mixed term is not exactly monotone
-MAX_DT_RETRIES = 6
+MAX_DT_RETRIES = 6  # dt halvings price_surface tries before it gives up
 
 logger = logging.getLogger(__name__)
 
@@ -164,7 +164,10 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     mean level (stretched below when epsilon > 1) and the y-spacing
     resolves the boundary layer: dy <= sqrt(eps) * inf(sigma2) / 4.  A
     given ``dt`` must be finite and positive; it is shrunk to divide tau.
+    ``tau`` must be finite and >= 0; tau = 0 gives the payoff grid (no steps).
     """
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise BadGrid(f"tau must be finite and >= 0, got {tau}")
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise BadGrid(f"dt must be finite and > 0, got {dt}")
     eps = spec.epsilon
@@ -186,7 +189,7 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     dy = float(y[1] - y[0])
     dx = float(x[1] - x[0])
 
-    if tau <= 0.0:
+    if tau == 0.0:
         return Grid2D(x=x, y=y, dt=1.0, n_steps=0)
     if dt is None:
         s1_max, _, s2_max = _coefficient_bounds(spec)
@@ -451,26 +454,27 @@ def _march_1d(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     return all_steps
 
 
-def price_surface(spec: ModelSpec, grid: Grid2D, *, max_retries: int = MAX_DT_RETRIES,
+def price_surface(spec: ModelSpec, grid: Grid2D, *,
                   snapshot_steps: Iterable[int] = ()) -> PriceSurface:
     """Solve both value functions and form P = u_tilde - u on the grid.
 
     The x-independent function is marched first and kept at every step so
     the 2-d march can monitor the price band as it goes; any monitor trip
     halves dt and restarts both marches.  Each halving is logged at INFO
-    level with the tripped monitor's message and the new step count.  When
-    the retries run out, the last monitor's message is raised again with
-    that monitor's ``Instability`` as the cause.  P at each of
-    ``snapshot_steps``, steps of ``grid``, lands in ``snapshots``.
+    level with the tripped monitor's message and the new step count.  After
+    ``MAX_DT_RETRIES`` halvings, the last monitor's message is raised again
+    with that monitor's ``Instability`` as the cause.  P at each of
+    ``snapshot_steps``, steps of ``grid`` in 0..n_steps, lands in ``snapshots``.
     """
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     cap = _max_dy(spec)
     if grid.dy > cap * (1.0 + 1e-9):
         raise BadGrid(f"y spacing {grid.dy:.3e} exceeds the boundary-layer cap {cap:.3e}")
     steps = tuple(snapshot_steps)
+    for s in steps:
+        if not 0 <= s <= grid.n_steps:
+            raise BadGrid(f"snapshot step {s} is outside the grid's steps 0..{grid.n_steps}")
     attempt_grid = grid
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_DT_RETRIES + 1):
         factor = attempt_grid.n_steps // grid.n_steps if grid.n_steps else 1
         try:
             tilde_steps = _march_1d(spec, attempt_grid)
@@ -478,8 +482,8 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *, max_retries: int = MAX_DT_RE
                                    snapshot_steps=[s * factor for s in steps],
                                    u_tilde_steps=tilde_steps)
         except Instability as exc:
-            if attempt == max_retries:
-                raise Instability(f"{exc} (still, after {max_retries} dt halvings)") from exc
+            if attempt == MAX_DT_RETRIES:
+                raise Instability(f"{exc} (still, after {attempt} dt halvings)") from exc
             attempt_grid = attempt_grid.with_halved_dt()
             logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue

@@ -26,8 +26,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .errors import DegenerateDensity
-from .measure import (DEFAULT_NODES, InvariantMeasure, average,
-                      build_invariant_measure)
+from .measure import InvariantMeasure, average, build_invariant_measure
 from .model import ModelSpec
 
 
@@ -157,9 +156,8 @@ def model_integrals(spec: ModelSpec, measure: InvariantMeasure) -> tuple[float, 
     return float(trapezoid(s1 / s2 * inner, y)), float(trapezoid(b / (s1 * s2) * inner, y))
 
 
-def group_constants_for(spec: ModelSpec, tol: float = 1e-10,
-                        n_nodes: int | None = None) -> GroupConstants:
+def group_constants_for(spec: ModelSpec) -> GroupConstants:
     """Convenience pipeline: measure -> correctors -> constants."""
-    measure = build_invariant_measure(spec, tol=tol, n_nodes=n_nodes or DEFAULT_NODES)
+    measure = build_invariant_measure(spec)
     phis = solve_phi_derivatives(spec, measure)
     return compute_group_constants(spec, measure, phis)

@@ -1,9 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from volclust import (arctangent_model, build_invariant_measure,
                       compute_group_constants, solve_phi_derivatives)
 from volclust.model import Arctangent, Constant, ModelSpec, Tabulated, validate
+
+
+def pytest_collection_modifyitems(items):
+    """Fail every test under tests/ on a RuntimeWarning (overflow, nan, divide by zero).
+
+    Prepended, so a test's own filterwarnings mark still takes precedence.
+    """
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"), append=False)
 
 
 @pytest.fixture(scope="session")

@@ -60,7 +60,7 @@ def test_demo_smile_slopes_down(demo_gc, demo_spec):
     civ = corrected_iv(demo_gc, demo_spec)
     assert civ.a < 0  # A > 0 forces a negative LMMR slope: skew decreasing in log moneyness
     lm = np.linspace(-0.3, 0.3, 21)  # log moneyness -x
-    ivs = civ.iv_lmmr(lm / 0.25)
+    ivs = civ.iv(0.25, -lm)
     assert np.all(np.diff(ivs) < 0)
     assert civ.iv(0.25, -0.3) < civ.iv(0.25, 0.3)
 

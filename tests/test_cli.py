@@ -143,6 +143,20 @@ def test_pde_solve_rejects_a_bad_dt(cheap_config, tmp_path, capsys, dt):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,message", [
+    (["price", "--tau", "-1", "--x", "0.0"], "--tau must be finite and >= 0, got -1.0"),
+    (["measure-dump", "--tol", "0"], "--tol must be > 0, got 0.0"),
+    (["iv-surface", "--a", "-0.1", "--d", "0.2", "--tau", "0"], "--tau must be finite and > 0, got 0.0"),
+    (["pde-solve", "--nx", "21", "--tau", "-1"], "tau must be finite and >= 0, got -1.0"),
+], ids=["price", "measure-dump", "iv-surface", "pde-solve"])
+def test_bad_numbers_exit_with_2_naming_the_flag(cheap_config, tmp_path, capsys, command, message):
+    out = tmp_path / "out.csv"
+    config = [] if command[0] == "iv-surface" else ["--config", cheap_config]
+    assert main(command + config + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pde_sweep_command(cheap_config, tmp_path, capsys):
     probes = tmp_path / "probes.csv"
     probes.write_text("tau,x,y\n0.05,0.0,0.0\n0.05,-0.3,0.1\n")

@@ -1,13 +1,17 @@
+import configparser
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volclust.errors import ConfigError
 from volclust.model import (Arctangent, Constant, ModelSpec, Tabulated,
                             arctangent_model, coefficient_from_string,
-                            eval_coeffs, probe_grid, read_config, validate,
-                            write_config)
+                            probe_grid, read_config, validate, write_config)
 
 
 def test_demo_model_is_valid(demo_spec):
@@ -32,13 +36,11 @@ def test_positive_scalars_enforced(demo_spec, field, value):
     assert not validate(demo_spec.with_(**{field: value})).is_valid
 
 
-def test_eval_coeffs_arctangent(demo_spec):
-    at_zero = eval_coeffs(demo_spec, 0.0)
-    assert at_zero.sigma1 == pytest.approx(0.3, abs=1e-15)
-    assert at_zero.sigma2 == 0.2
-    assert at_zero.b == 1.0
-    far = eval_coeffs(demo_spec, 1e6)
-    assert far.sigma1 == pytest.approx(0.55, abs=1e-5)
+def test_demo_coefficients_arctangent(demo_spec):
+    assert demo_spec.sigma1(0.0) == pytest.approx(0.3, abs=1e-15)
+    assert demo_spec.sigma2(0.0) == 0.2
+    assert demo_spec.b(0.0) == 1.0
+    assert demo_spec.sigma1(1e6) == pytest.approx(0.55, abs=1e-5)
 
 
 def test_constant_everywhere():
@@ -106,3 +108,69 @@ def test_config_round_trip_with_table(tmp_path):
 def test_missing_config_raises():
     with pytest.raises(ConfigError):
         read_config("/nonexistent/model.cfg")
+
+
+# the ini layout, spelled out here as an oracle independent of the module's table
+CONFIG_SECTIONS = {
+    "model": ("b", "sigma1", "sigma2", "m", "rho", "epsilon"),
+    "driver": ("eta", "gamma"),
+    "option": ("strike", "maturity"),
+}
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _vol():
+    """A constant or arctangent coefficient with a positive infimum."""
+    ramp = _floats(0.01, 2.0).flatmap(
+        lambda base: st.builds(Arctangent, st.just(base), _floats(-base, base)))
+    return st.one_of(st.builds(Constant, _floats(0.01, 2.0)), ramp)
+
+
+valid_specs = st.builds(
+    ModelSpec,
+    b=st.one_of(st.builds(Constant, _floats(-10.0, 10.0)),
+                st.builds(Arctangent, _floats(-10.0, 10.0), _floats(-10.0, 10.0))),
+    sigma1=_vol(), sigma2=_vol(),
+    m=_floats(-5.0, 5.0), rho=_floats(-0.99, 0.99), eta=_floats(-2.0, 2.0),
+    gamma=_floats(1e-3, 1e3), epsilon=_floats(1e-4, 10.0),
+    strike=_floats(1e-3, 1e4), maturity=_floats(1e-3, 30.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_specs)
+def test_config_round_trip_is_exact_for_random_specs(spec):
+    assert validate(spec).is_valid
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.cfg"), os.path.join(tmp, "b.cfg")
+        write_config(spec, first)
+        loaded = read_config(first)
+        write_config(loaded, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+        parser = configparser.ConfigParser()
+        parser.read(first)
+        assert {name: tuple(parser[name]) for name in parser.sections()} == CONFIG_SECTIONS
+    assert loaded == spec
+
+
+@pytest.mark.parametrize("section,key", [(section, None) for section in CONFIG_SECTIONS]
+                         + [(section, key) for section, keys in CONFIG_SECTIONS.items()
+                            for key in keys])
+def test_config_missing_section_or_key_is_named(tmp_path, demo_spec, section, key):
+    path = tmp_path / "model.cfg"
+    write_config(demo_spec, str(path))
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    if key is None:
+        parser.remove_section(section)
+    else:
+        parser.remove_option(section, key)
+    with open(path, "w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigError) as info:
+        read_config(str(path))
+    assert str(info.value).endswith(repr(key or section))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from volclust import pde
 from volclust.bs import bs_put
 from volclust.errors import BadGrid, Instability, NumericalError
 from volclust.model import Constant, ModelSpec, arctangent_model
@@ -204,6 +205,18 @@ def test_snapshots_map_caller_steps_onto_the_halved_grid():
         assert np.array_equal(surface.snapshots[k], prefix.P)
 
 
+def test_snapshot_steps_off_the_grid_are_rejected_before_any_march(monkeypatch):
+    def no_march(*args):
+        raise AssertionError("price_surface marched before checking snapshot_steps")
+
+    monkeypatch.setattr(pde, "_march_1d", no_march)
+    spec = arctangent_model(epsilon=0.25, maturity=0.05)
+    grid = make_grid(spec, spec.maturity, nx=21)
+    for step in (grid.n_steps + 1, -1):
+        with pytest.raises(BadGrid, match=rf"snapshot step {step} .* 0\.\.{grid.n_steps}$"):
+            price_surface(spec, grid, snapshot_steps=[0, step])
+
+
 def test_accuracy_sweep_single_member(fast_spec):
     probes = [(0.25, 0.0, 0.0), (0.25, -0.5, 0.1)]
     rows = accuracy_sweep(fast_spec, [0.04], probes)
@@ -260,17 +273,16 @@ def test_coarse_demo_logs_one_halving(caplog):
     assert message.endswith("halving dt to 250 steps")
 
 
-def test_out_of_retries_names_the_monitor_that_tripped():
+def test_out_of_retries_names_the_monitor_that_tripped(monkeypatch):
     """With no retries left the final error carries the last monitor's cause."""
+    monkeypatch.setattr(pde, "MAX_DT_RETRIES", 0)
     spec = arctangent_model()
     grid = make_grid(spec, 0.25, nx=201, dt=0.002)
     with pytest.raises(Instability, match="gradient bound at step 3") as info:
-        price_surface(spec, grid, max_retries=0)
+        price_surface(spec, grid)
     assert "price band" not in str(info.value)
     assert isinstance(info.value.__cause__, Instability)
     assert str(info.value.__cause__) in str(info.value)
-    with pytest.raises(ValueError):
-        price_surface(spec, grid, max_retries=-1)
 
 
 def test_price_band_monitor_trips_on_either_side(fast_spec):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from conftest import random_valid_spec
 from volclust.errors import DegenerateDensity
-from volclust.measure import InvariantMeasure, build_invariant_measure
+from volclust.measure import build_invariant_measure
 from volclust.model import Constant
 from volclust.poisson import (compute_group_constants, group_constants_for,
                               solve_phi_derivatives)
@@ -16,6 +17,12 @@ from volclust.poisson import (compute_group_constants, group_constants_for,
 DEMO_A = 0.0005635944576194125
 DEMO_B = 0.006263240170466461
 DEMO_A_TILDE = -0.8071150328486131
+
+
+def constants_on(spec, n_nodes):
+    """group_constants_for(spec) on a measure of ``n_nodes`` quadrature nodes."""
+    measure = build_invariant_measure(spec, n_nodes=n_nodes)
+    return compute_group_constants(spec, measure, solve_phi_derivatives(spec, measure))
 
 
 def poisson_residual(spec, measure, phi_prime, rhs_centered):
@@ -85,7 +92,7 @@ def test_demo_constants_regression(demo_gc):
 def test_demo_constants_against_fine_grid_oracle(demo_gc):
     from volclust.model import arctangent_model
 
-    oracle = group_constants_for(arctangent_model(), n_nodes=8001)
+    oracle = constants_on(arctangent_model(), 8001)
     assert demo_gc.a == pytest.approx(oracle.a_alt, rel=1e-7)
     assert demo_gc.b == pytest.approx(oracle.b_alt, rel=1e-7)
 
@@ -133,8 +140,8 @@ def test_gamma_scaling(demo_spec, demo_measure):
 def test_grid_refinement_stability():
     from volclust.model import arctangent_model
 
-    coarse = group_constants_for(arctangent_model(), n_nodes=4001)
-    fine = group_constants_for(arctangent_model(), n_nodes=8001)
+    coarse = constants_on(arctangent_model(), 4001)
+    fine = constants_on(arctangent_model(), 8001)
     for name in ("a", "a_tilde", "b"):
         c, f = getattr(coarse, name), getattr(fine, name)
         assert abs(c - f) <= 1e-6 * abs(f)
@@ -143,8 +150,7 @@ def test_grid_refinement_stability():
 def test_degenerate_density_guard(demo_spec, demo_measure):
     dead = demo_measure.density.copy()
     dead[len(dead) // 3] = 0.0  # kill a node where the cumulative is far from zero
-    broken = InvariantMeasure(grid=demo_measure.grid.copy(), density=dead,
-                              Z=demo_measure.Z, domain=demo_measure.domain)
+    broken = replace(demo_measure, density=dead)
     with pytest.raises(DegenerateDensity):
         solve_phi_derivatives(demo_spec, broken)
 
