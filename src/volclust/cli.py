@@ -89,6 +89,11 @@ def _load_spec(path: str) -> model.ModelSpec:
     return spec
 
 
+def _require_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+
+
 def _write_gnuplot(script_path: str, lines: list[str]) -> None:
     with open(script_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -110,6 +115,9 @@ def _cmd_price(args) -> None:
     for tau in taus:
         if not (math.isfinite(tau) and tau >= 0.0):
             raise ConfigError(f"--tau must be finite and >= 0, got {tau}")
+    for x in args.x:
+        if not math.isfinite(x):
+            raise ConfigError(f"--x must be finite, got {x}")
     gc = poisson.group_constants_for(spec)
     points = [[asymptotics.asymptotic_price(gc, spec, tau, x) for x in args.x] for tau in taus]
     prices = np.array([[(ap.P0, ap.P1, ap.corrected) for ap in row] for row in points])
@@ -129,6 +137,7 @@ def _smile_line(args) -> tuple[float, float]:
 
 
 def _cmd_iv_surface(args) -> None:
+    _require_count("--nx", args.nx)
     a, d = _smile_line(args)
     for tau in args.tau or [0.25]:
         if not (math.isfinite(tau) and tau > 0.0):
@@ -140,6 +149,8 @@ def _cmd_iv_surface(args) -> None:
 
 
 def _cmd_figure1(args) -> None:
+    _require_count("--n-tau", args.n_tau)
+    _require_count("--n-lmmr", args.n_lmmr)
     taus = np.linspace(args.tau_min, args.tau_max, args.n_tau)
     lmmrs = np.linspace(args.lmmr_min, args.lmmr_max, args.n_lmmr)
     _write_csv(args.out, ["tau", "lmmr", "iv"], [taus[:, None], lmmrs, args.a * lmmrs + args.d])

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .errors import NonIntegrable
 from .model import ModelSpec
@@ -26,6 +25,27 @@ from .model import ModelSpec
 #: hard cap on the half-width of the quadrature domain
 MAX_HALF_WIDTH = 200.0
 DEFAULT_NODES = 4001
+
+
+def _trapezoid_terms(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.diff(x) * (y[1:] + y[:-1]) / 2.0
+
+
+def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """Trapezoid rule for samples ``y`` at nodes ``x``; 0.0 for a single node.
+
+    Same operations in the same order as ``scipy.integrate.trapezoid``, so
+    the same bits.
+    """
+    return _trapezoid_terms(y, x).sum()
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral from ``x[0]``, starting at 0.0.
+
+    Bit for bit ``scipy.integrate.cumulative_trapezoid(y, x, initial=0.0)``.
+    """
+    return np.concatenate(([0.0], np.cumsum(_trapezoid_terms(y, x))))
 
 
 @dataclass(frozen=True)
@@ -59,8 +79,8 @@ def _unnormalized_density(spec: ModelSpec, grid: np.ndarray) -> np.ndarray:
     integrand = 2.0 * (spec.m - grid) / s2sq
     anchor = int(np.argmin(np.abs(grid - spec.m)))
     exponent = np.empty_like(grid)
-    exponent[anchor:] = cumulative_trapezoid(integrand[anchor:], grid[anchor:], initial=0.0)
-    left = cumulative_trapezoid(integrand[anchor::-1], grid[anchor::-1], initial=0.0)
+    exponent[anchor:] = cumulative_trapezoid(integrand[anchor:], grid[anchor:])
+    left = cumulative_trapezoid(integrand[anchor::-1], grid[anchor::-1])
     exponent[: anchor + 1] = left[::-1]
     # shift so the exponent is 0 exactly at m when m is a node
     exponent -= np.interp(spec.m, grid, exponent)

@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .errors import DegenerateDensity
-from .measure import InvariantMeasure, average, build_invariant_measure
+from .measure import (InvariantMeasure, average, build_invariant_measure, cumulative_trapezoid,
+                      trapezoid)
 from .model import ModelSpec
 
 
@@ -75,7 +75,7 @@ def _poisson_derivative(f_centered: np.ndarray, measure: InvariantMeasure,
     y = measure.grid
     pi = measure.density
     weighted = f_centered * pi
-    cum = cumulative_trapezoid(weighted, y, initial=0.0)
+    cum = cumulative_trapezoid(weighted, y)
     # left-anchored for y <= m, tail-anchored (= cum - total) beyond
     cum_switched = np.where(y <= m, cum, cum - cum[-1])
 
@@ -151,7 +151,7 @@ def model_integrals(spec: ModelSpec, measure: InvariantMeasure) -> tuple[float, 
     s1 = np.asarray(spec.sigma1(y))
     s2 = np.asarray(spec.sigma2(y))
     b = np.asarray(spec.b(y))
-    inner = cumulative_trapezoid(_centered(s1 ** 2, measure) * measure.density, y, initial=0.0)
+    inner = cumulative_trapezoid(_centered(s1 ** 2, measure) * measure.density, y)
     inner = np.where(y <= spec.m, inner, inner - inner[-1])
     return float(trapezoid(s1 / s2 * inner, y)), float(trapezoid(b / (s1 * s2) * inner, y))
 

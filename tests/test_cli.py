@@ -1,9 +1,13 @@
 import csv
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volclust
 from volclust.cli import main
 from volclust.model import arctangent_model, write_config
 
@@ -155,6 +159,41 @@ def test_bad_numbers_exit_with_2_naming_the_flag(cheap_config, tmp_path, capsys,
     assert main(command + config + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_price_rejects_a_non_finite_x(demo_config, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["price", "--config", demo_config, "--x", "0.0", "--x", "nan",
+                 "--out", str(out)]) == 2
+    assert "--x must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,message", [
+    (["iv-surface", "--nx", "0"], "--nx must be >= 1, got 0"),
+    (["iv-surface", "--nx", "-1"], "--nx must be >= 1, got -1"),
+    (["figure1", "--n-tau", "0"], "--n-tau must be >= 1, got 0"),
+    (["figure1", "--n-lmmr", "0"], "--n-lmmr must be >= 1, got 0"),
+    (["figure2", "--nx", "0"], "nx = 0 too coarse"),
+], ids=["iv-surface-nx-0", "iv-surface-nx-neg", "figure1-n-tau", "figure1-n-lmmr", "figure2-nx"])
+def test_bad_counts_exit_with_2_naming_the_flag(tmp_path, capsys, command, message):
+    out = tmp_path / "out.csv"
+    line = [] if command[0] == "figure2" else ["--a", "-0.1", "--d", "0.2"]
+    assert main(command + line + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_out_scipy_integrate_optimize_and_sparse():
+    """The CLI needs scipy.linalg and scipy.special only; the rest costs every process."""
+    src = str(Path(volclust.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import volclust.cli; "
+             "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, timeout=120).stdout.split()
+    assert "scipy.linalg" in loaded and "scipy.special" in loaded
+    unwanted = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in unwanted] == []
 
 
 def test_pde_sweep_command(cheap_config, tmp_path, capsys):

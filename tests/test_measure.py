@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, trapezoid
+from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 
+from volclust import measure
 from volclust.errors import NonIntegrable
 from volclust.measure import average, build_invariant_measure
 from volclust.model import Arctangent, Constant, Tabulated, arctangent_model
@@ -11,6 +12,25 @@ from volclust.model import Arctangent, Constant, Tabulated, arctangent_model
 # E[sigma1^2] for the demo model under N(0, 0.02), by adaptive quadrature
 # of (0.3 + 0.5/pi * atan y)^2 against the Gaussian density (abs err < 5e-15)
 DEMO_AVG_SIGMA1_SQ = 0.09048774002216012
+
+
+@pytest.mark.parametrize("n", [1, 2, 4001])
+def test_trapezoid_rules_match_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    uniform = np.linspace(-1.5, 2.5, n)
+    ragged = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+    for grid in (uniform, ragged):
+        # forward, and the reversed slices _unnormalized_density integrates
+        # outward from its anchor node
+        anchors = sorted({0, n // 2, n - 1})
+        slices = [grid] + [grid[a:] for a in anchors] + [grid[a::-1] for a in anchors]
+        for x in slices:
+            y = rng.normal(size=x.size) * np.exp(rng.uniform(-3, 3, x.size))
+            own, ref = measure.trapezoid(y, x), trapezoid(y, x)
+            assert np.asarray(own).tobytes() == np.asarray(ref).tobytes()
+            own, ref = measure.cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0)
+            assert own.dtype == ref.dtype and own.shape == ref.shape == x.shape
+            assert own.tobytes() == ref.tobytes()
 
 
 def test_ou_density_is_gaussian(demo_spec):
