@@ -16,10 +16,12 @@ M-matrices on any grid, whatever the cell Peclet number
 model that number peaks at the y-edges, at 0.14 for eps = 0.004 and
 0.45 for eps = 1: well below 2, where central differencing is monotone
 too.  So the upwind drift is a safety margin paid for with first-order
-accuracy in y, not a cure for oscillation.  Time stepping is a
-first-order IMEX Lie splitting: the mixed term, the quadratic gradient
-term and the constant source step explicitly, then one implicit
-tridiagonal pass in x and one in y.  Both implicit passes are
+accuracy in y, not a cure for oscillation.  ``_stencil`` is the one
+place the drift differencing is written; the implicit systems and the
+tests' consistency check both take their weights from it.  Time
+stepping is a first-order IMEX Lie splitting: the mixed term, the
+quadratic gradient term and the constant source step explicitly, then
+one implicit tridiagonal pass in x and one in y.  Both implicit passes are
 M-matrices, so the stiff drift costs nothing; a frozen-coefficient von
 Neumann argument shows the implicit passes dominate the explicit mixed
 term for any |rho| < 1, so the time step is set by the quadratic term
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -102,8 +105,10 @@ class Grid2D:
                 raise BadGrid(f"{name} grid must be uniform and increasing")
             nodes.setflags(write=False)
             object.__setattr__(self, name, nodes)
-        if self.n_steps < 0 or (self.n_steps > 0 and not self.dt > 0):
-            raise BadGrid("need dt > 0 and n_steps >= 0")
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 0:
+            raise BadGrid(f"n_steps must be an integer >= 0, got {self.n_steps!r}")
+        if not math.isfinite(self.dt) or (self.n_steps > 0 and not self.dt > 0):
+            raise BadGrid(f"dt must be finite and > 0, got {self.dt}")
 
     @property
     def dx(self) -> float:
@@ -155,11 +160,13 @@ def gradient_dt_bound(spec: ModelSpec, s2_max: float, dy: float, grad_max: float
     return spec.epsilon * dy / scale
 
 
-def _gradient_tripped(spec: ModelSpec, s2_max: float, dt: float, dy: float,
-                      grad_max: float) -> bool:
-    """Gradient monitor: a non-finite |u_y| or a dt above the gradient bound."""
-    return not math.isfinite(grad_max) or (
-        grad_max > 0.0 and dt > gradient_dt_bound(spec, s2_max, dy, grad_max))
+def _check_gradient(spec: ModelSpec, s2_max: float, dt: float, dy: float,
+                    grad_max: float, step: int, march: str) -> None:
+    """Gradient monitor: raise on a non-finite |u_y| or a dt above the gradient bound."""
+    if not math.isfinite(grad_max) or (
+            grad_max > 0.0 and dt > gradient_dt_bound(spec, s2_max, dy, grad_max)):
+        raise Instability(f"dt {dt:.3e} exceeds the gradient bound{march} at step {step} "
+                          f"(|u_y| = {grad_max:.3e})")
 
 
 def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
@@ -217,34 +224,34 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     return Grid2D(x=x, y=y, dt=tau / n_steps, n_steps=n_steps)
 
 
-def _upwind_tridiag(diffusion, drift, dt, h, shape):
-    """(I - dt L) coefficients for L = diffusion d2 + drift d1 with upwind d1.
+def _stencil(diffusion, drift, h):
+    """(sub, diag, sup) weights of L = diffusion d2 + drift d1 with upwind d1.
 
-    Returns new (sub, diag, sup) arrays of the given shape (per-node
-    coefficients on u_{k-1}, u_k, u_{k+1} along the last axis); boundary
-    folding is done by the callers.
+    The weights act on u_{k-1}, u_k, u_{k+1} along the last axis and take
+    the arguments' broadcast shape.  This is the one place the drift
+    differencing is written: the implicit systems and the consistency
+    tests both use it.
     """
-    diffusion = np.broadcast_to(np.asarray(diffusion, dtype=float), shape)
-    drift = np.broadcast_to(np.asarray(drift, dtype=float), shape)
     d_plus = np.maximum(drift, 0.0)
     d_minus = np.minimum(drift, 0.0)
-    sub = -dt * (diffusion / h ** 2 - d_minus / h)
-    diag = 1.0 + dt * (2.0 * diffusion / h ** 2 + np.abs(drift) / h)
-    sup = -dt * (diffusion / h ** 2 + d_plus / h)
+    sub = diffusion / h ** 2 - d_minus / h
+    diag = -(2.0 * diffusion / h ** 2 + np.abs(drift) / h)
+    sup = diffusion / h ** 2 + d_plus / h
     return sub, diag, sup
 
 
-def _banded(sub, diag, sup) -> np.ndarray:
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
+def _banded(dl, d, du) -> np.ndarray:
+    """Pack the three diagonals ``dgttrf`` takes into ``solve_banded``'s layout."""
+    ab = np.zeros((3, d.size))
+    ab[0, 1:] = du
+    ab[1, :] = d
+    ab[2, :-1] = dl
     return ab
 
 
-def _factor(ab: np.ndarray) -> tuple:
-    """LU factors of a banded tridiagonal matrix, for repeated solves with ``dgttrs``."""
-    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+def _factor(dl, d, du) -> tuple:
+    """LU factors of a tridiagonal matrix, for repeated solves with ``dgttrs``."""
+    *lu, info = dgttrf(dl, d, du)
     if info != 0:
         raise Instability(f"implicit system is singular at row {info}")
     return tuple(lu)
@@ -268,36 +275,33 @@ class _Coefficients:
         self.source = -(b ** 2) / (2.0 * spec.gamma * s1 ** 2)
 
 
-def _build_x_system(coeffs: _Coefficients, dt: float, dx: float, nx: int, ny: int) -> np.ndarray:
-    """Banded (I - dt Lx) over all y-rows at once, interior x unknowns.
+def _build_x_system(coeffs: _Coefficients, dt: float, dx: float, nx: int) -> tuple:
+    """(I - dt Lx) over all y-rows at once, interior x unknowns, as (dl, d, du).
 
     Per y-row the matrix is tridiagonal in x; concatenating rows keeps it
     tridiagonal because the zero-curvature boundary condition is folded
     into the first and last interior rows (u_0 = 2u_1 - u_2 and its
-    mirror), which also decouples the blocks.
+    mirror), which also decouples the blocks.  The weights are formed per
+    y-row and broadcast along x once.
     """
-    sub, diag, sup = _upwind_tridiag(coeffs.x_diffusion[:, None], coeffs.x_drift[:, None],
-                                     dt, dx, (ny, nx - 2))
+    sub, diag, sup = _stencil(coeffs.x_diffusion[:, None], coeffs.x_drift[:, None], dx)
+    sub, diag, sup = (np.repeat(w, nx - 2, axis=1) for w in (-dt * sub, 1.0 - dt * diag, -dt * sup))
     diag[:, 0] += 2.0 * sub[:, 0]
     sup[:, 0] -= sub[:, 0]
     diag[:, -1] += 2.0 * sup[:, -1]
     sub[:, -1] -= sup[:, -1]
     sub[:, 0] = 0.0
     sup[:, -1] = 0.0
-    return _banded(sub.ravel(), diag.ravel(), sup.ravel())
+    return sub.ravel()[1:], diag.ravel(), sup.ravel()[:-1]
 
 
-def _build_y_system(coeffs: _Coefficients, dt: float, dy: float, ny: int,
-                    reaction: np.ndarray | None = None) -> np.ndarray:
-    """Banded (I - dt Ly) with zero-flux ends (ghost mirror folded in)."""
-    sub, diag, sup = _upwind_tridiag(coeffs.y_diffusion, coeffs.y_drift, dt, dy, (ny,))
-    if reaction is not None:
-        diag -= dt * reaction
+def _build_y_system(coeffs: _Coefficients, dt: float, dy: float) -> tuple:
+    """(I - dt Ly) with zero-flux ends (ghost mirror folded in), as (dl, d, du)."""
+    sub, diag, sup = _stencil(coeffs.y_diffusion, coeffs.y_drift, dy)
+    sub, diag, sup = -dt * sub, 1.0 - dt * diag, -dt * sup
     sup[0] += sub[0]
     sub[-1] += sup[-1]
-    sub[0] = 0.0
-    sup[-1] = 0.0
-    return _banded(sub, diag, sup)
+    return sub[1:], diag, sup[:-1]
 
 
 def _central_y(U: np.ndarray, dy: float, out: np.ndarray) -> np.ndarray:
@@ -329,41 +333,6 @@ def payoff_initial(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     return np.tile(-pay, (grid.y.size, 1))
 
 
-def apply_discrete_operator(spec: ModelSpec, grid: Grid2D, U: np.ndarray,
-                            parts: str = "all") -> np.ndarray:
-    """Apply the scheme's spatial operator to nodal values U (shape ny, nx).
-
-    Returns the full operator by default; ``parts`` may restrict it to the
-    "centered" pieces (diffusions and mixed term, second-order stencils)
-    or the "upwind" first-order advection pieces.  Values are only
-    meaningful on interior nodes.  Used by the consistency tests.
-    """
-    coeffs = _Coefficients(spec, grid.y)
-    dx, dy = grid.dx, grid.dy
-    out = np.zeros_like(U)
-    inner = (slice(1, -1), slice(1, -1))
-    if parts in ("all", "centered"):
-        uxx = (U[:, 2:] - 2.0 * U[:, 1:-1] + U[:, :-2])[1:-1] / dx ** 2
-        uyy = (U[2:] - 2.0 * U[1:-1] + U[:-2])[:, 1:-1] / dy ** 2
-        uxy = (U[2:, 2:] - U[2:, :-2] - U[:-2, 2:] + U[:-2, :-2]) / (4.0 * dx * dy)
-        u_y = (U[2:] - U[:-2])[:, 1:-1] / (2.0 * dy)
-        c = coeffs
-        out[inner] += (c.x_diffusion[1:-1, None] * uxx + c.y_diffusion[1:-1, None] * uyy
-                       + c.mixed[1:-1, None] * uxy + c.quad[1:-1, None] * u_y ** 2
-                       + c.source[1:-1, None])
-    if parts in ("all", "upwind"):
-        dxp = np.maximum(coeffs.x_drift, 0.0)[1:-1, None]
-        dxm = np.minimum(coeffs.x_drift, 0.0)[1:-1, None]
-        fwd_x = (U[:, 2:] - U[:, 1:-1])[1:-1] / dx
-        bwd_x = (U[:, 1:-1] - U[:, :-2])[1:-1] / dx
-        dyp = np.maximum(coeffs.y_drift, 0.0)[1:-1, None]
-        dym = np.minimum(coeffs.y_drift, 0.0)[1:-1, None]
-        fwd_y = (U[2:] - U[1:-1])[:, 1:-1] / dy
-        bwd_y = (U[1:-1] - U[:-2])[:, 1:-1] / dy
-        out[inner] += dxp * fwd_x + dxm * bwd_x + dyp * fwd_y + dym * bwd_y
-    return out
-
-
 def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
               snapshot_steps: Iterable[int] = (),
               u_tilde_steps: np.ndarray | None = None) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -377,8 +346,8 @@ def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     coeffs = _Coefficients(spec, grid.y)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     nx, ny = grid.x.size, grid.y.size
-    lu_x = _factor(_build_x_system(coeffs, dt, dx, nx, ny))
-    ab_y = _build_y_system(coeffs, dt, dy, ny)
+    lu_x = _factor(*_build_x_system(coeffs, dt, dx, nx))
+    ab_y = _banded(*_build_y_system(coeffs, dt, dy))
     _, _, s2_max = _coefficient_bounds(spec)
     mixed, quad, source = coeffs.mixed[:, None], coeffs.quad[:, None], coeffs.source[:, None]
 
@@ -397,11 +366,7 @@ def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
 
     for step in range(1, grid.n_steps + 1):
         _central_y(U, dy, u_y)
-        grad_max = float(np.abs(u_y, out=work).max())
-        if _gradient_tripped(spec, s2_max, dt, dy, grad_max):
-            raise Instability(
-                f"dt {dt:.3e} exceeds the gradient bound at step {step} (|u_y| = {grad_max:.3e})"
-            )
+        _check_gradient(spec, s2_max, dt, dy, float(np.abs(u_y, out=work).max()), step, "")
         # U += dt * (mixed u_xy + quad u_y^2 + source), in that expression's order
         explicit = np.multiply(mixed, _mixed_xy(U, dx, dy, u_x, work), out=work)
         quad_term = np.multiply(quad, np.square(u_y, out=u_x), out=u_x)
@@ -442,7 +407,7 @@ def _march_1d(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     coeffs = _Coefficients(spec, grid.y)
     dt, dy = grid.dt, grid.dy
     ny = grid.y.size
-    lu_y = _factor(_build_y_system(coeffs, dt, dy, ny))
+    lu_y = _factor(*_build_y_system(coeffs, dt, dy))
     _, _, s2_max = _coefficient_bounds(spec)
     amplitude_cap = grid.tau_final * np.abs(coeffs.source).max() * 1.5 + spec.strike
 
@@ -451,14 +416,12 @@ def _march_1d(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     all_steps = np.zeros((grid.n_steps + 1, ny))
     for step in range(1, grid.n_steps + 1):
         _central_y(v, dy, v_y)
-        grad_max = float(np.abs(v_y).max())
-        if _gradient_tripped(spec, s2_max, dt, dy, grad_max):
-            raise Instability(f"dt {dt:.3e} exceeds the gradient bound in the 1-d march at step {step}")
+        _check_gradient(spec, s2_max, dt, dy, float(np.abs(v_y).max()), step, " in the 1-d march")
         v += dt * (coeffs.quad * v_y ** 2 + coeffs.source)
         dgttrs(*lu_y, v, overwrite_b=True)
         peak = float(np.abs(v).max())
         if not np.isfinite(peak) or peak > amplitude_cap:
-            raise Instability(f"1-d march left the amplitude bound at step {step}")
+            raise Instability(f"1-d march left the amplitude bound at step {step} (|u| = {peak:.3e})")
         all_steps[step] = v
     return all_steps
 
@@ -513,7 +476,8 @@ def solve_u_tilde_cole_hopf(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     """
     coeffs = _Coefficients(spec, grid.y)
     lam = spec.gamma * (1.0 - spec.rho ** 2)
-    ab = _build_y_system(coeffs, grid.dt, grid.dy, grid.y.size, reaction=lam * coeffs.source)
+    ab = _banded(*_build_y_system(coeffs, grid.dt, grid.dy))
+    ab[1] -= grid.dt * (lam * coeffs.source)  # the reaction term
     w = np.ones(grid.y.size)
     for _ in range(grid.n_steps):
         w = solve_banded((1, 1), ab, w)

@@ -6,15 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_valid_spec
 from volclust import pde
 from volclust.bs import bs_put
 from volclust.errors import BadGrid, Instability, NumericalError
 from volclust.model import Constant, ModelSpec, arctangent_model
-from volclust.pde import (Grid2D, _march_1d, _march_2d, accuracy_sweep,
-                          apply_discrete_operator, make_grid, payoff_initial,
-                          price_surface, solve_u_tilde_cole_hopf)
+from volclust.pde import (Grid2D, _march_1d, _march_2d, accuracy_sweep, make_grid,
+                          payoff_initial, price_surface, solve_u_tilde_cole_hopf)
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = ("P", "u_tilde")  # fields of the nx=41 surface pinned under DATA
+
+
+def _golden_surface(spec):
+    return price_surface(spec, make_grid(spec, 0.25, nx=41))
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +45,12 @@ def test_make_grid_respects_boundary_layer(fast_spec):
 
 
 def test_grid_validation():
+    nodes = np.linspace(0, 1, 5)
     with pytest.raises(BadGrid):
-        Grid2D(x=np.array([0.0, 1.0, 3.0, 4.0, 5.0]), y=np.linspace(0, 1, 5),
-               dt=0.1, n_steps=1)
-    with pytest.raises(BadGrid):
-        Grid2D(x=np.linspace(0, 1, 5), y=np.linspace(0, 1, 5), dt=-0.1, n_steps=1)
+        Grid2D(x=np.array([0.0, 1.0, 3.0, 4.0, 5.0]), y=nodes, dt=0.1, n_steps=1)
+    for dt, n_steps in ((-0.1, 1), (math.inf, 1), (math.nan, 1), (0.1, 2.5)):
+        with pytest.raises(BadGrid):  # a ConfigError: exit code 2, not a march's 3
+            Grid2D(x=nodes, y=nodes, dt=dt, n_steps=n_steps)
 
 
 def test_degenerate_black_scholes(bs_degenerate_spec):
@@ -133,38 +139,50 @@ def test_first_order_convergence_in_time(fast_spec):
     assert math.log2(d1 / d2) > 0.9
 
 
-def test_spatial_consistency_orders():
-    spec = arctangent_model(eta=0.1, epsilon=0.5)
+def _march_operator(spec, x, y, U, drift_scale):
+    """The march's own spatial operator on interior nodes; drift_scale=0 keeps the centred part."""
+    c = pde._Coefficients(spec, y)
+    dx, dy = x[1] - x[0], y[1] - y[0]
+    sub, diag, sup = pde._stencil(c.x_diffusion[:, None], drift_scale * c.x_drift[:, None], dx)
+    lx = sub * U[:, :-2] + diag * U[:, 1:-1] + sup * U[:, 2:]
+    sub, diag, sup = pde._stencil(c.y_diffusion[1:-1, None], drift_scale * c.y_drift[1:-1, None], dy)
+    ly = sub * U[:-2] + diag * U[1:-1] + sup * U[2:]
+    u_y = pde._central_y(U, dy, np.empty_like(U))
+    u_xy = pde._mixed_xy(U, dx, dy, np.empty_like(U), np.empty_like(U))
+    explicit = c.mixed[:, None] * u_xy + c.quad[:, None] * u_y ** 2 + c.source[:, None]
+    return lx[1:-1] + ly[:, 1:-1] + explicit[1:-1, 1:-1]
 
-    def sup_errors(n):
+
+def test_spatial_consistency_orders():
+    rng = np.random.default_rng(7)
+    specs = [arctangent_model(eta=0.1, epsilon=0.5)] + [random_valid_spec(rng) for _ in range(3)]
+
+    def sup_errors(spec, n):
         x = np.linspace(-2, 2, n)
         y = np.linspace(-1, 1, n)
-        grid = Grid2D(x=x, y=y, dt=1.0, n_steps=1)
         X, Y = np.meshgrid(x, y)
         v = np.sin(X) * np.cos(Y)
         vx, vxx = np.cos(X) * np.cos(Y), -v
         vy, vyy = -np.sin(X) * np.sin(Y), -v
         vxy = -np.cos(X) * np.sin(Y)
         eps = spec.epsilon
-        s1, s2, b = (np.asarray(spec.sigma1(Y)), np.asarray(spec.sigma2(Y)),
-                     np.asarray(spec.b(Y)))
+        s1, s2, b = (np.asarray(f(Y)) for f in (spec.sigma1, spec.sigma2, spec.b))
         pref = spec.rho + spec.eta * math.sqrt(1 - spec.rho ** 2)
         advect = (((spec.m - Y) / eps - pref * b * s2 / (s1 * math.sqrt(eps))) * vy
                   - 0.5 * s1 ** 2 * vx)
         centered = (0.5 * s1 ** 2 * vxx + s2 ** 2 / (2 * eps) * vyy
                     + spec.rho * s1 * s2 / math.sqrt(eps) * vxy
                     + spec.gamma * (1 - spec.rho ** 2) * s2 ** 2 / (2 * eps) * vy ** 2
-                    - b ** 2 / (2 * spec.gamma * s1 ** 2))
-        inner = (slice(1, -1), slice(1, -1))
-        e_cen = np.abs((apply_discrete_operator(spec, grid, v, "centered") - centered)[inner]).max()
-        e_full = np.abs((apply_discrete_operator(spec, grid, v, "all")
-                         - (centered + advect))[inner]).max()
+                    - b ** 2 / (2 * spec.gamma * s1 ** 2))[1:-1, 1:-1]
+        e_cen = np.abs(_march_operator(spec, x, y, v, 0.0) - centered).max()
+        e_full = np.abs(_march_operator(spec, x, y, v, 1.0) - centered - advect[1:-1, 1:-1]).max()
         return e_cen, e_full
 
-    cen1, full1 = sup_errors(81)
-    cen2, full2 = sup_errors(161)
-    assert math.log2(cen1 / cen2) > 1.8   # diffusions and mixed term are second order
-    assert math.log2(full1 / full2) > 0.9  # upwind advection caps the full operator at one
+    for spec in specs:
+        cen1, full1 = sup_errors(spec, 81)
+        cen2, full2 = sup_errors(spec, 161)
+        assert math.log2(cen1 / cen2) > 1.8   # diffusions, mixed and quadratic terms
+        assert math.log2(full1 / full2) > 0.9  # upwind advection caps the full operator at one
 
 
 def test_instability_raised_for_reckless_dt():
@@ -175,6 +193,12 @@ def test_instability_raised_for_reckless_dt():
                       n_steps=max(1, grid.n_steps // 100))
     with pytest.raises(Instability):
         _march_2d(spec, reckless, payoff_initial(spec, reckless))
+    first = _march_1d(spec, replace(reckless, n_steps=1))[-1]
+    grad = np.abs(pde._central_y(first, grid.dy, np.empty_like(first))).max()
+    with pytest.raises(Instability) as info:  # both marches report the |u_y| that tripped
+        _march_1d(spec, reckless)
+    assert str(info.value) == (f"dt {reckless.dt:.3e} exceeds the gradient bound in the 1-d "
+                               f"march at step 2 (|u_y| = {grad:.3e})")
 
 
 def test_price_surface_recovers_by_halving_dt():
@@ -238,15 +262,15 @@ def test_payoff_initial_matches_contract(fast_spec):
 def test_surface_matches_golden_output(fast_spec):
     """Pins the march's output at the speed-up tolerance.
 
-    The files hold ``price_surface(fast_spec, make_grid(fast_spec, 0.25,
-    nx=41))`` of the first-order IMEX march (``np.save`` of ``.P`` and
-    ``.u_tilde``); a change of scheme must regenerate them on purpose.
+    The files hold ``_golden_surface(fast_spec)`` of the first-order IMEX
+    march (``np.save`` of ``.P`` and ``.u_tilde``); a change of scheme must
+    regenerate them on purpose, with ``python tests/test_pde.py``.
     """
-    surface = price_surface(fast_spec, make_grid(fast_spec, 0.25, nx=41))
-    np.testing.assert_allclose(surface.P, np.load(DATA / "golden_fast_nx41_P.npy"),
-                               rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(surface.u_tilde, np.load(DATA / "golden_fast_nx41_u_tilde.npy"),
-                               rtol=1e-12, atol=0.0)
+    surface = _golden_surface(fast_spec)
+    for name in GOLDEN:
+        np.testing.assert_allclose(getattr(surface, name),
+                                   np.load(DATA / f"golden_fast_nx41_{name}.npy"),
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_nan_in_initial_data_raises_instability(fast_spec):
@@ -297,3 +321,10 @@ def test_price_band_monitor_trips_on_either_side(fast_spec):
             _march_2d(fast_spec, grid, U0, u_tilde_steps=tilde_steps + shift)
         assert str(info.value) == (f"price band violated at step 1: [{price.min():.3e}, "
                                    f"{price.max():.3e}] vs [0, {fast_spec.strike}]")
+
+
+if __name__ == "__main__":
+    # rewrites the golden arrays that test_surface_matches_golden_output reads
+    surface = _golden_surface(arctangent_model(epsilon=0.04))
+    for name in GOLDEN:
+        np.save(DATA / f"golden_fast_nx41_{name}.npy", getattr(surface, name))
