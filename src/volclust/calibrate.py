@@ -134,28 +134,41 @@ def calibrate_from_surface(quotes: Sequence[IVQuote], spec: ModelSpec,
                               j_sigma=j_sigma, j_b=j_b)
 
 
-def read_quotes_csv(path: str) -> list[IVQuote]:
-    """Read quotes from a csv with header tau,x,iv[,weight]."""
+def _read_float_rows(path: str, names: tuple[str, ...], **defaults: float) -> list[tuple[float, ...]]:
+    """Finite floats of the named columns, then the ``defaults`` ones, per data row.
+
+    Header names are case-insensitive.  A column in ``defaults`` may be
+    absent or blank; any other gap, or a cell that is no finite number,
+    raises ConfigError naming the file and the column.
+    """
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ConfigError(f"quotes file {path!r} is empty")
-            names = [n.strip().lower() for n in reader.fieldnames]
-            for required in ("tau", "x", "iv"):
-                if required not in names:
-                    raise ConfigError(f"quotes file {path!r} missing column {required!r}")
-            quotes = []
-            for row in reader:
-                row = {k.strip().lower(): v for k, v in row.items() if k}
-                quotes.append(IVQuote(
-                    tau=float(row["tau"]),
-                    x=float(row["x"]),
-                    iv=float(row["iv"]),
-                    weight=float(row["weight"]) if row.get("weight") not in (None, "") else 1.0,
-                ))
-    except OSError as exc:
-        raise ConfigError(f"cannot read quotes file {path!r}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad quote row in {path!r}: {exc}") from exc
-    return quotes
+            reader = csv.reader(fh)
+            header = [name.strip().lower() for name in next(reader, [])]
+            for name in names:
+                if name not in header:
+                    raise ConfigError(f"{path!r} has no column {name!r}")
+            rows = []
+            for cells in filter(None, reader):  # blank lines hold no row
+                texts = dict(zip(header, map(str.strip, cells)))
+                row = []
+                for name in names + tuple(defaults):
+                    text = texts.get(name) or defaults.get(name, "")
+                    try:
+                        row.append(float(text))
+                    except ValueError:
+                        row.append(math.nan)  # reported below, as a non-finite number is
+                    if not math.isfinite(row[-1]):
+                        raise ConfigError(f"{path!r} line {reader.line_num}, column {name!r}: "
+                                          f"expected a finite number, got {text!r}")
+                rows.append(tuple(row))
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path!r} has no data rows")
+    return rows
+
+
+def read_quotes_csv(path: str) -> list[IVQuote]:
+    """Read quotes from a csv with header tau,x,iv[,weight]; a blank or absent weight is 1."""
+    return [IVQuote(*row) for row in _read_float_rows(path, ("tau", "x", "iv"), weight=1.0)]

@@ -1,21 +1,19 @@
 """Command-line front end.
 
 Subcommands: constants, price, iv-surface, pde-solve, pde-sweep,
-calibrate, figure1, figure2, measure-dump.  Every CSV written has a
-header row, '.' decimal separators and 17 significant digits, and reruns
-with identical inputs are byte-identical.  The writer takes columns that
-broadcast to one shape, formats each of their values once and streams the
-rows out in blocks.  Exit codes: 0 success, 2 configuration error, 3
-numerical failure.  Independent PDE solves (the eta curves of figure2, the
-epsilon members of pde-sweep) are dispatched to parallel workers;
-VOLCLUST_THREADS caps the worker count.
+calibrate, figure1, figure2, measure-dump.  Inputs are checked where
+they enter: a checked type per numeric flag, ``model.validate`` per spec
+after its overrides, one reader for probe and quote files.  Exit codes:
+0 success, 2 bad input (naming the flag or file), 3 numerical failure.
+CSVs have a header and 17 significant digits and rerun byte-identical.
+Independent PDE solves (figure2's etas, pde-sweep's epsilons) run in
+parallel workers; VOLCLUST_THREADS caps the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import math
 import os
 import sys
@@ -24,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import asymptotics, bs, calibrate, measure, model, pde, poisson
-from .errors import ConfigError, NumericalError, VolclustError
+from .errors import ConfigError, VolclustError
 
 FIGURE2_ETAS = (-0.25, 0.0, 0.25)
 FIGURE2_LM_SPAN = (-0.3, 0.3)
@@ -81,17 +79,13 @@ def _parallel_map(fn, tasks: list):
         return list(pool.map(fn, tasks))
 
 
-def _load_spec(path: str) -> model.ModelSpec:
-    spec = model.read_config(path)
+def _load_spec(path: str | None, **overrides) -> model.ModelSpec:
+    """The config at ``path``, or the demo model without one, with ``overrides``, validated."""
+    spec = (model.read_config(path) if path else model.arctangent_model()).with_(**overrides)
     report = model.validate(spec)
     if not report.is_valid:
         raise ConfigError("invalid model config: " + "; ".join(report.violations))
     return spec
-
-
-def _require_count(flag: str, value: int) -> None:
-    if value < 1:
-        raise ConfigError(f"{flag} must be >= 1, got {value}")
 
 
 def _write_gnuplot(script_path: str, lines: list[str]) -> None:
@@ -112,12 +106,6 @@ def _cmd_constants(args) -> None:
 def _cmd_price(args) -> None:
     spec = _load_spec(args.config)
     taus = args.tau if args.tau else [spec.maturity]
-    for tau in taus:
-        if not (math.isfinite(tau) and tau >= 0.0):
-            raise ConfigError(f"--tau must be finite and >= 0, got {tau}")
-    for x in args.x:
-        if not math.isfinite(x):
-            raise ConfigError(f"--x must be finite, got {x}")
     gc = poisson.group_constants_for(spec)
     points = [[asymptotics.asymptotic_price(gc, spec, tau, x) for x in args.x] for tau in taus]
     prices = np.array([[(ap.P0, ap.P1, ap.corrected) for ap in row] for row in points])
@@ -137,11 +125,7 @@ def _smile_line(args) -> tuple[float, float]:
 
 
 def _cmd_iv_surface(args) -> None:
-    _require_count("--nx", args.nx)
     a, d = _smile_line(args)
-    for tau in args.tau or [0.25]:
-        if not (math.isfinite(tau) and tau > 0.0):
-            raise ConfigError(f"--tau must be finite and > 0, got {tau}")
     taus = np.array(args.tau or [0.25])[:, None]
     xs = np.linspace(args.x_min, args.x_max, args.nx)
     lmmr = -xs / taus
@@ -149,8 +133,6 @@ def _cmd_iv_surface(args) -> None:
 
 
 def _cmd_figure1(args) -> None:
-    _require_count("--n-tau", args.n_tau)
-    _require_count("--n-lmmr", args.n_lmmr)
     taus = np.linspace(args.tau_min, args.tau_max, args.n_tau)
     lmmrs = np.linspace(args.lmmr_min, args.lmmr_max, args.n_lmmr)
     _write_csv(args.out, ["tau", "lmmr", "iv"], [taus[:, None], lmmrs, args.a * lmmrs + args.d])
@@ -168,8 +150,8 @@ def _cmd_figure1(args) -> None:
 
 def _figure2_curve(task) -> list[float]:
     """One eta member of the skew plot: implied vols on the log-moneyness grid."""
-    spec, lm_grid, grid_kwargs = task
-    grid = pde.make_grid(spec, spec.maturity, **grid_kwargs)
+    spec, lm_grid, nx = task
+    grid = pde.make_grid(spec, spec.maturity, nx=nx)
     surface = pde.price_surface(spec, grid)
     jy = int(np.argmin(np.abs(grid.y - spec.m)))
     nearest = np.argmin(np.abs(grid.x[None, :] - (-lm_grid)[:, None]), axis=1)
@@ -178,11 +160,9 @@ def _figure2_curve(task) -> list[float]:
 
 
 def _cmd_figure2(args) -> None:
-    base = _load_spec(args.config) if args.config else model.arctangent_model()
-    base = base.with_(epsilon=args.epsilon, maturity=args.tau)
     lm_grid = np.linspace(FIGURE2_LM_SPAN[0], FIGURE2_LM_SPAN[1], FIGURE2_POINTS)
-    grid_kwargs = {"nx": args.nx}
-    tasks = [(base.with_(eta=eta), lm_grid, grid_kwargs) for eta in FIGURE2_ETAS]
+    tasks = [(_load_spec(args.config, epsilon=args.epsilon, maturity=args.tau, eta=eta),
+              lm_grid, args.nx) for eta in FIGURE2_ETAS]
     curves = _parallel_map(_figure2_curve, tasks)
     _write_csv(args.out, ["log_moneyness", "iv_eta_m025", "iv_eta_0", "iv_eta_p025"],
                [lm_grid, *curves])
@@ -200,8 +180,6 @@ def _cmd_figure2(args) -> None:
 
 
 def _cmd_measure_dump(args) -> None:
-    if not args.tol > 0.0:
-        raise ConfigError(f"--tol must be > 0, got {args.tol}")
     spec = _load_spec(args.config)
     m = measure.build_invariant_measure(spec, tol=args.tol)
     _write_csv(args.out, ["y", "density"], [m.grid, m.density])
@@ -218,31 +196,15 @@ def _cmd_pde_solve(args) -> None:
                 surface.P])
 
 
-def _read_probes(path: str) -> list[tuple[float, float, float]]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            probes = [(float(r["tau"]), float(r["x"]), float(r["y"])) for r in reader]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad probes file {path!r}: {exc}") from exc
-    if not probes:
-        raise ConfigError(f"probes file {path!r} has no rows")
-    return probes
-
-
 def _sweep_member(task):
     spec, probes = task
     return pde.accuracy_sweep(spec, [spec.epsilon], probes)[0]
 
 
 def _cmd_pde_sweep(args) -> None:
-    spec = _load_spec(args.config)
-    try:
-        eps_list = [float(tok) for tok in args.eps_list.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --eps-list: {exc}") from exc
-    probes = _read_probes(args.probes)
-    rows = _parallel_map(_sweep_member, [(spec.with_(epsilon=eps), probes) for eps in eps_list])
+    probes = calibrate._read_float_rows(args.probes, ("tau", "x", "y"))
+    rows = _parallel_map(_sweep_member, [(_load_spec(args.config, epsilon=eps), probes)
+                                         for eps in args.eps_list])
     _write_csv(args.out, ["eps", "max_abs_error", "normalized"],
                [[r.eps for r in rows], [r.max_abs_error for r in rows],
                 [r.normalized for r in rows]])
@@ -256,7 +218,7 @@ def _cmd_calibrate(args) -> None:
         big_a, big_b = calibrate.recover_constants((a, d), args.sigma_bar, args.epsilon)
         _write_csv(args.out, header, [a, d, r_squared, big_a, big_b])
         return
-    spec = _load_spec(args.config).with_(epsilon=args.epsilon)
+    spec = _load_spec(args.config, epsilon=args.epsilon)
     result = calibrate.calibrate_from_surface(quotes, spec, sigma_bar=args.sigma_bar)
     fit = result.fit  # the one fit: (a, d, r^2) and the (A, B) recovered from it
     _write_csv(args.out, header + ["eta", "rho_residual"],
@@ -266,16 +228,39 @@ def _cmd_calibrate(args) -> None:
 
 # --- argument parsing ---------------------------------------------------------
 
+def _checked(name: str, requirement: str, ok, parse=float):
+    """An argparse type that parses with ``parse`` and rejects a value failing ``ok``."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+    check.__name__ = name  # argparse reports text that does not parse as "invalid <name> value"
+    return check
+
+
+finite = _checked("finite", "finite", math.isfinite)
+positive = _checked("positive", "finite and > 0", lambda v: math.isfinite(v) and v > 0.0)
+nonnegative = _checked("nonnegative", "finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0)
+count = _checked("count", ">= 1", lambda v: v >= 1, parse=int)
+
+
+def positive_list(text: str) -> list[float]:
+    """Comma-separated positive numbers; an empty item does not parse."""
+    return [positive(token) for token in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volclust",
         description="Indifference put pricing under fast mean-reverting volatility",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, out=None):
         """A subcommand parser with its handler and its --out default."""
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, exit_on_error=False)
         p.add_argument("--out", default=out)
         p.set_defaults(func=func)
         return p
@@ -285,74 +270,73 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("price", _cmd_price, "corrected asymptotic price at (tau, x) points")
     p.add_argument("--config", required=True)
-    p.add_argument("--tau", type=float, action="append", default=None)
-    p.add_argument("--x", type=float, action="append", required=True)
+    p.add_argument("--tau", type=nonnegative, action="append", default=None)
+    p.add_argument("--x", type=finite, action="append", required=True)
 
     p = command("iv-surface", _cmd_iv_surface, "corrected smile on a (tau, x) grid")
     p.add_argument("--config", default=None)
-    p.add_argument("--a", type=float, default=None, help="LMMR slope (overrides --config)")
-    p.add_argument("--d", type=float, default=None, help="LMMR intercept (overrides --config)")
-    p.add_argument("--tau", type=float, action="append", default=None)
-    p.add_argument("--x-min", type=float, default=-0.5)
-    p.add_argument("--x-max", type=float, default=0.5)
-    p.add_argument("--nx", type=int, default=51)
+    p.add_argument("--a", type=finite, default=None, help="LMMR slope (overrides --config)")
+    p.add_argument("--d", type=finite, default=None, help="LMMR intercept (overrides --config)")
+    p.add_argument("--tau", type=positive, action="append", default=None)
+    p.add_argument("--x-min", type=finite, default=-0.5)
+    p.add_argument("--x-max", type=finite, default=0.5)
+    p.add_argument("--nx", type=count, default=51)
 
     p = command("figure1", _cmd_figure1, "smile surface from a given (a, d) line",
                 out="figure1.csv")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--tau-min", type=float, default=0.1)
-    p.add_argument("--tau-max", type=float, default=1.0)
-    p.add_argument("--n-tau", type=int, default=10)
-    p.add_argument("--lmmr-min", type=float, default=-1.0)
-    p.add_argument("--lmmr-max", type=float, default=1.0)
-    p.add_argument("--n-lmmr", type=int, default=41)
+    p.add_argument("--a", type=finite, required=True)
+    p.add_argument("--d", type=finite, required=True)
+    p.add_argument("--tau-min", type=nonnegative, default=0.1)
+    p.add_argument("--tau-max", type=nonnegative, default=1.0)
+    p.add_argument("--n-tau", type=count, default=10)
+    p.add_argument("--lmmr-min", type=finite, default=-1.0)
+    p.add_argument("--lmmr-max", type=finite, default=1.0)
+    p.add_argument("--n-lmmr", type=count, default=41)
 
     p = command("figure2", _cmd_figure2, "PDE-implied skew for three risk premia",
                 out="figure2.csv")
     p.add_argument("--config", default=None, help="model config (default arctangent demo)")
-    p.add_argument("--tau", type=float, default=0.25)
-    p.add_argument("--epsilon", type=float, default=0.004)
+    p.add_argument("--tau", type=positive, default=0.25)
+    p.add_argument("--epsilon", type=positive, default=0.004)
     p.add_argument("--nx", type=int, default=pde.DEFAULT_NX)
 
     p = command("measure-dump", _cmd_measure_dump, "stationary density of the fast factor")
     p.add_argument("--config", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=positive, default=1e-10)
 
     p = command("pde-solve", _cmd_pde_solve, "solve the full pricing PDE", out="pde_solution.csv")
     p.add_argument("--config", required=True)
-    p.add_argument("--xmin", type=float, default=-3.0)
-    p.add_argument("--xmax", type=float, default=3.0)
+    p.add_argument("--xmin", type=finite, default=-3.0)
+    p.add_argument("--xmax", type=finite, default=3.0)
     p.add_argument("--nx", type=int, default=pde.DEFAULT_NX)
     p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--tau", type=nonnegative, default=None)
+    p.add_argument("--dt", type=positive, default=None)
 
     p = command("pde-sweep", _cmd_pde_sweep, "asymptotic-accuracy sweep over epsilon")
     p.add_argument("--config", required=True)
-    p.add_argument("--eps-list", required=True, help="comma-separated, e.g. 0.04,0.01,0.0025")
+    p.add_argument("--eps-list", type=positive_list, required=True, help="e.g. 0.04,0.01,0.0025")
     p.add_argument("--probes", required=True, help="csv with columns tau,x,y")
 
     p = command("calibrate", _cmd_calibrate, "fit the smile line and recover constants")
     p.add_argument("--quotes", required=True, help="csv with columns tau,x,iv[,weight]")
-    p.add_argument("--sigma-bar", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--sigma-bar", type=positive, required=True)
+    p.add_argument("--epsilon", type=positive, required=True)
     p.add_argument("--config", default=None, help="model config; enables eta recovery")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except argparse.ArgumentError as exc:  # e.g. a flag value that fails its type
+        print("error:", *filter(None, (exc.argument_name, exc.message)), file=sys.stderr)
         return 2
-    except (NumericalError, VolclustError) as exc:
+    except VolclustError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
     return 0
 
 

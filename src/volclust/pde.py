@@ -10,9 +10,11 @@ time-to-maturity under
 
 and the put price is P = u_tilde - u.  Discretization: central second
 differences for the diffusions and the mixed term, first-order upwind
-for every first-order term.  Upwinding keeps the implicit matrices
-M-matrices on any grid, whatever the cell Peclet number
-|drift| dy / diffusion.  On the grids ``make_grid`` builds for the demo
+for every first-order term.  Upwinding keeps every off-diagonal weight
+of ``_stencil`` >= 0 whatever the cell Peclet number, so the implicit
+y-system is an M-matrix; the x-system is one except in the first interior
+row per y-row, which the zero-curvature fold makes [1 - a, +a] with
+a = dt |x-drift| / dx.  On the grids ``make_grid`` builds for the demo
 model that number peaks at the y-edges, at 0.14 for eps = 0.004 and
 0.45 for eps = 1: well below 2, where central differencing is monotone
 too.  So the upwind drift is a safety margin paid for with first-order
@@ -21,8 +23,8 @@ place the drift differencing is written; the implicit systems and the
 tests' consistency check both take their weights from it.  Time
 stepping is a first-order IMEX Lie splitting: the mixed term, the
 quadratic gradient term and the constant source step explicitly, then
-one implicit tridiagonal pass in x and one in y.  Both implicit passes are
-M-matrices, so the stiff drift costs nothing; a frozen-coefficient von
+one implicit tridiagonal pass in x and one in y.  The implicit y-pass is
+an M-matrix, so the stiff drift costs nothing; a frozen-coefficient von
 Neumann argument shows the implicit passes dominate the explicit mixed
 term for any |rho| < 1, so the time step is set by the quadratic term
 (through a running gradient bound), by resolving the fast relaxation

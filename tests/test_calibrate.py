@@ -118,6 +118,32 @@ def test_quotes_csv_errors(tmp_path):
         read_quotes_csv(str(tmp_path / "nope.csv"))
 
 
+def test_quote_headers_are_case_insensitive_and_blank_lines_skipped(tmp_path):
+    path = tmp_path / "quotes.csv"
+    path.write_text(" Tau ,X,IV,Weight\n0.25,-0.1,0.31,2\n\n0.5,0.0,0.3,\n")
+    assert read_quotes_csv(str(path)) == [IVQuote(0.25, -0.1, 0.31, 2.0), IVQuote(0.5, 0.0, 0.3)]
+
+
+@pytest.mark.parametrize("text,named", [
+    ("tau,iv\n0.25,0.3\n", "has no column 'x'"),
+    ("", "has no column 'tau'"),
+    ("tau,x,iv\n", "has no data rows"),
+    ("tau,x,iv\n0.25,0.1,0.3\n0.25,nan,0.3\n", "line 3, column 'x'"),
+    ("tau,x,iv\n0.25,0.1,inf\n", "line 2, column 'iv'"),
+    ("tau,x,iv\n0.25,abc,0.3\n", "line 2, column 'x'"),
+    ("tau,x,iv\n0.25,,0.3\n", "line 2, column 'x'"),
+    ("tau,x,iv\n0.25,0.1\n", "line 2, column 'iv'"),
+    ("tau,x,iv,weight\n0.25,0.1,0.3,-inf\n", "line 2, column 'weight'"),
+], ids=["missing-column", "empty-file", "no-rows", "nan", "inf", "text", "blank", "short-row",
+        "weight-inf"])
+def test_bad_quote_files_name_the_file_and_column(tmp_path, text, named):
+    path = tmp_path / "quotes.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        read_quotes_csv(str(path))
+    assert str(info.value).startswith(repr(str(path))) and named in str(info.value)
+
+
 def test_quote_validation():
     with pytest.raises(ConfigError):
         IVQuote(tau=0.0, x=0.1, iv=0.2)

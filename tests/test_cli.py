@@ -1,5 +1,7 @@
+import argparse
 import csv
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import volclust
-from volclust.cli import main
+from volclust.cli import build_parser, main
 from volclust.model import arctangent_model, write_config
 
 
@@ -147,17 +149,58 @@ def test_pde_solve_rejects_a_bad_dt(cheap_config, tmp_path, capsys, dt):
     assert not out.exists()
 
 
+def _input_files(tmp_path):
+    """A valid probes file and a valid quotes file."""
+    probes, quotes = tmp_path / "probes.csv", tmp_path / "quotes.csv"
+    probes.write_text("tau,x,y\n0.05,0.0,0.0\n0.05,-0.3,0.1\n")
+    quotes.write_text("tau,x,iv\n0.1,-0.2,0.3\n0.1,0.2,0.25\n0.5,0.0,0.27\n")
+    return str(probes), str(quotes)
+
+
 @pytest.mark.parametrize("command,message", [
     (["price", "--tau", "-1", "--x", "0.0"], "--tau must be finite and >= 0, got -1.0"),
-    (["measure-dump", "--tol", "0"], "--tol must be > 0, got 0.0"),
+    (["measure-dump", "--tol", "0"], "--tol must be finite and > 0, got 0.0"),
     (["iv-surface", "--a", "-0.1", "--d", "0.2", "--tau", "0"], "--tau must be finite and > 0, got 0.0"),
     (["pde-solve", "--nx", "21", "--tau", "-1"], "tau must be finite and >= 0, got -1.0"),
-], ids=["price", "measure-dump", "iv-surface", "pde-solve"])
+    (["figure2", "--epsilon", "-1"], "--epsilon must be finite and > 0, got -1.0"),
+    (["figure2", "--epsilon", "0"], "--epsilon must be finite and > 0, got 0.0"),
+    (["figure2", "--epsilon", "nan"], "--epsilon must be finite and > 0, got nan"),
+    (["figure2", "--tau", "0"], "--tau must be finite and > 0, got 0.0"),
+    (["pde-sweep", "--eps-list", "-1"], "--eps-list must be finite and > 0, got -1.0"),
+    (["pde-sweep", "--eps-list", "0"], "--eps-list must be finite and > 0, got 0.0"),
+    (["pde-sweep", "--eps-list", "nan"], "--eps-list must be finite and > 0, got nan"),
+    (["pde-sweep", "--eps-list", ","], "--eps-list invalid positive_list value: ','"),
+    (["iv-surface", "--a", "-0.1", "--d", "0.2", "--x-min", "nan"], "--x-min must be finite, got nan"),
+    (["figure1", "--a", "nan", "--d", "0.2"], "--a must be finite, got nan"),
+    (["calibrate", "--sigma-bar", "0.2", "--epsilon", "inf"], "--epsilon must be finite and > 0, got inf"),
+    (["calibrate", "--sigma-bar", "inf", "--epsilon", "0.004"], "--sigma-bar must be finite and > 0, got inf"),
+], ids=["price", "measure-dump", "iv-surface", "pde-solve", "figure2-eps-neg", "figure2-eps-0",
+        "figure2-eps-nan", "figure2-tau-0", "pde-sweep-eps-neg", "pde-sweep-eps-0", "pde-sweep-eps-nan",
+        "pde-sweep-eps-empty", "iv-surface-x-min-nan", "figure1-a-nan", "calibrate-eps-inf",
+        "calibrate-sigma-bar-inf"])
 def test_bad_numbers_exit_with_2_naming_the_flag(cheap_config, tmp_path, capsys, command, message):
     out = tmp_path / "out.csv"
-    config = [] if command[0] == "iv-surface" else ["--config", cheap_config]
-    assert main(command + config + ["--out", str(out)]) == 2
+    probes, quotes = _input_files(tmp_path)
+    inputs = {"iv-surface": [], "figure1": [], "calibrate": ["--quotes", quotes],
+              "pde-sweep": ["--config", cheap_config, "--probes", probes]
+              }.get(command[0], ["--config", cheap_config])
+    assert main(command + inputs + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,name,column", [
+    (["pde-sweep", "--eps-list", "0.25", "--probes"], "probes.csv", "x"),
+    (["calibrate", "--sigma-bar", "0.2", "--epsilon", "0.004", "--quotes"], "quotes.csv", "x"),
+], ids=["probes", "quotes"])
+def test_non_finite_cells_exit_with_2_naming_the_file_and_column(cheap_config, tmp_path, capsys,
+                                                                 command, name, column):
+    path, out = tmp_path / name, tmp_path / "out.csv"
+    third = "y" if name == "probes.csv" else "iv"
+    path.write_text(f"tau,x,{third}\n0.05,0.1,0.1\n0.05,nan,0.1\n0.1,0.2,0.1\n")
+    config = ["--config", cheap_config] if command[0] == "pde-sweep" else []
+    assert main(command + [str(path)] + config + ["--out", str(out)]) == 2
+    assert f"{str(path)!r} line 3, column {column!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -184,6 +227,25 @@ def test_bad_counts_exit_with_2_naming_the_flag(tmp_path, capsys, command, messa
     assert not out.exists()
 
 
+def test_no_numeric_flag_is_a_bare_float():
+    """Every number a subcommand takes goes through one of the CLI's checked types."""
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    bare = [f"{name} {action.option_strings[0]}" for name, sub in subparsers.choices.items()
+            for action in sub._actions if action.type is float]
+    assert bare == []
+
+
+def test_console_entry_exits_2_without_a_traceback(tmp_path):
+    """``python -m volclust.cli`` is the path the ``volclust`` script takes."""
+    src = str(Path(volclust.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "VOLCLUST_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-m", "volclust.cli", "figure2", "--epsilon", "-1"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert "--epsilon must be finite and > 0, got -1.0" in run.stderr
+
+
 def test_cli_import_leaves_out_scipy_integrate_optimize_and_sparse():
     """The CLI needs scipy.linalg and scipy.special only; the rest costs every process."""
     src = str(Path(volclust.__file__).resolve().parents[1])
@@ -205,6 +267,17 @@ def test_pde_sweep_command(cheap_config, tmp_path, capsys):
     assert lines[0] == "eps,max_abs_error,normalized"
     eps, err, norm = map(float, lines[1].split(","))
     assert eps == 0.25 and err > 0 and norm > 0
+
+
+def test_probe_headers_are_case_insensitive(cheap_config, tmp_path):
+    outputs = []
+    for header in ("tau,x,y", "Tau, X ,Y"):
+        probes, out = tmp_path / "probes.csv", tmp_path / f"{len(outputs)}.csv"
+        probes.write_text(f"{header}\n0.05,0.0,0.0\n0.05,-0.3,0.1\n")
+        assert main(["pde-sweep", "--config", cheap_config, "--eps-list", "0.25",
+                     "--probes", str(probes), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_figure2_cheap_epsilon(tmp_path):

@@ -185,6 +185,49 @@ def test_spatial_consistency_orders():
         assert math.log2(full1 / full2) > 0.9  # upwind advection caps the full operator at one
 
 
+def test_implicit_systems_sign_pattern():
+    """Where the implicit systems are M-matrices, and the one place the x-system is not.
+
+    Upwinding keeps every off-diagonal weight of ``_stencil`` >= 0 for either
+    sign of drift at any cell Peclet number, so I - dt L has off-diagonals
+    <= 0 and a dominant diagonal.  The exception is the first interior x-row
+    of each y-row: folding u_0 = 2 u_1 - u_2 into it leaves [1 - a, +a] with
+    a = dt |x_drift| / dx, and the inverse of an x-block has negative entries.
+    """
+    rng = np.random.default_rng(11)
+    specs = [arctangent_model()] + [random_valid_spec(rng) for _ in range(3)]
+    for spec in specs:
+        grid = make_grid(spec, spec.maturity)
+        c = pde._Coefficients(spec, grid.y)
+        for diffusion, drift, h in ((c.x_diffusion, c.x_drift, grid.dx),
+                                    (c.y_diffusion, c.y_drift, grid.dy)):
+            for peclet in (0.0, 0.5, 2.0, 50.0):
+                for sign in (1.0, -1.0):
+                    sub, _, sup = pde._stencil(diffusion, sign * peclet * diffusion / h, h)
+                    assert sub.min() >= 0.0 and sup.min() >= 0.0, (peclet, sign)
+            sub, _, sup = pde._stencil(diffusion, drift, h)
+            assert sub.min() >= 0.0 and sup.min() >= 0.0
+
+        dl, d, du = pde._build_y_system(c, grid.dt, grid.dy)
+        assert dl.max() <= 0.0 and du.max() <= 0.0
+        assert np.all(d > np.abs(np.r_[0.0, dl]) + np.abs(np.r_[du, 0.0]))
+
+        ny, n = grid.y.size, grid.x.size - 2
+        dl, d, du = pde._build_x_system(c, grid.dt, grid.dx, grid.x.size)
+        sub, diag, sup = np.r_[0.0, dl].reshape(ny, n), d.reshape(ny, n), np.r_[du, 0.0].reshape(ny, n)
+        assert np.all(sub[:, 0] == 0.0) and np.all(sup[:, -1] == 0.0)  # the y-rows decouple
+        assert sub[:, 1:].max() <= 0.0 and sup[:, 1:].max() <= 0.0
+        assert np.all(diag[:, 1:] > np.abs(sub[:, 1:]) + np.abs(sup[:, 1:]))
+        a = grid.dt * np.abs(c.x_drift) / grid.dx
+        assert a.min() > 0.0
+        np.testing.assert_allclose(sup[:, 0], a, rtol=1e-12)
+        np.testing.assert_allclose(diag[:, 0], 1.0 - a, rtol=1e-12)
+
+        j = int(np.argmax(a))
+        block = np.diag(diag[j]) + np.diag(sub[j, 1:], -1) + np.diag(sup[j, :-1], 1)
+        assert np.linalg.inv(block).min() < 0.0
+
+
 def test_instability_raised_for_reckless_dt():
     # fast enough mean reversion that the quadratic gradient term bites
     spec = arctangent_model(epsilon=0.01)
