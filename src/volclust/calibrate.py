@@ -134,12 +134,13 @@ def calibrate_from_surface(quotes: Sequence[IVQuote], spec: ModelSpec,
                               j_sigma=j_sigma, j_b=j_b)
 
 
-def _read_float_rows(path: str, names: tuple[str, ...], **defaults: float) -> list[tuple[float, ...]]:
-    """Finite floats of the named columns, then the ``defaults`` ones, per data row.
+def _read_float_rows(path: str, names: tuple[str, ...], make=tuple, **defaults: float) -> list:
+    """``make`` of the finite floats of the named columns, then the ``defaults`` ones, per data row.
 
     Header names are case-insensitive.  A column in ``defaults`` may be
     absent or blank; any other gap, or a cell that is no finite number,
-    raises ConfigError naming the file and the column.
+    raises ConfigError naming the file and the column.  A ConfigError
+    from ``make`` is raised again naming the file and the line.
     """
     try:
         with open(path, newline="") as fh:
@@ -161,7 +162,10 @@ def _read_float_rows(path: str, names: tuple[str, ...], **defaults: float) -> li
                     if not math.isfinite(row[-1]):
                         raise ConfigError(f"{path!r} line {reader.line_num}, column {name!r}: "
                                           f"expected a finite number, got {text!r}")
-                rows.append(tuple(row))
+                try:
+                    rows.append(make(row))
+                except ConfigError as exc:
+                    raise ConfigError(f"{path!r} line {reader.line_num}: {exc}") from exc
     except (OSError, UnicodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
     if not rows:
@@ -171,4 +175,4 @@ def _read_float_rows(path: str, names: tuple[str, ...], **defaults: float) -> li
 
 def read_quotes_csv(path: str) -> list[IVQuote]:
     """Read quotes from a csv with header tau,x,iv[,weight]; a blank or absent weight is 1."""
-    return [IVQuote(*row) for row in _read_float_rows(path, ("tau", "x", "iv"), weight=1.0)]
+    return _read_float_rows(path, ("tau", "x", "iv"), lambda row: IVQuote(*row), weight=1.0)

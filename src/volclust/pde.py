@@ -33,15 +33,27 @@ the amplitude bound, the gradient bound and the price band, and halves
 dt when a monitor trips.
 
 Per attempt, everything fixed during a solve is set up before the time
-loop.  The x-system (every y-row stacked into one tridiagonal matrix) is
-factored once with LAPACK dgttrf and each step solves it with dgttrs;
-the 1-d march treats its y-system the same way.  The 2-d y-solve, one
-matrix with nx right-hand sides, stays on scipy's solve_banded: a
-factor-once multi-right-hand-side dgttrs measured slower (about 1.6-1.7
-ms against 1.3 ms per step on 201 x 539).  The gradient monitor's
-coefficient bounds and the explicit step's work arrays are made once per
-solve, and the amplitude and price-band monitors share one row-wise
-max/min pass over U per step.  None of this changes a bit of the output.
+loop.  The x-system, one tridiagonal matrix per y-row, is factored once
+and each step solves it as a sweep along x over U's contiguous y-columns,
+every operation vectorised over the y-rows.  Factor and sweep follow
+LAPACK dgttrf/dgtts2 without row interchanges, operation for operation,
+so wherever dgttrf would not pivot the output has the bits dgttrf/dgttrs
+gave.  dgttrf pivots in the first x-row only where dt s1^2 / (2 dx^2)
+exceeds about 1 - 2a (nx = 1201 on the default x-span, say), and there
+the two differ by rounding.  Elimination without pivoting needs a
+diagonally dominant x-system; its folded first row is dominant only
+while a <= 1/2, so a larger a trips a monitor before the first step and
+dt is halved.  The sweep pays a fixed call overhead per x-column, so it
+beats one stacked dgttrs chain only from ny of about 250 up; at
+MIN_NY = 201 its x-solve is about 20% slower, at ny = 539 about 40%
+faster.  The 1-d march factors its y-system once with
+dgttrf and solves it with dgttrs.  The 2-d y-solve, one matrix with nx
+right-hand sides, stays on scipy's solve_banded: a factor-once
+multi-right-hand-side dgttrs measured slower (about 1.6-1.7 ms against
+1.3 ms per step on 201 x 539).  The gradient monitor's coefficient
+bounds and the explicit step's work arrays are made once per solve, and
+the amplitude and price-band monitors share one row-wise max/min pass
+over U per step.
 
 Boundary conditions (the continuum problem lives on the whole plane):
 zero second x-derivative at the x-ends, which reproduces both payoff
@@ -278,23 +290,61 @@ class _Coefficients:
 
 
 def _build_x_system(coeffs: _Coefficients, dt: float, dx: float, nx: int) -> tuple:
-    """(I - dt Lx) over all y-rows at once, interior x unknowns, as (dl, d, du).
+    """(I - dt Lx) on the interior x-nodes as (sub, diag, sup), each (nx - 2, ny).
 
-    Per y-row the matrix is tridiagonal in x; concatenating rows keeps it
-    tridiagonal because the zero-curvature boundary condition is folded
-    into the first and last interior rows (u_0 = 2u_1 - u_2 and its
-    mirror), which also decouples the blocks.  The weights are formed per
-    y-row and broadcast along x once.
+    Row i holds x-node i + 1 of every y-row, so each y-row is its own
+    tridiagonal system in x and one sweep along the rows solves them all.
+    The zero-curvature boundary condition is folded into rows 0 and -1
+    (u_0 = 2u_1 - u_2 and its mirror), which leaves sub[0] = sup[-1] = 0.
     """
-    sub, diag, sup = _stencil(coeffs.x_diffusion[:, None], coeffs.x_drift[:, None], dx)
-    sub, diag, sup = (np.repeat(w, nx - 2, axis=1) for w in (-dt * sub, 1.0 - dt * diag, -dt * sup))
-    diag[:, 0] += 2.0 * sub[:, 0]
-    sup[:, 0] -= sub[:, 0]
-    diag[:, -1] += 2.0 * sup[:, -1]
-    sub[:, -1] -= sup[:, -1]
-    sub[:, 0] = 0.0
-    sup[:, -1] = 0.0
-    return sub.ravel()[1:], diag.ravel(), sup.ravel()[:-1]
+    sub, diag, sup = _stencil(coeffs.x_diffusion, coeffs.x_drift, dx)
+    sub, diag, sup = (np.tile(w, (nx - 2, 1)) for w in (-dt * sub, 1.0 - dt * diag, -dt * sup))
+    diag[0] += 2.0 * sub[0]
+    sup[0] -= sub[0]
+    diag[-1] += 2.0 * sup[-1]
+    sub[-1] -= sup[-1]
+    sub[0] = 0.0
+    sup[-1] = 0.0
+    return sub, diag, sup
+
+
+def _factor_x_system(sub, diag, sup) -> tuple[list, list, list]:
+    """Eliminate ``_build_x_system``'s arrays in place; returns their rows for ``_solve_x_system``.
+
+    This is LAPACK dgttrf's branch without row interchanges, vectorised
+    over the y-rows: sub[i + 1] becomes the multiplier of row i and diag
+    the pivots.  Without pivoting, elimination is stable for a row
+    diagonally dominant matrix.  Every interior row is; the folded first
+    row [1 - a, +a], a = dt |x_drift| / dx, is only while a <= 1/2, so a
+    larger a raises ``Instability`` and ``price_surface`` halves dt.
+    """
+    # row by row, so that the check holds no (nx - 2, ny) temporaries
+    if not all(np.all(np.abs(d) >= np.abs(l) + np.abs(u)) for l, d, u in zip(sub, diag, sup)):
+        raise Instability(f"x-system is not diagonally dominant: the x-boundary fold has "
+                          f"a = dt |x_drift| / dx up to {sup[0].max():.3f} > 1/2")
+    for i in range(diag.shape[0] - 1):
+        np.divide(sub[i + 1], diag[i], out=sub[i + 1])
+        diag[i + 1] -= sub[i + 1] * sup[i]
+    return list(sub), list(diag), list(sup)
+
+
+def _solve_x_system(sub, diag, sup, cols, tmp) -> None:
+    """Solve the factored x-system in place on ``cols``, the x-rows of a (nx - 2, ny) block.
+
+    LAPACK dgtts2's operation order without row interchanges, with no
+    reciprocal and no reassociation: wherever dgttrf would not pivot, each
+    y-row gets the bits dgttrs gives.  ``tmp`` is one scratch row.  The
+    row lists and the positional ``out`` keep the per-call overhead down:
+    it, not the ny-long arithmetic, is most of the cost.
+    """
+    for lower, prev, row in zip(sub[1:], cols, cols[1:]):
+        np.multiply(lower, prev, tmp)
+        np.subtract(row, tmp, row)
+    np.divide(cols[-1], diag[-1], cols[-1])
+    for upper, pivot, row, nxt in zip(sup[-2::-1], diag[-2::-1], cols[-2::-1], cols[:0:-1]):
+        np.multiply(upper, nxt, tmp)
+        np.subtract(row, tmp, row)
+        np.divide(row, pivot, row)
 
 
 def _build_y_system(coeffs: _Coefficients, dt: float, dy: float) -> tuple:
@@ -348,7 +398,6 @@ def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     coeffs = _Coefficients(spec, grid.y)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     nx, ny = grid.x.size, grid.y.size
-    lu_x = _factor(*_build_x_system(coeffs, dt, dx, nx))
     ab_y = _banded(*_build_y_system(coeffs, dt, dy))
     _, _, s2_max = _coefficient_bounds(spec)
     mixed, quad, source = coeffs.mixed[:, None], coeffs.quad[:, None], coeffs.source[:, None]
@@ -363,8 +412,8 @@ def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     u_y = np.empty_like(U)
     u_x = np.empty_like(U)
     work = np.empty_like(U)
-    rhs = np.empty((ny, nx - 2))  # x-solve right-hand side, one contiguous block per y-row
-    rhs_flat = rhs.reshape(-1)
+    x_tmp = np.empty(ny)
+    x_rows = _factor_x_system(*_build_x_system(coeffs, dt, dx, nx))
 
     for step in range(1, grid.n_steps + 1):
         _central_y(U, dy, u_y)
@@ -377,9 +426,7 @@ def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
         np.multiply(explicit, dt, out=explicit)
         np.add(U, explicit, out=U)
 
-        np.copyto(rhs, U[:, 1:-1])
-        dgttrs(*lu_x, rhs_flat, overwrite_b=True)  # in place: rhs_flat is contiguous
-        U[:, 1:-1] = rhs
+        _solve_x_system(*x_rows, list(U.T[1:-1]), x_tmp)  # the y-columns are U.T's rows
         U[:, 0] = 2.0 * U[:, 1] - U[:, 2]
         U[:, -1] = 2.0 * U[:, -2] - U[:, -3]
 

@@ -134,8 +134,10 @@ def test_quote_headers_are_case_insensitive_and_blank_lines_skipped(tmp_path):
     ("tau,x,iv\n0.25,,0.3\n", "line 2, column 'x'"),
     ("tau,x,iv\n0.25,0.1\n", "line 2, column 'iv'"),
     ("tau,x,iv,weight\n0.25,0.1,0.3,-inf\n", "line 2, column 'weight'"),
+    ("tau,x,iv\n0.25,0.1,0.3\n\n0.0,0.1,0.3\n", "line 4: quote needs tau > 0, got 0.0"),
+    ("tau,x,iv,weight\n0.25,0.1,0.3,-1\n", "line 2: quote weight must be >= 0, got -1.0"),
 ], ids=["missing-column", "empty-file", "no-rows", "nan", "inf", "text", "blank", "short-row",
-        "weight-inf"])
+        "weight-inf", "tau-zero", "weight-negative"])
 def test_bad_quote_files_name_the_file_and_column(tmp_path, text, named):
     path = tmp_path / "quotes.csv"
     path.write_text(text)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from conftest import random_valid_spec
 from volclust import pde
@@ -212,20 +213,81 @@ def test_implicit_systems_sign_pattern():
         assert dl.max() <= 0.0 and du.max() <= 0.0
         assert np.all(d > np.abs(np.r_[0.0, dl]) + np.abs(np.r_[du, 0.0]))
 
-        ny, n = grid.y.size, grid.x.size - 2
-        dl, d, du = pde._build_x_system(c, grid.dt, grid.dx, grid.x.size)
-        sub, diag, sup = np.r_[0.0, dl].reshape(ny, n), d.reshape(ny, n), np.r_[du, 0.0].reshape(ny, n)
-        assert np.all(sub[:, 0] == 0.0) and np.all(sup[:, -1] == 0.0)  # the y-rows decouple
-        assert sub[:, 1:].max() <= 0.0 and sup[:, 1:].max() <= 0.0
-        assert np.all(diag[:, 1:] > np.abs(sub[:, 1:]) + np.abs(sup[:, 1:]))
+        sub, diag, sup = pde._build_x_system(c, grid.dt, grid.dx, grid.x.size)
+        assert sub.shape == (grid.x.size - 2, grid.y.size)
+        assert np.all(sub[0] == 0.0) and np.all(sup[-1] == 0.0)  # the y-rows decouple
+        assert sub[1:].max() <= 0.0 and sup[1:].max() <= 0.0
+        assert np.all(diag[1:] > np.abs(sub[1:]) + np.abs(sup[1:]))
         a = grid.dt * np.abs(c.x_drift) / grid.dx
         assert a.min() > 0.0
-        np.testing.assert_allclose(sup[:, 0], a, rtol=1e-12)
-        np.testing.assert_allclose(diag[:, 0], 1.0 - a, rtol=1e-12)
+        np.testing.assert_allclose(sup[0], a, rtol=1e-12)
+        np.testing.assert_allclose(diag[0], 1.0 - a, rtol=1e-12)
 
         j = int(np.argmax(a))
-        block = np.diag(diag[j]) + np.diag(sub[j, 1:], -1) + np.diag(sup[j, :-1], 1)
+        block = np.diag(diag[:, j]) + np.diag(sub[1:, j], -1) + np.diag(sup[:-1, j], 1)
         assert np.linalg.inv(block).min() < 0.0
+
+
+def _lapack_x_solve(spec, grid, rhs):
+    """The x-system stacked into one chain of y-row blocks, solved by dgttrf and dgttrs.
+
+    Returns the solution in ``rhs``'s (nx - 2, ny) layout and whether dgttrf pivoted.
+    """
+    sub, diag, sup = pde._build_x_system(pde._Coefficients(spec, grid.y), grid.dt, grid.dx,
+                                         grid.x.size)
+    dl, d, du, du2, ipiv, info = dgttrf(sub.T.ravel()[1:], diag.T.ravel(), sup.T.ravel()[:-1])
+    assert info == 0
+    x, info = dgttrs(dl, d, du, du2, ipiv, rhs.T.ravel())
+    assert info == 0
+    return x.reshape(rhs.shape[::-1]).T, not np.array_equal(ipiv, np.arange(1, d.size + 1))
+
+
+def _sweep_x_solve(spec, grid, rhs):
+    """``_march_2d``'s x-solve: factor once, then the column sweep on a copy of ``rhs``."""
+    x_rows = pde._factor_x_system(*pde._build_x_system(pde._Coefficients(spec, grid.y),
+                                                       grid.dt, grid.dx, grid.x.size))
+    cols = rhs.copy()
+    pde._solve_x_system(*x_rows, list(cols), np.empty(grid.y.size))
+    return cols
+
+
+def test_x_sweep_matches_lapack():
+    """Where dgttrf does not pivot the sweep is dgttrf + dgttrs to the bit; else to rounding."""
+    rng = np.random.default_rng(5)
+    demo = arctangent_model()
+    default = make_grid(demo, demo.maturity)
+    cases = [(demo, default, False), (demo, make_grid(demo, 0.25, nx=201, x_span=(-1.0, 1.0)), False)]
+    cases += [(spec, make_grid(spec, spec.maturity), None)  # either way
+              for spec in (random_valid_spec(rng) for _ in range(3))]
+    cases += [(demo, replace(default, dt=dt), True) for dt in (0.002, 0.01, 0.05)]
+    for spec, grid, pivots in cases:
+        rhs = rng.standard_normal((grid.x.size - 2, grid.y.size))
+        expected, pivoted = _lapack_x_solve(spec, grid, rhs)
+        assert pivots in (None, pivoted), grid.dt
+        swept = _sweep_x_solve(spec, grid, rhs)
+        if pivoted:
+            assert np.abs(swept - expected).max() <= 1e-14 * np.abs(expected).max()
+        else:
+            np.testing.assert_array_equal(swept.view(np.uint64), expected.view(np.uint64))
+
+
+def test_x_system_without_dominance_halves_dt(caplog):
+    """The fold's row [1 - a, +a] needs a <= 1/2 for elimination without pivoting."""
+    spec = arctangent_model(epsilon=1.0)
+    default = make_grid(spec, 0.25)
+    grid = replace(default, dt=0.0625, n_steps=4)
+    a = grid.dt * np.abs(pde._Coefficients(spec, grid.y).x_drift).max() / grid.dx
+    assert a == pytest.approx(0.53, abs=0.005)
+    with pytest.raises(Instability) as info:
+        _march_2d(spec, grid, payoff_initial(spec, grid))
+    assert str(info.value) == ("x-system is not diagonally dominant: the x-boundary fold "
+                               f"has a = dt |x_drift| / dx up to {a:.3f} > 1/2")  # before step 1
+
+    with caplog.at_level(logging.INFO, logger="volclust.pde"):
+        surface = price_surface(spec, grid)
+    assert surface.grid.n_steps == 8
+    records = [r.getMessage() for r in caplog.records if r.name == "volclust.pde"]
+    assert records == [f"{info.value}; halving dt to 8 steps"]
 
 
 def test_instability_raised_for_reckless_dt():
