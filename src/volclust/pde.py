@@ -48,12 +48,25 @@ beats one stacked dgttrs chain only from ny of about 250 up; at
 MIN_NY = 201 its x-solve is about 20% slower, at ny = 539 about 40%
 faster.  The 1-d march factors its y-system once with
 dgttrf and solves it with dgttrs.  The 2-d y-solve, one matrix with nx
-right-hand sides, stays on scipy's solve_banded: a factor-once
-multi-right-hand-side dgttrs measured slower (about 1.6-1.7 ms against
-1.3 ms per step on 201 x 539).  The gradient monitor's coefficient
-bounds and the explicit step's work arrays are made once per solve, and
-the amplitude and price-band monitors share one row-wise max/min pass
-over U per step.
+right-hand sides, stays on scipy's solve_banded (LAPACK dgtsv): a
+factor-once multi-right-hand-side dgttrs measured slower (about 1.6-1.7
+ms against 1.3 ms per step on 201 x 539), and so did a numpy sweep
+along y vectorised over x (1.60 against 1.34 ms, bit for bit), because
+the back-substitution is a chain of dependent divisions that only a
+compiled loop runs at full speed.  The y-solve must run in place on U:
+the x-sweep's views of U's columns are made once per attempt, so a
+solve_banded that returned a copy is a fault, raised as RuntimeError
+and not retried.  The gradient monitor's coefficient bounds and the
+explicit step's work arrays are made once per solve, and the amplitude
+and price-band monitors share one row-wise max/min pass over U per step.
+
+U is kept in Fortran order, so it is one flat vector in which
+y-neighbours are 1 apart: each central y-difference (the gradient
+monitor's and the mixed term's) is one flat pass over it, where a
+column-wise slice would loop once per x-node; the differences that
+straddle two columns land in the zero-flux end rows, which are zeroed
+after.  Maxima of |u_y| and |U| are taken as max(max, -min), without an
+abs pass.
 
 Boundary conditions (the continuum problem lives on the whole plane):
 zero second x-derivative at the x-ends, which reproduces both payoff
@@ -357,18 +370,32 @@ def _build_y_system(coeffs: _Coefficients, dt: float, dy: float) -> tuple:
 
 
 def _central_y(U: np.ndarray, dy: float, out: np.ndarray) -> np.ndarray:
-    """Central y-derivative with zero-flux ends into ``out``; 1-d or 2-d arrays."""
+    """Central y-derivative with zero-flux ends into ``out``, in one flat pass.
+
+    ``U`` and ``out`` are 1-d, or 2-d (ny, nx) and both F-contiguous: then
+    each is one flat vector in which y-neighbours are 1 apart.  The
+    differences that straddle two y-columns land in rows 0 and -1, which
+    are zeroed last, so every interior value has the operands and the
+    operations of ``(U[2:] - U[:-2]) / (2 dy)``.  Any other layout raises
+    ``ValueError``: the flat view would be a copy and the writes would be lost.
+    """
+    if U.shape != out.shape or not (
+            U.ndim == 1 or (U.ndim == 2 and U.flags.f_contiguous and out.flags.f_contiguous)):
+        raise ValueError(f"_central_y needs 1-d or F-contiguous 2-d arrays of one shape, "
+                         f"got {U.shape} and {out.shape}")
+    flat, flat_out = U.reshape(-1, order="F"), out.reshape(-1, order="F")
+    np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
+    np.divide(flat_out[1:-1], 2.0 * dy, out=flat_out[1:-1])
     out[0] = 0.0
     out[-1] = 0.0
-    np.subtract(U[2:], U[:-2], out=out[1:-1])
-    np.divide(out[1:-1], 2.0 * dy, out=out[1:-1])
     return out
 
 
 def _mixed_xy(U: np.ndarray, dx: float, dy: float, ux: np.ndarray, out: np.ndarray) -> np.ndarray:
     """d2/dxdy into ``out``: central inside, one-sided in x at the ends, zero at y-ends.
 
-    ``ux`` is scratch space that receives the x-derivative.
+    ``ux`` is scratch space that receives the x-derivative; it and ``out``
+    must be F-contiguous, as ``_central_y`` requires.
     """
     np.subtract(U[:, 2:], U[:, :-2], out=ux[:, 1:-1])
     np.divide(ux[:, 1:-1], 2.0 * dx, out=ux[:, 1:-1])
@@ -377,6 +404,11 @@ def _mixed_xy(U: np.ndarray, dx: float, dy: float, ux: np.ndarray, out: np.ndarr
     np.subtract(U[:, -1], U[:, -2], out=ux[:, -1])
     np.divide(ux[:, -1], dx, out=ux[:, -1])
     return _central_y(ux, dy, out)
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """max |a| as max(max a, -min a): two read passes, no abs pass; a NaN propagates."""
+    return float(np.maximum(a.max(), -a.min()))
 
 
 def payoff_initial(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
@@ -414,10 +446,11 @@ def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     work = np.empty_like(U)
     x_tmp = np.empty(ny)
     x_rows = _factor_x_system(*_build_x_system(coeffs, dt, dx, nx))
+    x_cols = list(U.T[1:-1])  # interior y-columns of U; valid while the y-solve works in place
 
     for step in range(1, grid.n_steps + 1):
         _central_y(U, dy, u_y)
-        _check_gradient(spec, s2_max, dt, dy, float(np.abs(u_y, out=work).max()), step, "")
+        _check_gradient(spec, s2_max, dt, dy, _abs_max(u_y), step, "")
         # U += dt * (mixed u_xy + quad u_y^2 + source), in that expression's order
         explicit = np.multiply(mixed, _mixed_xy(U, dx, dy, u_x, work), out=work)
         quad_term = np.multiply(quad, np.square(u_y, out=u_x), out=u_x)
@@ -426,11 +459,13 @@ def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
         np.multiply(explicit, dt, out=explicit)
         np.add(U, explicit, out=U)
 
-        _solve_x_system(*x_rows, list(U.T[1:-1]), x_tmp)  # the y-columns are U.T's rows
+        _solve_x_system(*x_rows, x_cols, x_tmp)
         U[:, 0] = 2.0 * U[:, 1] - U[:, 2]
         U[:, -1] = 2.0 * U[:, -2] - U[:, -3]
 
-        U = solve_banded((1, 1), ab_y, U, overwrite_b=True, check_finite=False)
+        # not Instability: a copy is a fault of the code, and halving dt would hide it
+        if solve_banded((1, 1), ab_y, U, overwrite_b=True, check_finite=False) is not U:
+            raise RuntimeError("solve_banded returned a copy: the y-solve must run in place on U")
 
         # one row-wise pass serves both monitors: |U| <= cap and, as rounding
         # is monotone, min/max of u_tilde - U come from the row extremes
@@ -462,13 +497,19 @@ def _march_1d(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
 
     v = np.zeros(ny)
     v_y = np.empty(ny)
+    work = np.empty(ny)
     all_steps = np.zeros((grid.n_steps + 1, ny))
     for step in range(1, grid.n_steps + 1):
         _central_y(v, dy, v_y)
-        _check_gradient(spec, s2_max, dt, dy, float(np.abs(v_y).max()), step, " in the 1-d march")
-        v += dt * (coeffs.quad * v_y ** 2 + coeffs.source)
+        _check_gradient(spec, s2_max, dt, dy, _abs_max(v_y), step, " in the 1-d march")
+        # v += dt * (quad v_y^2 + source), in that expression's order
+        np.square(v_y, out=work)
+        np.multiply(coeffs.quad, work, out=work)
+        np.add(work, coeffs.source, out=work)
+        np.multiply(dt, work, out=work)
+        np.add(v, work, out=v)
         dgttrs(*lu_y, v, overwrite_b=True)
-        peak = float(np.abs(v).max())
+        peak = _abs_max(v)
         if not np.isfinite(peak) or peak > amplitude_cap:
             raise Instability(f"1-d march left the amplitude bound at step {step} (|u| = {peak:.3e})")
         all_steps[step] = v

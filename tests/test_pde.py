@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from conftest import random_valid_spec
@@ -148,8 +149,9 @@ def _march_operator(spec, x, y, U, drift_scale):
     lx = sub * U[:, :-2] + diag * U[:, 1:-1] + sup * U[:, 2:]
     sub, diag, sup = pde._stencil(c.y_diffusion[1:-1, None], drift_scale * c.y_drift[1:-1, None], dy)
     ly = sub * U[:-2] + diag * U[1:-1] + sup * U[2:]
-    u_y = pde._central_y(U, dy, np.empty_like(U))
-    u_xy = pde._mixed_xy(U, dx, dy, np.empty_like(U), np.empty_like(U))
+    F = np.asfortranarray(U)  # the march's layout, which the flat y-differences need
+    u_y = pde._central_y(F, dy, np.empty_like(F))
+    u_xy = pde._mixed_xy(F, dx, dy, np.empty_like(F), np.empty_like(F))
     explicit = c.mixed[:, None] * u_xy + c.quad[:, None] * u_y ** 2 + c.source[:, None]
     return lx[1:-1] + ly[:, 1:-1] + explicit[1:-1, 1:-1]
 
@@ -184,6 +186,60 @@ def test_spatial_consistency_orders():
         cen2, full2 = sup_errors(spec, 161)
         assert math.log2(cen1 / cen2) > 1.8   # diffusions, mixed and quadratic terms
         assert math.log2(full1 / full2) > 0.9  # upwind advection caps the full operator at one
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (201, 41), (539, 201)])
+def test_flat_stencils_match_per_axis_expressions(shape):
+    """The flat y-differences give the bits of the per-axis expressions, and 0 at the y-ends."""
+    rng = np.random.default_rng(shape[0])
+    U = np.asfortranarray(rng.standard_normal(shape))
+    dx, dy = 0.01, 0.003
+
+    def fresh():
+        return np.full(shape, np.nan, order="F")  # every cell must be written
+
+    u_y = np.zeros(shape)
+    u_y[1:-1] = (U[2:] - U[:-2]) / (2.0 * dy)
+    u_x = np.empty(shape)
+    u_x[:, 1:-1] = (U[:, 2:] - U[:, :-2]) / (2.0 * dx)
+    u_x[:, 0] = (U[:, 1] - U[:, 0]) / dx
+    u_x[:, -1] = (U[:, -1] - U[:, -2]) / dx
+    u_xy = np.zeros(shape)
+    u_xy[1:-1] = (u_x[2:] - u_x[:-2]) / (2.0 * dy)
+
+    got_y = pde._central_y(U, dy, fresh())
+    got_xy = pde._mixed_xy(U, dx, dy, fresh(), fresh())
+    for got, want in ((got_y, u_y), (got_xy, u_xy)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not got[[0, -1]].view(np.uint64).any()  # +0.0 exactly
+    row = U[:, 3].copy()  # 1-d arrays of any stride
+    assert np.array_equal(pde._central_y(row, dy, np.empty_like(row)).view(np.uint64),
+                          u_y[:, 3].view(np.uint64))
+
+
+def test_central_y_rejects_layouts_it_cannot_write_flat():
+    U = np.asfortranarray(np.ones((7, 4)))
+    for arr, out in ((np.ascontiguousarray(U), np.empty_like(U)),   # C-ordered input
+                     (U, np.empty((7, 4))),                         # C-ordered out
+                     (U[:, ::2], np.empty((7, 2), order="F")),      # strided view
+                     (U, np.empty((7, 3), order="F")),              # shapes differ
+                     (np.ones((3, 3, 3), order="F"), np.empty((3, 3, 3), order="F"))):
+        with pytest.raises(ValueError, match="_central_y needs"):
+            pde._central_y(arr, 0.1, out)
+
+
+def test_y_solve_that_returns_a_copy_is_a_fault_not_an_instability(monkeypatch, caplog):
+    """The column views made before the loop need the y-solve in place; no dt halving hides it."""
+    def copying(*args, **kwargs):
+        return solve_banded(*args, **kwargs).copy()
+
+    monkeypatch.setattr(pde, "solve_banded", copying)
+    spec = arctangent_model(epsilon=0.25, maturity=0.05)
+    grid = make_grid(spec, spec.maturity, nx=21)
+    with caplog.at_level(logging.INFO, logger="volclust.pde"):
+        with pytest.raises(RuntimeError, match="solve_banded returned a copy"):
+            price_surface(spec, grid)
+    assert [r for r in caplog.records if r.name == "volclust.pde"] == []
 
 
 def test_implicit_systems_sign_pattern():
