@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateDesign, Unidentifiable
-from .measure import average, build_invariant_measure
+from .measure import (InvariantMeasure, average, build_invariant_measure, cumulative_trapezoid,
+                      trapezoid)
 from .model import ModelSpec
 from .poisson import model_integrals
 
@@ -125,13 +126,27 @@ def calibrate_from_surface(quotes: Sequence[IVQuote], spec: ModelSpec,
     big_a, big_b = recover_constants((a, d), sigma_bar, spec.epsilon)
     fit = AffineFit(a=a, d=d, r_squared=r_squared, a_recovered=big_a, b_recovered=big_b)
 
-    scale = abs(big_b) + abs(spec.rho * j_sigma) + 1e-30
-    if abs(j_b) <= 1e-12 * scale:
-        raise Unidentifiable("J_b = 0 for this model (b vanishes); eta has no effect on B")
+    if abs(j_b) <= 1e-12 * _j_b_scale(spec, measure):
+        raise Unidentifiable("J_b = 0 for this model (b vanishes or sigma1 is constant); "
+                             "eta has no effect on B")
     eta = (big_b / j_b - spec.rho) / math.sqrt(1.0 - spec.rho ** 2)
     rho_residual = abs(big_a - spec.rho * j_sigma)
     return SurfaceCalibration(fit=fit, eta=eta, rho_residual=rho_residual,
                               j_sigma=j_sigma, j_b=j_b)
+
+
+def _j_b_scale(spec: ModelSpec, measure: InvariantMeasure) -> float:
+    """Size of the terms whose cancellation gives J_b: its integral with |b| and s1^2 uncentered.
+
+    J_b integrates b / (s1 s2) against the tail integrals of s1^2 - <s1^2>.
+    Where sigma1 is constant that difference is rounding noise, and so is
+    J_b: at most about 1e-17 of this scale on the tests' random models,
+    where a varying sigma1 gives at least 4e-4 of it.
+    """
+    y = measure.grid
+    s1, s2, b = (np.asarray(f(y)) for f in (spec.sigma1, spec.sigma2, spec.b))
+    mass = cumulative_trapezoid(s1 ** 2 * measure.density, y)
+    return float(trapezoid(np.abs(b / (s1 * s2)) * np.minimum(mass, mass[-1] - mass), y))
 
 
 def _read_float_rows(path: str, names: tuple[str, ...], make=tuple, **defaults: float) -> list:

@@ -32,49 +32,37 @@ term for any |rho| < 1, so the time step is set by the quadratic term
 the amplitude bound, the gradient bound and the price band, and halves
 dt when a monitor trips.
 
-Per attempt, everything fixed during a solve is set up before the time
-loop.  The x-system, one tridiagonal matrix per y-row, is factored once
-and each step solves it as a sweep along x over U's contiguous y-columns,
-every operation vectorised over the y-rows.  Factor and sweep follow
-LAPACK dgttrf/dgtts2 without row interchanges, operation for operation,
-so wherever dgttrf would not pivot the output has the bits dgttrf/dgttrs
-gave.  dgttrf pivots in the first x-row only where dt s1^2 / (2 dx^2)
-exceeds about 1 - 2a (nx = 1201 on the default x-span, say), and there
-the two differ by rounding.  Elimination without pivoting needs a
-diagonally dominant x-system; its folded first row is dominant only
-while a <= 1/2, so a larger a trips a monitor before the first step and
-dt is halved.  The sweep pays a fixed call overhead per x-column, so it
-beats one stacked dgttrs chain only from ny of about 250 up; at
-MIN_NY = 201 its x-solve is about 20% slower, at ny = 539 about 40%
-faster.  The 1-d march factors its y-system once with
-dgttrf and solves it with dgttrs.  The 2-d y-solve, one matrix with nx
-right-hand sides, stays on scipy's solve_banded (LAPACK dgtsv): a
-factor-once multi-right-hand-side dgttrs measured slower (about 1.6-1.7
-ms against 1.3 ms per step on 201 x 539), and so did a numpy sweep
-along y vectorised over x (1.60 against 1.34 ms, bit for bit), because
-the back-substitution is a chain of dependent divisions that only a
-compiled loop runs at full speed.  The y-solve must run in place on U:
-the x-sweep's views of U's columns are made once per attempt, so a
-solve_banded that returned a copy is a fault, raised as RuntimeError
-and not retried.  The gradient monitor's coefficient bounds and the
-explicit step's work arrays are made once per solve, and the amplitude
-and price-band monitors share one row-wise max/min pass over U per step.
+Both value functions march in one Fortran-ordered (ny, nx + 1) array W:
+columns ``:nx`` hold u and the last holds u-tilde, which does not depend
+on x and so takes only the y-parts of a step.  Those (the central u_y,
+the quadratic term and source, the y-solve) are one pass over all of W;
+the mixed term, the x-solve and the x-boundary fold act on u's columns.
 
-U is kept in Fortran order, so it is one flat vector in which
-y-neighbours are 1 apart: each central y-difference (the gradient
-monitor's and the mixed term's) is one flat pass over it, where a
-column-wise slice would loop once per x-node; the differences that
+Everything fixed during a solve is set up once per attempt.  The
+x-system, one tridiagonal matrix per y-row, is factored once and solved
+each step as a sweep along x over u's contiguous y-columns, vectorised
+over the y-rows.  Factor and sweep follow LAPACK dgttrf/dgtts2 without
+row interchanges, so wherever dgttrf would not pivot the output has the
+bits dgttrf/dgttrs gave (elsewhere the two differ by rounding).  Without
+pivoting the x-system must be diagonally dominant; its folded first row
+is so only while a <= 1/2, so a larger a trips a monitor before the
+first step.  The y-solve, one matrix with nx + 1 right-hand sides, is
+scipy's solve_banded (LAPACK dgtsv), which measured faster than a
+factor-once dgttrs or a numpy sweep along y.  It must run in place on W,
+since the x-sweep's column views are made once per attempt; a copy is a
+fault, raised as RuntimeError and not retried.
+
+In Fortran order W is one flat vector in which y-neighbours are 1 apart,
+so each central y-difference is one flat pass; the differences that
 straddle two columns land in the zero-flux end rows, which are zeroed
-after.  Maxima of |u_y| and |U| are taken as max(max, -min), without an
-abs pass.
+after.  Maxima of |u_y| and |u| are taken as max(max, -min).
 
 Boundary conditions (the continuum problem lives on the whole plane):
 zero second x-derivative at the x-ends, which reproduces both payoff
 branches, and zero flux in y, far enough out (6 stationary standard
 deviations) that the boundary influence is negligible.
 
-Since u-tilde is x-independent, its march collapses to one dimension in
-y; an exponential substitution linearizes that equation exactly and is
+An exponential substitution linearizes u-tilde's equation exactly and is
 kept as an independent oracle for the quadratic term.
 
 ``price_surface`` is the one entry point and always returns a
@@ -93,7 +81,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .asymptotics import asymptotic_price
 from .errors import BadGrid, Instability
@@ -187,15 +174,6 @@ def gradient_dt_bound(spec: ModelSpec, s2_max: float, dy: float, grad_max: float
     return spec.epsilon * dy / scale
 
 
-def _check_gradient(spec: ModelSpec, s2_max: float, dt: float, dy: float,
-                    grad_max: float, step: int, march: str) -> None:
-    """Gradient monitor: raise on a non-finite |u_y| or a dt above the gradient bound."""
-    if not math.isfinite(grad_max) or (
-            grad_max > 0.0 and dt > gradient_dt_bound(spec, s2_max, dy, grad_max)):
-        raise Instability(f"dt {dt:.3e} exceeds the gradient bound{march} at step {step} "
-                          f"(|u_y| = {grad_max:.3e})")
-
-
 def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
               x_span: tuple[float, float] = DEFAULT_X_SPAN, ny: int | None = None,
               dt: float | None = None) -> Grid2D:
@@ -268,20 +246,12 @@ def _stencil(diffusion, drift, h):
 
 
 def _banded(dl, d, du) -> np.ndarray:
-    """Pack the three diagonals ``dgttrf`` takes into ``solve_banded``'s layout."""
+    """Pack the three diagonals (dl, d, du) into ``solve_banded``'s layout."""
     ab = np.zeros((3, d.size))
     ab[0, 1:] = du
     ab[1, :] = d
     ab[2, :-1] = dl
     return ab
-
-
-def _factor(dl, d, du) -> tuple:
-    """LU factors of a tridiagonal matrix, for repeated solves with ``dgttrs``."""
-    *lu, info = dgttrf(dl, d, du)
-    if info != 0:
-        raise Instability(f"implicit system is singular at row {info}")
-    return tuple(lu)
 
 
 class _Coefficients:
@@ -372,16 +342,15 @@ def _build_y_system(coeffs: _Coefficients, dt: float, dy: float) -> tuple:
 def _central_y(U: np.ndarray, dy: float, out: np.ndarray) -> np.ndarray:
     """Central y-derivative with zero-flux ends into ``out``, in one flat pass.
 
-    ``U`` and ``out`` are 1-d, or 2-d (ny, nx) and both F-contiguous: then
-    each is one flat vector in which y-neighbours are 1 apart.  The
-    differences that straddle two y-columns land in rows 0 and -1, which
-    are zeroed last, so every interior value has the operands and the
-    operations of ``(U[2:] - U[:-2]) / (2 dy)``.  Any other layout raises
-    ``ValueError``: the flat view would be a copy and the writes would be lost.
+    ``U`` and ``out`` are (ny, n) and both F-contiguous, so each is one flat
+    vector in which y-neighbours are 1 apart.  The differences that
+    straddle two y-columns land in rows 0 and -1, which are zeroed last,
+    so every interior value has the operands and the operations of
+    ``(U[2:] - U[:-2]) / (2 dy)``.  Any other layout raises ``ValueError``:
+    the flat view would be a copy and the writes would be lost.
     """
-    if U.shape != out.shape or not (
-            U.ndim == 1 or (U.ndim == 2 and U.flags.f_contiguous and out.flags.f_contiguous)):
-        raise ValueError(f"_central_y needs 1-d or F-contiguous 2-d arrays of one shape, "
+    if U.shape != out.shape or U.ndim != 2 or not (U.flags.f_contiguous and out.flags.f_contiguous):
+        raise ValueError(f"_central_y needs F-contiguous 2-d arrays of one shape, "
                          f"got {U.shape} and {out.shape}")
     flat, flat_out = U.reshape(-1, order="F"), out.reshape(-1, order="F")
     np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
@@ -417,13 +386,14 @@ def payoff_initial(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     return np.tile(-pay, (grid.y.size, 1))
 
 
-def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
-              snapshot_steps: Iterable[int] = (),
-              u_tilde_steps: np.ndarray | None = None) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Core 2-d IMEX march; returns terminal U (ny, nx) and requested snapshots.
+def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
+           snapshot_steps: Iterable[int] = ()) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The IMEX march of both value functions; returns the terminal W and P at ``snapshot_steps``.
 
-    When ``u_tilde_steps`` (shape (n_steps + 1, ny)) is given, the price
-    band 0 <= u_tilde - u <= K is monitored every step.  Everything fixed
+    W is (ny, nx + 1) and Fortran-ordered: columns ``:nx`` hold u, started
+    from ``U0`` (ny, nx), and column ``nx`` holds u_tilde, started from
+    zero.  Every step monitors |u_y| over W, the amplitude of u and of
+    u_tilde, and the price band 0 <= u_tilde - u <= K.  Everything fixed
     during the solve (the x-factorization, the coefficient bounds, the
     work arrays) is set up once before the time loop.
     """
@@ -434,99 +404,78 @@ def _march_2d(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     _, _, s2_max = _coefficient_bounds(spec)
     mixed, quad, source = coeffs.mixed[:, None], coeffs.quad[:, None], coeffs.source[:, None]
 
-    amplitude_cap = (np.abs(U0).max() + grid.tau_final * np.abs(coeffs.source).max()) * 1.5 + spec.strike
+    growth = grid.tau_final * np.abs(coeffs.source).max()
+    u_cap = (np.abs(U0).max() + growth) * 1.5 + spec.strike
+    tilde_cap = growth * 1.5 + spec.strike
     slack = BAND_SLACK * spec.strike
     wanted = set(snapshot_steps)
     snapshots: dict[int, np.ndarray] = {}
-    U = np.array(U0, order="F")  # y-columns contiguous: the y-solve works in place
+    W = np.zeros((ny, nx + 1), order="F")  # y-columns contiguous: the y-solve works in place
+    u, u_tilde = W[:, :nx], W[:, nx]
+    u[...] = U0
     if 0 in wanted:
-        snapshots[0] = U.copy()
-    u_y = np.empty_like(U)
-    u_x = np.empty_like(U)
-    work = np.empty_like(U)
+        snapshots[0] = u_tilde[None, :] - u.T
+    u_y = np.empty_like(W)
+    u_x = np.empty_like(W)
+    work = np.empty_like(W)
+    ux_u, work_u = u_x[:, :nx], work[:, :nx]  # u's columns; F-contiguous, as _central_y needs
     x_tmp = np.empty(ny)
     x_rows = _factor_x_system(*_build_x_system(coeffs, dt, dx, nx))
-    x_cols = list(U.T[1:-1])  # interior y-columns of U; valid while the y-solve works in place
+    x_cols = list(u.T[1:-1])  # interior y-columns of u; valid while the y-solve works in place
 
     for step in range(1, grid.n_steps + 1):
-        _central_y(U, dy, u_y)
-        _check_gradient(spec, s2_max, dt, dy, _abs_max(u_y), step, "")
-        # U += dt * (mixed u_xy + quad u_y^2 + source), in that expression's order
-        explicit = np.multiply(mixed, _mixed_xy(U, dx, dy, u_x, work), out=work)
+        grad_max = _abs_max(_central_y(W, dy, u_y))
+        if not math.isfinite(grad_max) or (
+                grad_max > 0.0 and dt > gradient_dt_bound(spec, s2_max, dy, grad_max)):
+            raise Instability(f"dt {dt:.3e} exceeds the gradient bound at step {step} "
+                              f"(|u_y| = {grad_max:.3e})")
+        # W += dt * (mixed u_xy + quad u_y^2 + source), in that expression's order;
+        # u_tilde does not depend on x, so its column's mixed term is zero
+        np.multiply(mixed, _mixed_xy(u, dx, dy, ux_u, work_u), out=work_u)
+        work[:, nx] = 0.0
         quad_term = np.multiply(quad, np.square(u_y, out=u_x), out=u_x)
-        np.add(explicit, quad_term, out=explicit)
-        np.add(explicit, source, out=explicit)
-        np.multiply(explicit, dt, out=explicit)
-        np.add(U, explicit, out=U)
+        np.add(work, quad_term, out=work)
+        np.add(work, source, out=work)
+        np.multiply(work, dt, out=work)
+        np.add(W, work, out=W)
 
         _solve_x_system(*x_rows, x_cols, x_tmp)
-        U[:, 0] = 2.0 * U[:, 1] - U[:, 2]
-        U[:, -1] = 2.0 * U[:, -2] - U[:, -3]
+        u[:, 0] = 2.0 * u[:, 1] - u[:, 2]
+        u[:, -1] = 2.0 * u[:, -2] - u[:, -3]
 
         # not Instability: a copy is a fault of the code, and halving dt would hide it
-        if solve_banded((1, 1), ab_y, U, overwrite_b=True, check_finite=False) is not U:
-            raise RuntimeError("solve_banded returned a copy: the y-solve must run in place on U")
+        if solve_banded((1, 1), ab_y, W, overwrite_b=True, check_finite=False) is not W:
+            raise RuntimeError("solve_banded returned a copy: the y-solve must run in place on W")
 
-        # one row-wise pass serves both monitors: |U| <= cap and, as rounding
-        # is monotone, min/max of u_tilde - U come from the row extremes
-        row_max, row_min = U.max(axis=1), U.min(axis=1)
-        peak = float(np.maximum(row_max.max(), -row_min.min()))
-        if not np.isfinite(peak) or peak > amplitude_cap:
-            raise Instability(f"solution left the amplitude bound at step {step} (|u| = {peak:.3e})")
-        if u_tilde_steps is not None:
-            ut = u_tilde_steps[step]
-            price_min, price_max = (ut - row_max).min(), (ut - row_min).max()
-            if price_min < -slack or price_max > spec.strike + slack:
-                raise Instability(
-                    f"price band violated at step {step}: "
-                    f"[{price_min:.3e}, {price_max:.3e}] vs [0, {spec.strike}]"
-                )
+        # one row-wise pass serves both monitors of u: |u| <= cap and, as rounding
+        # is monotone, min/max of u_tilde - u come from the row extremes
+        row_max, row_min = u.max(axis=1), u.min(axis=1)
+        for name, peak, cap in (("u", float(np.maximum(row_max.max(), -row_min.min())), u_cap),
+                                ("u_tilde", _abs_max(u_tilde), tilde_cap)):
+            if not np.isfinite(peak) or peak > cap:
+                raise Instability(f"{name} left the amplitude bound at step {step} "
+                                  f"(|{name}| = {peak:.3e})")
+        price_min, price_max = (u_tilde - row_max).min(), (u_tilde - row_min).max()
+        if price_min < -slack or price_max > spec.strike + slack:
+            raise Instability(
+                f"price band violated at step {step}: "
+                f"[{price_min:.3e}, {price_max:.3e}] vs [0, {spec.strike}]"
+            )
         if step in wanted:
-            snapshots[step] = U.copy()
-    return U, snapshots
-
-
-def _march_1d(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
-    """March the x-independent value function; returns all steps, shape (n_steps + 1, ny)."""
-    coeffs = _Coefficients(spec, grid.y)
-    dt, dy = grid.dt, grid.dy
-    ny = grid.y.size
-    lu_y = _factor(*_build_y_system(coeffs, dt, dy))
-    _, _, s2_max = _coefficient_bounds(spec)
-    amplitude_cap = grid.tau_final * np.abs(coeffs.source).max() * 1.5 + spec.strike
-
-    v = np.zeros(ny)
-    v_y = np.empty(ny)
-    work = np.empty(ny)
-    all_steps = np.zeros((grid.n_steps + 1, ny))
-    for step in range(1, grid.n_steps + 1):
-        _central_y(v, dy, v_y)
-        _check_gradient(spec, s2_max, dt, dy, _abs_max(v_y), step, " in the 1-d march")
-        # v += dt * (quad v_y^2 + source), in that expression's order
-        np.square(v_y, out=work)
-        np.multiply(coeffs.quad, work, out=work)
-        np.add(work, coeffs.source, out=work)
-        np.multiply(dt, work, out=work)
-        np.add(v, work, out=v)
-        dgttrs(*lu_y, v, overwrite_b=True)
-        peak = _abs_max(v)
-        if not np.isfinite(peak) or peak > amplitude_cap:
-            raise Instability(f"1-d march left the amplitude bound at step {step} (|u| = {peak:.3e})")
-        all_steps[step] = v
-    return all_steps
+            snapshots[step] = u_tilde[None, :] - u.T
+    return W, snapshots
 
 
 def price_surface(spec: ModelSpec, grid: Grid2D, *,
                   snapshot_steps: Iterable[int] = ()) -> PriceSurface:
     """Solve both value functions and form P = u_tilde - u on the grid.
 
-    The x-independent function is marched first and kept at every step so
-    the 2-d march can monitor the price band as it goes; any monitor trip
-    halves dt and restarts both marches.  Each halving is logged at INFO
-    level with the tripped monitor's message and the new step count.  After
-    ``MAX_DT_RETRIES`` halvings, the last monitor's message is raised again
-    with that monitor's ``Instability`` as the cause.  P at each of
-    ``snapshot_steps``, steps of ``grid`` in 0..n_steps, lands in ``snapshots``.
+    Any monitor trip halves dt and restarts the march.  Each halving is
+    logged at INFO level with the tripped monitor's message and the new
+    step count.  After ``MAX_DT_RETRIES`` halvings, the last monitor's
+    message is raised again with that monitor's ``Instability`` as the
+    cause.  P at each of ``snapshot_steps``, steps of ``grid`` in
+    0..n_steps, lands in ``snapshots``.
     """
     cap = _max_dy(spec)
     if grid.dy > cap * (1.0 + 1e-9):
@@ -539,25 +488,22 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *,
     for attempt in range(MAX_DT_RETRIES + 1):
         factor = attempt_grid.n_steps // grid.n_steps if grid.n_steps else 1
         try:
-            tilde_steps = _march_1d(spec, attempt_grid)
-            U, u_snaps = _march_2d(spec, attempt_grid, payoff_initial(spec, attempt_grid),
-                                   snapshot_steps=[s * factor for s in steps],
-                                   u_tilde_steps=tilde_steps)
+            W, snapshots = _march(spec, attempt_grid, payoff_initial(spec, attempt_grid),
+                                  snapshot_steps=[s * factor for s in steps])
         except Instability as exc:
             if attempt == MAX_DT_RETRIES:
                 raise Instability(f"{exc} (still, after {attempt} dt halvings)") from exc
             attempt_grid = attempt_grid.with_halved_dt()
             logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue
-        u_tilde = tilde_steps[-1].copy()  # the surface must not keep every step alive
-        snapshots = {s: tilde_steps[s * factor][None, :] - u_snaps[s * factor].T for s in steps}
-        return PriceSurface(grid=attempt_grid, u=U.T.copy(), u_tilde=u_tilde,
-                            P=u_tilde[None, :] - U.T, tau=attempt_grid.tau_final,
-                            snapshots=snapshots)
+        u, u_tilde = W[:, :-1].T, W[:, -1]
+        return PriceSurface(grid=attempt_grid, u=u.copy(), u_tilde=u_tilde.copy(),
+                            P=u_tilde[None, :] - u, tau=attempt_grid.tau_final,
+                            snapshots={s: snapshots[s * factor] for s in steps})
 
 
 def solve_u_tilde_cole_hopf(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
-    """Oracle for the 1-d march: exponential substitution linearizes it.
+    """Oracle for u_tilde: the exponential substitution linearizes its equation.
 
     With w = exp(lambda u) and lambda = gamma (1 - rho^2), the quadratic
     gradient term cancels exactly and w satisfies a linear PDE with

@@ -13,8 +13,8 @@ from volclust import pde
 from volclust.bs import bs_put
 from volclust.errors import BadGrid, Instability, NumericalError
 from volclust.model import Constant, ModelSpec, arctangent_model
-from volclust.pde import (Grid2D, _march_1d, _march_2d, accuracy_sweep, make_grid,
-                          payoff_initial, price_surface, solve_u_tilde_cole_hopf)
+from volclust.pde import (Grid2D, _march, accuracy_sweep, make_grid, payoff_initial,
+                          price_surface, solve_u_tilde_cole_hopf)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = ("P", "u_tilde")  # fields of the nx=41 surface pinned under DATA
@@ -71,7 +71,8 @@ def test_degenerate_black_scholes(bs_degenerate_spec):
 def test_zero_initial_is_fixed_point_without_drift(fast_spec):
     spec = fast_spec.with_(b=Constant(0.0))
     grid = make_grid(spec, 0.25, nx=61)
-    assert np.abs(_march_1d(spec, grid)[-1]).max() == 0.0
+    W, _ = _march(spec, grid, payoff_initial(spec, grid))
+    assert np.abs(W[:, -1]).max() == 0.0  # u_tilde, the zero start
 
 
 def test_price_is_payoff_at_tau_zero(fast_spec):
@@ -89,22 +90,23 @@ def test_price_band(fast_spec):
 
 
 def test_u_tilde_is_x_independent_on_full_grid(fast_spec):
+    """u from a zero start marches on the full grid; every x-column equals u_tilde's column."""
     grid = make_grid(fast_spec, 0.25, nx=61)
-    flat = _march_1d(fast_spec, grid)[-1]
-    full = _march_2d(fast_spec, grid, np.zeros((grid.y.size, grid.x.size)))[0].T
-    assert np.abs(full - full.mean(axis=0, keepdims=True)).max() < 1e-12
-    assert np.abs(full - flat[None, :]).max() < 1e-12
+    W, _ = _march(fast_spec, grid, np.zeros((grid.y.size, grid.x.size)))
+    assert np.abs(W[:, -1]).max() > 0.1  # b != 0: u_tilde moves off zero
+    assert np.abs(W[:, :-1] - W[:, -1:]).max() < 1e-12
 
 
 def test_ordered_initial_data_stay_ordered(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=101, dt=0.25 / 100)
     every_tenth = range(0, grid.n_steps + 1, 10)
-    _, hist_pay = _march_2d(fast_spec, grid, payoff_initial(fast_spec, grid),
-                            snapshot_steps=every_tenth)
-    _, hist_zero = _march_2d(fast_spec, grid, np.zeros((grid.y.size, grid.x.size)),
-                             snapshot_steps=every_tenth)
+    _, hist_pay = _march(fast_spec, grid, payoff_initial(fast_spec, grid),
+                         snapshot_steps=every_tenth)
+    _, hist_zero = _march(fast_spec, grid, np.zeros((grid.y.size, grid.x.size)),
+                          snapshot_steps=every_tenth)
     assert sorted(hist_pay) == sorted(hist_zero) == list(every_tenth)
-    worst = min(float((hist_zero[k] - hist_pay[k]).min()) for k in every_tenth)
+    # the snapshots hold P = u_tilde - u with one u_tilde, so P_pay - P_zero = u_zero - u_pay
+    worst = min(float((hist_pay[k] - hist_zero[k]).min()) for k in every_tenth)
     assert worst > -1e-9 * fast_spec.strike
 
 
@@ -113,8 +115,8 @@ def test_cole_hopf_oracle_for_u_tilde(fast_spec):
     gaps = []
     for n_steps in (100, 400):
         grid = make_grid(spec, 0.25, nx=61, dt=0.25 / n_steps)
-        gaps.append(np.abs(_march_1d(spec, grid)[-1]
-                           - solve_u_tilde_cole_hopf(spec, grid)).max())
+        u_tilde = _march(spec, grid, payoff_initial(spec, grid))[0][:, -1]
+        gaps.append(np.abs(u_tilde - solve_u_tilde_cole_hopf(spec, grid)).max())
     assert gaps[1] < 5e-3              # both converge to the same function
     assert gaps[0] / gaps[1] > 2.5     # gap shrinks ~first order in dt
 
@@ -212,9 +214,6 @@ def test_flat_stencils_match_per_axis_expressions(shape):
     for got, want in ((got_y, u_y), (got_xy, u_xy)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert not got[[0, -1]].view(np.uint64).any()  # +0.0 exactly
-    row = U[:, 3].copy()  # 1-d arrays of any stride
-    assert np.array_equal(pde._central_y(row, dy, np.empty_like(row)).view(np.uint64),
-                          u_y[:, 3].view(np.uint64))
 
 
 def test_central_y_rejects_layouts_it_cannot_write_flat():
@@ -223,6 +222,7 @@ def test_central_y_rejects_layouts_it_cannot_write_flat():
                      (U, np.empty((7, 4))),                         # C-ordered out
                      (U[:, ::2], np.empty((7, 2), order="F")),      # strided view
                      (U, np.empty((7, 3), order="F")),              # shapes differ
+                     (U[:, 0].copy(), np.empty(7)),                 # 1-d
                      (np.ones((3, 3, 3), order="F"), np.empty((3, 3, 3), order="F"))):
         with pytest.raises(ValueError, match="_central_y needs"):
             pde._central_y(arr, 0.1, out)
@@ -299,7 +299,7 @@ def _lapack_x_solve(spec, grid, rhs):
 
 
 def _sweep_x_solve(spec, grid, rhs):
-    """``_march_2d``'s x-solve: factor once, then the column sweep on a copy of ``rhs``."""
+    """``_march``'s x-solve: factor once, then the column sweep on a copy of ``rhs``."""
     x_rows = pde._factor_x_system(*pde._build_x_system(pde._Coefficients(spec, grid.y),
                                                        grid.dt, grid.dx, grid.x.size))
     cols = rhs.copy()
@@ -335,7 +335,7 @@ def test_x_system_without_dominance_halves_dt(caplog):
     a = grid.dt * np.abs(pde._Coefficients(spec, grid.y).x_drift).max() / grid.dx
     assert a == pytest.approx(0.53, abs=0.005)
     with pytest.raises(Instability) as info:
-        _march_2d(spec, grid, payoff_initial(spec, grid))
+        _march(spec, grid, payoff_initial(spec, grid))
     assert str(info.value) == ("x-system is not diagonally dominant: the x-boundary fold "
                                f"has a = dt |x_drift| / dx up to {a:.3f} > 1/2")  # before step 1
 
@@ -352,14 +352,15 @@ def test_instability_raised_for_reckless_dt():
     grid = make_grid(spec, 0.25, nx=61)
     reckless = Grid2D(x=grid.x, y=grid.y, dt=grid.dt * 100,
                       n_steps=max(1, grid.n_steps // 100))
-    with pytest.raises(Instability):
-        _march_2d(spec, reckless, payoff_initial(spec, reckless))
-    first = _march_1d(spec, replace(reckless, n_steps=1))[-1]
+    U0 = payoff_initial(spec, reckless)
+    with pytest.raises(Instability) as info:
+        _march(spec, reckless, U0)
+    # step 1 starts from a y-independent payoff and a zero u_tilde, so |u_y| = 0 there;
+    # the monitor reports the largest |u_y| over u and u_tilde after it
+    first, _ = _march(spec, replace(reckless, n_steps=1), U0)
     grad = np.abs(pde._central_y(first, grid.dy, np.empty_like(first))).max()
-    with pytest.raises(Instability) as info:  # both marches report the |u_y| that tripped
-        _march_1d(spec, reckless)
-    assert str(info.value) == (f"dt {reckless.dt:.3e} exceeds the gradient bound in the 1-d "
-                               f"march at step 2 (|u_y| = {grad:.3e})")
+    assert str(info.value) == (f"dt {reckless.dt:.3e} exceeds the gradient bound at step 2 "
+                               f"(|u_y| = {grad:.3e})")
 
 
 def test_price_surface_recovers_by_halving_dt():
@@ -391,10 +392,10 @@ def test_snapshots_map_caller_steps_onto_the_halved_grid():
 
 
 def test_snapshot_steps_off_the_grid_are_rejected_before_any_march(monkeypatch):
-    def no_march(*args):
+    def no_march(*args, **kwargs):
         raise AssertionError("price_surface marched before checking snapshot_steps")
 
-    monkeypatch.setattr(pde, "_march_1d", no_march)
+    monkeypatch.setattr(pde, "_march", no_march)
     spec = arctangent_model(epsilon=0.25, maturity=0.05)
     grid = make_grid(spec, spec.maturity, nx=21)
     for step in (grid.n_steps + 1, -1):
@@ -439,12 +440,12 @@ def test_nan_in_initial_data_raises_instability(fast_spec):
     U0 = payoff_initial(fast_spec, grid)
     U0[grid.y.size // 2, grid.x.size // 2] = np.nan
     with pytest.raises(Instability, match="gradient bound at step 1"):
-        _march_2d(fast_spec, grid, U0)
+        _march(fast_spec, grid, U0)
     assert issubclass(Instability, NumericalError)  # the CLI maps it to exit code 3
 
 
 def test_coarse_demo_logs_one_halving(caplog):
-    """The demo asked for 125 steps trips the 2-d gradient monitor once."""
+    """The demo asked for 125 steps trips the gradient monitor once."""
     spec = arctangent_model()
     grid = make_grid(spec, 0.25, nx=201, dt=0.002)
     assert grid.n_steps == 125
@@ -470,16 +471,18 @@ def test_out_of_retries_names_the_monitor_that_tripped(monkeypatch):
     assert str(info.value.__cause__) in str(info.value)
 
 
-def test_price_band_monitor_trips_on_either_side(fast_spec):
+def test_price_band_monitor_trips_on_either_side(fast_spec, monkeypatch):
+    """A constant shift of u's start shifts P = u_tilde - u out of [0, K] at step 1."""
     grid = make_grid(fast_spec, 0.25, nx=41)
-    tilde_steps = _march_1d(fast_spec, grid)
-    U0 = payoff_initial(fast_spec, grid)
     one_step = Grid2D(x=grid.x, y=grid.y, dt=grid.dt, n_steps=1)
-    U1, _ = _march_2d(fast_spec, one_step, U0)
-    for shift in (-1.0, fast_spec.strike + 1.0):  # below 0, then above K
-        price = tilde_steps[1][:, None] + shift - U1
+    for shift in (1.0, -(fast_spec.strike + 1.0)):  # P below 0, then above K
+        U0 = payoff_initial(fast_spec, grid) + shift
+        with monkeypatch.context() as unbanded:  # the step the tripping march takes, unchecked
+            unbanded.setattr(pde, "BAND_SLACK", math.inf)
+            W1, _ = _march(fast_spec, one_step, U0)
+        price = W1[:, -1:] - W1[:, :-1]
         with pytest.raises(Instability) as info:
-            _march_2d(fast_spec, grid, U0, u_tilde_steps=tilde_steps + shift)
+            _march(fast_spec, grid, U0)
         assert str(info.value) == (f"price band violated at step 1: [{price.min():.3e}, "
                                    f"{price.max():.3e}] vs [0, {fast_spec.strike}]")
 
