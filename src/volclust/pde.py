@@ -34,28 +34,36 @@ dt when a monitor trips.
 
 Both value functions march in one Fortran-ordered (ny, nx + 1) array W:
 columns ``:nx`` hold u and the last holds u-tilde, which does not depend
-on x and so takes only the y-parts of a step.  Those (the central u_y,
+on x and so takes only the y-parts of a step.  Those (the y-differences,
 the quadratic term and source, the y-solve) are one pass over all of W;
 the mixed term, the x-solve and the x-boundary fold act on u's columns.
 
-Everything fixed during a solve is set up once per attempt.  The
-x-system, one tridiagonal matrix per y-row, is factored once and solved
-each step as a sweep along x over u's contiguous y-columns, vectorised
-over the y-rows.  Factor and sweep follow LAPACK dgttrf/dgtts2 without
-row interchanges, so wherever dgttrf would not pivot the output has the
-bits dgttrf/dgttrs gave (elsewhere the two differ by rounding).  Without
-pivoting the x-system must be diagonally dominant; its folded first row
-is so only while a <= 1/2, so a larger a trips a monitor before the
-first step.  The y-solve, one matrix with nx + 1 right-hand sides, is
-scipy's solve_banded (LAPACK dgtsv), which measured faster than a
-factor-once dgttrs or a numpy sweep along y.  It must run in place on W,
-since the x-sweep's column views are made once per attempt; a copy is a
-fault, raised as RuntimeError and not retried.
+Everything fixed during a solve is set up once per attempt, so a step
+only subtracts, multiplies and adds.  The explicit step takes one raw
+y-difference D = W[j + 1] - W[j - 1] and one raw x-difference of D; dt
+and the spacings are folded into three weight columns (``_explicit_weights``).
+The gradient monitor reads max |D| / (2 dy), which, rounding being
+monotone, is max |u_y| of the central u_y to the bit.  The x-system, one
+tridiagonal matrix per y-row, has only three distinct rows (first,
+interior, last).  It is eliminated once, row by row without row
+interchanges, and stored as multipliers, reciprocal pivots and sup over
+pivot; the interior pivots reach a fixed point within a few rows, and
+the rows past it share one set of arrays.  Each step solves it in place
+as a sweep along x over u's contiguous y-columns, vectorised over the
+y-rows: two calls per x-column forward, one scaling per run of rows that
+share a pivot, two calls per x-column back.  Without pivoting the
+x-system must be diagonally dominant; its folded first row is so only
+while a <= 1/2, so a larger a trips a monitor before the first step.
+The y-solve, one matrix with nx + 1 right-hand sides, is scipy's
+solve_banded (LAPACK dgtsv), which measured faster than a factor-once
+dgttrs or a numpy sweep along y.  It must run in place on W, since the
+x-sweep's column views are made once per attempt; a copy is a fault,
+raised as RuntimeError and not retried.
 
 In Fortran order W is one flat vector in which y-neighbours are 1 apart,
-so each central y-difference is one flat pass; the differences that
-straddle two columns land in the zero-flux end rows, which are zeroed
-after.  Maxima of |u_y| and |u| are taken as max(max, -min).
+so the y-difference is one flat pass; the differences that straddle two
+columns land in the zero-flux end rows, which are zeroed after.  Maxima
+of |D| and |u| are taken as max(max, -min).
 
 Boundary conditions (the continuum problem lives on the whole plane):
 zero second x-derivative at the x-ends, which reproduces both payoff
@@ -272,62 +280,82 @@ class _Coefficients:
         self.source = -(b ** 2) / (2.0 * spec.gamma * s1 ** 2)
 
 
-def _build_x_system(coeffs: _Coefficients, dt: float, dx: float, nx: int) -> tuple:
-    """(I - dt Lx) on the interior x-nodes as (sub, diag, sup), each (nx - 2, ny).
+def _build_x_system(coeffs: _Coefficients, dt: float, dx: float) -> tuple:
+    """(I - dt Lx) on the interior x-nodes as its three distinct rows: first, interior, last.
 
-    Row i holds x-node i + 1 of every y-row, so each y-row is its own
-    tridiagonal system in x and one sweep along the rows solves them all.
-    The zero-curvature boundary condition is folded into rows 0 and -1
-    (u_0 = 2u_1 - u_2 and its mirror), which leaves sub[0] = sup[-1] = 0.
+    Each row is (sub, diag, sup), each (ny,): x-row i of the system holds
+    x-node i + 1 of every y-row, so each y-row is its own tridiagonal system
+    in x, and every x-row between the first and the last is the same row.
+    The zero-curvature boundary condition (u_0 = 2u_1 - u_2 and its mirror)
+    is folded into the first and the last row, which leaves the first's sub
+    and the last's sup zero.
     """
     sub, diag, sup = _stencil(coeffs.x_diffusion, coeffs.x_drift, dx)
-    sub, diag, sup = (np.tile(w, (nx - 2, 1)) for w in (-dt * sub, 1.0 - dt * diag, -dt * sup))
-    diag[0] += 2.0 * sub[0]
-    sup[0] -= sub[0]
-    diag[-1] += 2.0 * sup[-1]
-    sub[-1] -= sup[-1]
-    sub[0] = 0.0
-    sup[-1] = 0.0
-    return sub, diag, sup
+    sub, diag, sup = -dt * sub, 1.0 - dt * diag, -dt * sup
+    zero = np.zeros_like(diag)
+    return (zero, diag + 2.0 * sub, sup - sub), (sub, diag, sup), (sub - sup, diag + 2.0 * sup, zero)
 
 
-def _factor_x_system(sub, diag, sup) -> tuple[list, list, list]:
-    """Eliminate ``_build_x_system``'s arrays in place; returns their rows for ``_solve_x_system``.
+def _factor_x_system(first, interior, last, n_rows: int) -> tuple[list, list, list]:
+    """Eliminate the x-system of ``n_rows`` x-rows from ``_build_x_system``'s rows.
 
-    This is LAPACK dgttrf's branch without row interchanges, vectorised
-    over the y-rows: sub[i + 1] becomes the multiplier of row i and diag
-    the pivots.  Without pivoting, elimination is stable for a row
-    diagonally dominant matrix.  Every interior row is; the folded first
-    row [1 - a, +a], a = dt |x_drift| / dx, is only while a <= 1/2, so a
-    larger a raises ``Instability`` and ``price_surface`` halves dt.
+    Returns (mult, recip, upper), lists of one (ny,) array per x-row: the
+    row's multiplier (row 0's is its zero sub), 1 / its pivot, and its sup
+    over its pivot.  Elimination runs row by row without row interchanges,
+    vectorised over the y-rows.  Every interior row is one row, so the
+    pivots reach a fixed point: once an interior row's (multiplier, pivot)
+    pair repeats the previous row's exactly, so does every later interior
+    row's, and those rows share one set of arrays.  Without pivoting,
+    elimination is stable for a row diagonally dominant matrix.  Every
+    interior row is; the folded first row [1 - a, +a], a = dt |x_drift| / dx,
+    is only while a <= 1/2, so a larger a raises ``Instability`` and
+    ``price_surface`` halves dt.
     """
-    # row by row, so that the check holds no (nx - 2, ny) temporaries
-    if not all(np.all(np.abs(d) >= np.abs(l) + np.abs(u)) for l, d, u in zip(sub, diag, sup)):
+    if not all(np.all(np.abs(d) >= np.abs(l) + np.abs(u)) for l, d, u in (first, interior, last)):
         raise Instability(f"x-system is not diagonally dominant: the x-boundary fold has "
-                          f"a = dt |x_drift| / dx up to {sup[0].max():.3f} > 1/2")
-    for i in range(diag.shape[0] - 1):
-        np.divide(sub[i + 1], diag[i], out=sub[i + 1])
-        diag[i + 1] -= sub[i + 1] * sup[i]
-    return list(sub), list(diag), list(sup)
+                          f"a = dt |x_drift| / dx up to {first[2].max():.3f} > 1/2")
+    mult, pivot, sup = first
+    rows = [(mult, 1.0 / pivot, sup / pivot)]
+    for i in range(1, n_rows):
+        sub, diag, next_sup = last if i == n_rows - 1 else interior
+        next_mult = sub / pivot
+        next_pivot = diag - next_mult * sup
+        repeats = (2 <= i < n_rows - 1 and np.array_equal(next_mult, mult)
+                   and np.array_equal(next_pivot, pivot))
+        rows.append(rows[-1] if repeats else (next_mult, 1.0 / next_pivot, next_sup / next_pivot))
+        mult, pivot, sup = next_mult, next_pivot, next_sup
+    mults, recips, uppers = (list(factor) for factor in zip(*rows))
+    return mults, recips, uppers
 
 
-def _solve_x_system(sub, diag, sup, cols, tmp) -> None:
-    """Solve the factored x-system in place on ``cols``, the x-rows of a (nx - 2, ny) block.
+def _pivot_runs(recip: list, block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (view, 1/pivot column) pair per run of ``block``'s x-rows that share their 1/pivot.
 
-    LAPACK dgtts2's operation order without row interchanges, with no
-    reciprocal and no reassociation: wherever dgttrf would not pivot, each
-    y-row gets the bits dgttrs gives.  ``tmp`` is one scratch row.  The
-    row lists and the positional ``out`` keep the per-call overhead down:
-    it, not the ny-long arithmetic, is most of the cost.
+    ``block`` is (ny, n_rows), x-row i being its column i, as u's interior
+    columns are in the march.
     """
-    for lower, prev, row in zip(sub[1:], cols, cols[1:]):
+    starts = [i for i in range(len(recip)) if i == 0 or recip[i] is not recip[i - 1]]
+    return [(block[:, lo:hi], recip[lo][:, None])
+            for lo, hi in zip(starts, starts[1:] + [len(recip)])]
+
+
+def _solve_x_system(mult, upper, runs, cols, tmp) -> None:
+    """Solve the factored x-system in place on ``cols``, the x-rows that ``runs`` view.
+
+    A forward loop of two calls per x-row, one scaling by 1/pivot per run
+    of rows that share it, then a backward loop of two calls per x-row.
+    ``tmp`` is one scratch row.  The row lists and the positional ``out``
+    keep the per-call overhead down: it, not the ny-long arithmetic, is
+    most of the cost.
+    """
+    for lower, prev, row in zip(mult[1:], cols, cols[1:]):
         np.multiply(lower, prev, tmp)
         np.subtract(row, tmp, row)
-    np.divide(cols[-1], diag[-1], cols[-1])
-    for upper, pivot, row, nxt in zip(sup[-2::-1], diag[-2::-1], cols[-2::-1], cols[:0:-1]):
-        np.multiply(upper, nxt, tmp)
+    for block, recip in runs:
+        np.multiply(block, recip, block)
+    for upper_over_pivot, row, nxt in zip(upper[-2::-1], cols[-2::-1], cols[:0:-1]):
+        np.multiply(upper_over_pivot, nxt, tmp)
         np.subtract(row, tmp, row)
-        np.divide(row, pivot, row)
 
 
 def _build_y_system(coeffs: _Coefficients, dt: float, dy: float) -> tuple:
@@ -339,40 +367,47 @@ def _build_y_system(coeffs: _Coefficients, dt: float, dy: float) -> tuple:
     return sub[1:], diag, sup[:-1]
 
 
-def _central_y(U: np.ndarray, dy: float, out: np.ndarray) -> np.ndarray:
-    """Central y-derivative with zero-flux ends into ``out``, in one flat pass.
+def _y_diff(W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Raw central y-difference W[j + 1] - W[j - 1] into ``out``, zero at the y-ends, in one flat pass.
 
-    ``U`` and ``out`` are (ny, n) and both F-contiguous, so each is one flat
+    ``W`` and ``out`` are (ny, n) and both F-contiguous, so each is one flat
     vector in which y-neighbours are 1 apart.  The differences that
     straddle two y-columns land in rows 0 and -1, which are zeroed last,
-    so every interior value has the operands and the operations of
-    ``(U[2:] - U[:-2]) / (2 dy)``.  Any other layout raises ``ValueError``:
-    the flat view would be a copy and the writes would be lost.
+    so every interior value has the bits of ``W[2:] - W[:-2]``.  Any other
+    layout raises ``ValueError``: the flat view would be a copy and the
+    writes would be lost.
     """
-    if U.shape != out.shape or U.ndim != 2 or not (U.flags.f_contiguous and out.flags.f_contiguous):
-        raise ValueError(f"_central_y needs F-contiguous 2-d arrays of one shape, "
-                         f"got {U.shape} and {out.shape}")
-    flat, flat_out = U.reshape(-1, order="F"), out.reshape(-1, order="F")
+    if W.shape != out.shape or W.ndim != 2 or not (W.flags.f_contiguous and out.flags.f_contiguous):
+        raise ValueError(f"_y_diff needs F-contiguous 2-d arrays of one shape, "
+                         f"got {W.shape} and {out.shape}")
+    flat, flat_out = W.reshape(-1, order="F"), out.reshape(-1, order="F")
     np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
-    np.divide(flat_out[1:-1], 2.0 * dy, out=flat_out[1:-1])
     out[0] = 0.0
     out[-1] = 0.0
     return out
 
 
-def _mixed_xy(U: np.ndarray, dx: float, dy: float, ux: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """d2/dxdy into ``out``: central inside, one-sided in x at the ends, zero at y-ends.
+def _x_diff(D: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Raw x-difference of ``D`` into ``out``: central inside, twice the one-sided at the x-ends.
 
-    ``ux`` is scratch space that receives the x-derivative; it and ``out``
-    must be F-contiguous, as ``_central_y`` requires.
+    So every column is 2 dx times the x-derivative's estimate.
     """
-    np.subtract(U[:, 2:], U[:, :-2], out=ux[:, 1:-1])
-    np.divide(ux[:, 1:-1], 2.0 * dx, out=ux[:, 1:-1])
-    np.subtract(U[:, 1], U[:, 0], out=ux[:, 0])
-    np.divide(ux[:, 0], dx, out=ux[:, 0])
-    np.subtract(U[:, -1], U[:, -2], out=ux[:, -1])
-    np.divide(ux[:, -1], dx, out=ux[:, -1])
-    return _central_y(ux, dy, out)
+    np.subtract(D[:, 2:], D[:, :-2], out=out[:, 1:-1])
+    out[:, 0] = 2.0 * (D[:, 1] - D[:, 0])
+    out[:, -1] = 2.0 * (D[:, -1] - D[:, -2])
+    return out
+
+
+def _explicit_weights(coeffs: _Coefficients, dt: float, dx: float, dy: float) -> tuple:
+    """The explicit step's constants folded into (ny, 1) columns (mixed, quad, source).
+
+    With D = ``_y_diff(W)``, the explicit step adds
+    mixed * ``_x_diff(D)`` + quad * D^2 + source, which is
+    dt (mixed u_xy + quad u_y^2 + source) with central differences.
+    """
+    return ((dt * coeffs.mixed / (4.0 * dx * dy))[:, None],
+            (dt * coeffs.quad / (4.0 * dy ** 2))[:, None],
+            (dt * coeffs.source)[:, None])
 
 
 def _abs_max(a: np.ndarray) -> float:
@@ -394,15 +429,19 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     from ``U0`` (ny, nx), and column ``nx`` holds u_tilde, started from
     zero.  Every step monitors |u_y| over W, the amplitude of u and of
     u_tilde, and the price band 0 <= u_tilde - u <= K.  Everything fixed
-    during the solve (the x-factorization, the coefficient bounds, the
-    work arrays) is set up once before the time loop.
+    during an attempt is set up once before the time loop: the explicit
+    step's constants folded into three weight columns, the x-factor as
+    multipliers, reciprocal pivots and sup over pivot with its fixed-point
+    rows shared, the coefficient bounds and the two work arrays.  A step
+    then only subtracts, multiplies and adds.
     """
     coeffs = _Coefficients(spec, grid.y)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     nx, ny = grid.x.size, grid.y.size
     ab_y = _banded(*_build_y_system(coeffs, dt, dy))
     _, _, s2_max = _coefficient_bounds(spec)
-    mixed, quad, source = coeffs.mixed[:, None], coeffs.quad[:, None], coeffs.source[:, None]
+    mixed, quad, source = _explicit_weights(coeffs, dt, dx, dy)
+    two_dy = 2.0 * dy
 
     growth = grid.tau_final * np.abs(coeffs.source).max()
     u_cap = (np.abs(U0).max() + growth) * 1.5 + spec.strike
@@ -415,31 +454,32 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     u[...] = U0
     if 0 in wanted:
         snapshots[0] = u_tilde[None, :] - u.T
-    u_y = np.empty_like(W)
-    u_x = np.empty_like(W)
-    work = np.empty_like(W)
-    ux_u, work_u = u_x[:, :nx], work[:, :nx]  # u's columns; F-contiguous, as _central_y needs
+    D = np.empty_like(W)  # raw y-differences, then the explicit increment
+    D_u = D[:, :nx]
+    mixed_u = np.empty((ny, nx), order="F")
     x_tmp = np.empty(ny)
-    x_rows = _factor_x_system(*_build_x_system(coeffs, dt, dx, nx))
-    x_cols = list(u.T[1:-1])  # interior y-columns of u; valid while the y-solve works in place
+    x_mult, x_recip, x_upper = _factor_x_system(*_build_x_system(coeffs, dt, dx), nx - 2)
+    # views of u's interior y-columns; valid while the y-solve works in place
+    x_runs = _pivot_runs(x_recip, u[:, 1:-1])
+    x_cols = list(u.T[1:-1])
 
     for step in range(1, grid.n_steps + 1):
-        grad_max = _abs_max(_central_y(W, dy, u_y))
+        # rounding is monotone, so this is max |u_y| of the central u_y to the bit
+        grad_max = _abs_max(_y_diff(W, D)) / two_dy
         if not math.isfinite(grad_max) or (
                 grad_max > 0.0 and dt > gradient_dt_bound(spec, s2_max, dy, grad_max)):
             raise Instability(f"dt {dt:.3e} exceeds the gradient bound at step {step} "
                               f"(|u_y| = {grad_max:.3e})")
-        # W += dt * (mixed u_xy + quad u_y^2 + source), in that expression's order;
-        # u_tilde does not depend on x, so its column's mixed term is zero
-        np.multiply(mixed, _mixed_xy(u, dx, dy, ux_u, work_u), out=work_u)
-        work[:, nx] = 0.0
-        quad_term = np.multiply(quad, np.square(u_y, out=u_x), out=u_x)
-        np.add(work, quad_term, out=work)
-        np.add(work, source, out=work)
-        np.multiply(work, dt, out=work)
-        np.add(W, work, out=W)
+        # W += dt (mixed u_xy + quad u_y^2 + source), dt and the differences' spacings
+        # folded into the weights; u_tilde does not depend on x and takes no mixed term
+        np.multiply(_x_diff(D_u, mixed_u), mixed, out=mixed_u)
+        np.square(D, out=D)
+        np.multiply(D, quad, out=D)
+        np.add(D_u, mixed_u, out=D_u)
+        np.add(D, source, out=D)
+        np.add(W, D, out=W)
 
-        _solve_x_system(*x_rows, x_cols, x_tmp)
+        _solve_x_system(x_mult, x_upper, x_runs, x_cols, x_tmp)
         u[:, 0] = 2.0 * u[:, 1] - u[:, 2]
         u[:, -1] = 2.0 * u[:, -2] - u[:, -3]
 

@@ -152,9 +152,9 @@ def _march_operator(spec, x, y, U, drift_scale):
     sub, diag, sup = pde._stencil(c.y_diffusion[1:-1, None], drift_scale * c.y_drift[1:-1, None], dy)
     ly = sub * U[:-2] + diag * U[1:-1] + sup * U[2:]
     F = np.asfortranarray(U)  # the march's layout, which the flat y-differences need
-    u_y = pde._central_y(F, dy, np.empty_like(F))
-    u_xy = pde._mixed_xy(F, dx, dy, np.empty_like(F), np.empty_like(F))
-    explicit = c.mixed[:, None] * u_xy + c.quad[:, None] * u_y ** 2 + c.source[:, None]
+    D = pde._y_diff(F, np.empty_like(F))
+    mixed, quad, source = pde._explicit_weights(c, 1.0, dx, dy)  # dt = 1: the rates
+    explicit = mixed * pde._x_diff(D, np.empty_like(F)) + quad * D ** 2 + source
     return lx[1:-1] + ly[:, 1:-1] + explicit[1:-1, 1:-1]
 
 
@@ -192,28 +192,39 @@ def test_spatial_consistency_orders():
 
 @pytest.mark.parametrize("shape", [(5, 5), (201, 41), (539, 201)])
 def test_flat_stencils_match_per_axis_expressions(shape):
-    """The flat y-differences give the bits of the per-axis expressions, and 0 at the y-ends."""
+    """The raw differences give the bits of the per-axis expressions, and 0 at the y-ends."""
     rng = np.random.default_rng(shape[0])
     U = np.asfortranarray(rng.standard_normal(shape))
-    dx, dy = 0.01, 0.003
 
     def fresh():
         return np.full(shape, np.nan, order="F")  # every cell must be written
 
-    u_y = np.zeros(shape)
-    u_y[1:-1] = (U[2:] - U[:-2]) / (2.0 * dy)
-    u_x = np.empty(shape)
-    u_x[:, 1:-1] = (U[:, 2:] - U[:, :-2]) / (2.0 * dx)
-    u_x[:, 0] = (U[:, 1] - U[:, 0]) / dx
-    u_x[:, -1] = (U[:, -1] - U[:, -2]) / dx
-    u_xy = np.zeros(shape)
-    u_xy[1:-1] = (u_x[2:] - u_x[:-2]) / (2.0 * dy)
+    d_y = np.zeros(shape)
+    d_y[1:-1] = U[2:] - U[:-2]
+    d_xy = np.empty(shape)
+    d_xy[:, 1:-1] = d_y[:, 2:] - d_y[:, :-2]
+    d_xy[:, 0] = (d_y[:, 1] - d_y[:, 0]) * 2.0
+    d_xy[:, -1] = (d_y[:, -1] - d_y[:, -2]) * 2.0
 
-    got_y = pde._central_y(U, dy, fresh())
-    got_xy = pde._mixed_xy(U, dx, dy, fresh(), fresh())
-    for got, want in ((got_y, u_y), (got_xy, u_xy)):
+    got_y = pde._y_diff(U, fresh())
+    got_xy = pde._x_diff(got_y, fresh())
+    for got, want in ((got_y, d_y), (got_xy, d_xy)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert not got[[0, -1]].view(np.uint64).any()  # +0.0 exactly
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (201, 42), (539, 202)])
+def test_gradient_monitor_reads_max_abs_central_u_y_to_the_bit(shape):
+    """max |D| / (2 dy) is max |(U[j + 1] - U[j - 1]) / (2 dy)|: rounding is monotone."""
+    rng = np.random.default_rng(shape[1])
+    for dy in (0.003, 0.1 / 3.0, 1.0 / 539.0):
+        U = np.asfortranarray(rng.standard_normal(shape) * rng.uniform(1e-3, 1e3))
+        u_y = np.zeros(shape)
+        u_y[1:-1] = (U[2:] - U[:-2]) / (2.0 * dy)
+        got = pde._abs_max(pde._y_diff(U, np.empty_like(U))) / (2.0 * dy)
+        assert np.float64(got).view(np.uint64) == np.float64(pde._abs_max(u_y)).view(np.uint64)
+    U[shape[0] // 2, shape[1] // 2] = np.nan
+    assert math.isnan(pde._abs_max(pde._y_diff(U, np.empty_like(U))) / (2.0 * dy))
 
 
 def test_central_y_rejects_layouts_it_cannot_write_flat():
@@ -224,8 +235,8 @@ def test_central_y_rejects_layouts_it_cannot_write_flat():
                      (U, np.empty((7, 3), order="F")),              # shapes differ
                      (U[:, 0].copy(), np.empty(7)),                 # 1-d
                      (np.ones((3, 3, 3), order="F"), np.empty((3, 3, 3), order="F"))):
-        with pytest.raises(ValueError, match="_central_y needs"):
-            pde._central_y(arr, 0.1, out)
+        with pytest.raises(ValueError, match="_y_diff needs"):
+            pde._y_diff(arr, out)
 
 
 def test_y_solve_that_returns_a_copy_is_a_fault_not_an_instability(monkeypatch, caplog):
@@ -269,19 +280,28 @@ def test_implicit_systems_sign_pattern():
         assert dl.max() <= 0.0 and du.max() <= 0.0
         assert np.all(d > np.abs(np.r_[0.0, dl]) + np.abs(np.r_[du, 0.0]))
 
-        sub, diag, sup = pde._build_x_system(c, grid.dt, grid.dx, grid.x.size)
-        assert sub.shape == (grid.x.size - 2, grid.y.size)
-        assert np.all(sub[0] == 0.0) and np.all(sup[-1] == 0.0)  # the y-rows decouple
-        assert sub[1:].max() <= 0.0 and sup[1:].max() <= 0.0
-        assert np.all(diag[1:] > np.abs(sub[1:]) + np.abs(sup[1:]))
+        first, interior, last = pde._build_x_system(c, grid.dt, grid.dx)
+        assert all(w.shape == (grid.y.size,) for w in first + interior + last)
+        assert np.all(first[0] == 0.0) and np.all(last[2] == 0.0)  # the y-rows decouple
+        for sub, diag, sup in (interior, last):
+            assert sub.max() <= 0.0 and sup.max() <= 0.0
+            assert np.all(diag > np.abs(sub) + np.abs(sup))
         a = grid.dt * np.abs(c.x_drift) / grid.dx
         assert a.min() > 0.0
-        np.testing.assert_allclose(sup[0], a, rtol=1e-12)
-        np.testing.assert_allclose(diag[0], 1.0 - a, rtol=1e-12)
+        np.testing.assert_allclose(first[2], a, rtol=1e-12)
+        np.testing.assert_allclose(first[1], 1.0 - a, rtol=1e-12)
 
         j = int(np.argmax(a))
-        block = np.diag(diag[:, j]) + np.diag(sub[1:, j], -1) + np.diag(sup[:-1, j], 1)
+        sub, diag, sup = (w[:, j] for w in _tiled_x_system(c, grid))
+        block = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
         assert np.linalg.inv(block).min() < 0.0
+
+
+def _tiled_x_system(coeffs, grid):
+    """``_build_x_system``'s three rows as the full (nx - 2, ny) sub, diag and sup."""
+    first, interior, last = pde._build_x_system(coeffs, grid.dt, grid.dx)
+    return tuple(np.vstack([f, np.tile(i, (grid.x.size - 4, 1)), l])
+                 for f, i, l in zip(first, interior, last))
 
 
 def _lapack_x_solve(spec, grid, rhs):
@@ -289,8 +309,7 @@ def _lapack_x_solve(spec, grid, rhs):
 
     Returns the solution in ``rhs``'s (nx - 2, ny) layout and whether dgttrf pivoted.
     """
-    sub, diag, sup = pde._build_x_system(pde._Coefficients(spec, grid.y), grid.dt, grid.dx,
-                                         grid.x.size)
+    sub, diag, sup = _tiled_x_system(pde._Coefficients(spec, grid.y), grid)
     dl, d, du, du2, ipiv, info = dgttrf(sub.T.ravel()[1:], diag.T.ravel(), sup.T.ravel()[:-1])
     assert info == 0
     x, info = dgttrs(dl, d, du, du2, ipiv, rhs.T.ravel())
@@ -298,17 +317,22 @@ def _lapack_x_solve(spec, grid, rhs):
     return x.reshape(rhs.shape[::-1]).T, not np.array_equal(ipiv, np.arange(1, d.size + 1))
 
 
+def _x_factor(spec, grid):
+    rows = pde._build_x_system(pde._Coefficients(spec, grid.y), grid.dt, grid.dx)
+    return pde._factor_x_system(*rows, grid.x.size - 2)
+
+
 def _sweep_x_solve(spec, grid, rhs):
     """``_march``'s x-solve: factor once, then the column sweep on a copy of ``rhs``."""
-    x_rows = pde._factor_x_system(*pde._build_x_system(pde._Coefficients(spec, grid.y),
-                                                       grid.dt, grid.dx, grid.x.size))
-    cols = rhs.copy()
-    pde._solve_x_system(*x_rows, list(cols), np.empty(grid.y.size))
+    mult, recip, upper = _x_factor(spec, grid)
+    cols = rhs.copy()  # (nx - 2, ny): x-row i is cols[i], and cols.T is the march's block
+    pde._solve_x_system(mult, upper, pde._pivot_runs(recip, cols.T), list(cols),
+                        np.empty(grid.y.size))
     return cols
 
 
 def test_x_sweep_matches_lapack():
-    """Where dgttrf does not pivot the sweep is dgttrf + dgttrs to the bit; else to rounding."""
+    """The sweep is dgttrf + dgttrs to rounding, whether or not dgttrf pivots."""
     rng = np.random.default_rng(5)
     demo = arctangent_model()
     default = make_grid(demo, demo.maturity)
@@ -321,10 +345,35 @@ def test_x_sweep_matches_lapack():
         expected, pivoted = _lapack_x_solve(spec, grid, rhs)
         assert pivots in (None, pivoted), grid.dt
         swept = _sweep_x_solve(spec, grid, rhs)
-        if pivoted:
-            assert np.abs(swept - expected).max() <= 1e-14 * np.abs(expected).max()
-        else:
-            np.testing.assert_array_equal(swept.view(np.uint64), expected.view(np.uint64))
+        # reciprocal pivots round differently from dgttrs's divisions
+        assert np.abs(swept - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_x_factor_shares_the_fixed_point_rows_bit_for_bit():
+    """The shared rows are what a plain row-by-row elimination gives, and few are distinct."""
+    rng = np.random.default_rng(3)
+    demo = arctangent_model()
+    skew3 = make_grid(demo, 0.25, nx=201, x_span=(-1.0, 1.0))
+    cases = [(demo, skew3), (demo, make_grid(demo, 0.25, nx=41))]
+    cases += [(spec, make_grid(spec, spec.maturity, nx=61))
+              for spec in (random_valid_spec(rng) for _ in range(3))]
+    for spec, grid in cases:
+        sub, diag, sup = _tiled_x_system(pde._Coefficients(spec, grid.y), grid)
+        factor = _x_factor(spec, grid)
+        pivot = diag[0]
+        plain = [(sub[0], 1.0 / pivot, sup[0] / pivot)]
+        for i in range(1, diag.shape[0]):
+            mult = sub[i] / pivot
+            pivot = diag[i] - mult * sup[i - 1]
+            plain.append((mult, 1.0 / pivot, sup[i] / pivot))
+        for got, want in zip(factor, zip(*plain)):
+            assert len(got) == len(want) == grid.x.size - 2
+            assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    mult, recip, upper = _x_factor(demo, skew3)
+    distinct = {id(r) for r in recip}
+    assert len(distinct) < 40  # 17 of 199 rows
+    assert len({id(m) for m in mult}) == len({id(u) for u in upper}) == len(distinct)
+    assert len(pde._pivot_runs(recip, np.empty((skew3.y.size, len(recip))))) == len(distinct)
 
 
 def test_x_system_without_dominance_halves_dt(caplog):
@@ -358,7 +407,7 @@ def test_instability_raised_for_reckless_dt():
     # step 1 starts from a y-independent payoff and a zero u_tilde, so |u_y| = 0 there;
     # the monitor reports the largest |u_y| over u and u_tilde after it
     first, _ = _march(spec, replace(reckless, n_steps=1), U0)
-    grad = np.abs(pde._central_y(first, grid.dy, np.empty_like(first))).max()
+    grad = np.abs((first[2:] - first[:-2]) / (2.0 * grid.dy)).max()
     assert str(info.value) == (f"dt {reckless.dt:.3e} exceeds the gradient bound at step 2 "
                                f"(|u_y| = {grad:.3e})")
 

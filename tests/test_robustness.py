@@ -1,5 +1,7 @@
 """Invariants the paper implies, checked on random valid models as well as the demo."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +12,9 @@ from volclust.asymptotics import asymptotic_price, corrected_iv
 from volclust.calibrate import IVQuote, calibrate_from_surface
 from volclust.errors import Unidentifiable
 from volclust.model import Constant
+from volclust.measure import build_invariant_measure
 from volclust.pde import BAND_SLACK, make_grid, price_surface
-from volclust.poisson import group_constants_for
+from volclust.poisson import group_constants_for, model_integrals
 
 seeds = st.integers(0, 2 ** 32 - 1)
 small_taus = st.floats(0.01, 0.25)
@@ -26,6 +29,53 @@ def test_pde_price_stays_in_the_band_on_random_models(seed, tau):
     slack = BAND_SLACK * spec.strike
     assert P.min() >= -slack
     assert P.max() <= spec.strike + slack
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=seeds, tau=small_taus)
+def test_pde_price_moves_with_eta_as_the_sign_of_j_b_says(seed, tau):
+    """Raising eta raises P where J_b > 0 and lowers it where J_b < 0, in the bulk.
+
+    To first order P moves by sqrt(eps) tau sqrt(1 - rho^2) J_b d_eta S^2 Gamma,
+    the same at every y.  So the sign is asserted where the corrected asymptotics
+    move by at least a tenth of their peak (elsewhere the nx = 41 grid's x error,
+    about 1% of the peak, can outweigh the move) and within 2 stationary standard
+    deviations of m (at a few deviations out and tau ~ eps the start y still
+    matters).  With sigma1 constant, J_b and the eta-dependence of P vanish.
+    """
+    spec = random_valid_spec(np.random.default_rng(seed))
+    grid = make_grid(spec, tau, nx=41)
+    lo, hi = (spec.with_(eta=spec.eta + d_eta) for d_eta in (-0.25, 0.25))
+    rise = price_surface(hi, grid).P - price_surface(lo, grid).P
+    if isinstance(spec.sigma1, Constant):
+        assert np.abs(rise).max() <= 1e-9 * spec.strike
+        return
+    measure = build_invariant_measure(spec)
+    j_b = model_integrals(spec, measure)[1]
+    asym = np.array([asymptotic_price(group_constants_for(hi), hi, tau, x).corrected
+                     - asymptotic_price(group_constants_for(lo), lo, tau, x).corrected
+                     for x in grid.x])
+    moved = np.abs(asym) >= 0.1 * np.abs(asym).max()
+    bulk = np.abs(grid.y - spec.m) <= 2.0 * measure.std()
+    assert np.all(np.sign(asym[moved]) == np.sign(j_b))
+    assert np.all(math.copysign(1.0, j_b) * rise[np.ix_(moved, bulk)] > 0.0)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=seeds, tau=small_taus)
+def test_pde_price_is_convex_in_strike(seed, tau):
+    """P(K2) <= lam P(K1) + (1 - lam) P(K3) at one spot, for strikes K e^(-dx), K, K e^dx.
+
+    On the strikes' shared grid a spot S = K e^(x_i) sits at node i + 1, i and
+    i - 1 of the three solves.
+    """
+    spec = random_valid_spec(np.random.default_rng(seed))
+    grid = make_grid(spec, tau, nx=41)
+    k1, k2, k3 = (spec.strike * math.exp(s * grid.dx) for s in (-1, 0, 1))
+    p1, p2, p3 = (price_surface(spec.with_(strike=k), grid).P for k in (k1, k2, k3))
+    lam = (k3 - k2) / (k3 - k1)
+    chord = lam * p1[2:] + (1.0 - lam) * p3[:-2]
+    assert np.all(p2[1:-1] <= chord + 1e-9 * spec.strike)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
