@@ -5,8 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 
 from conftest import random_valid_spec
 from volclust import pde
@@ -242,15 +241,70 @@ def test_central_y_rejects_layouts_it_cannot_write_flat():
 def test_y_solve_that_returns_a_copy_is_a_fault_not_an_instability(monkeypatch, caplog):
     """The column views made before the loop need the y-solve in place; no dt halving hides it."""
     def copying(*args, **kwargs):
-        return solve_banded(*args, **kwargs).copy()
+        x, info = dpttrs(*args, **kwargs)
+        return x.copy(), info
 
-    monkeypatch.setattr(pde, "solve_banded", copying)
+    monkeypatch.setattr(pde, "dpttrs", copying)
     spec = arctangent_model(epsilon=0.25, maturity=0.05)
     grid = make_grid(spec, spec.maturity, nx=21)
     with caplog.at_level(logging.INFO, logger="volclust.pde"):
-        with pytest.raises(RuntimeError, match="solve_banded returned a copy"):
+        with pytest.raises(RuntimeError, match="dpttrs returned a copy"):
             price_surface(spec, grid)
     assert [r for r in caplog.records if r.name == "volclust.pde"] == []
+
+
+def _thomas_longdouble(dl, d, du, rhs):
+    """Tridiagonal solve without pivoting in extended precision, column by column of ``rhs``."""
+    dl, d, du, x = (np.asarray(a, dtype=np.longdouble) for a in (dl, d, du, rhs))
+    x, pivot = x.copy(), d.copy()
+    for i in range(1, d.size):
+        mult = dl[i - 1] / pivot[i - 1]
+        pivot[i] -= mult * du[i - 1]
+        x[i] -= mult * x[i - 1]
+    x[-1] /= pivot[-1]
+    for i in range(d.size - 2, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1]) / pivot[i]
+    return x
+
+
+def test_y_solve_matches_extended_precision_thomas():
+    """The symmetrised LDL^T solve is the y-system's solution to rounding.
+
+    The diagonal scaling s that symmetrises the system spans 9.2 nats of
+    log s on skew3's grid and 524 at eps = 1000; centred, it stays finite.
+    """
+    rng = np.random.default_rng(5)
+    demo = arctangent_model()
+    cases = [(demo, make_grid(demo, 0.25, nx=201, x_span=(-1.0, 1.0)))]
+    cases += [(spec, make_grid(spec, 0.25, nx=41))
+              for spec in (arctangent_model(epsilon=eps) for eps in (0.25, 1.0, 1000.0))]
+    cases += [(spec, make_grid(spec, spec.maturity, nx=41))
+              for spec in (random_valid_spec(rng) for _ in range(3))]
+    for spec, grid in cases:
+        dl, d, du = pde._build_y_system(pde._Coefficients(spec, grid.y), grid.dt, grid.dy)
+        y = (grid.y - grid.y[0]) / (grid.y[-1] - grid.y[0])
+        rhs = np.asfortranarray(np.column_stack(  # constant, smooth, random
+            [np.ones_like(y), np.cos(3.0 * y) + y, rng.standard_normal(y.size)]))
+        factor = pde._factor_y_system(dl, d, du)
+        log_s = np.log(factor[2])
+        assert log_s.shape == (y.size, 1) and np.all(np.isfinite(log_s))
+        assert log_s.max() + log_s.min() == pytest.approx(0.0, abs=1e-12 * np.ptp(log_s))
+        solved = rhs.copy(order="F")
+        pde._solve_y_system(solved, *factor)
+        expected = _thomas_longdouble(dl, d, du, rhs)
+        err = np.abs(solved - expected).max(axis=0) / np.abs(expected).max(axis=0)
+        assert err.max() <= 5e-14, (spec.epsilon, err)
+
+
+def test_y_system_that_cannot_be_factored_is_a_fault():
+    """Off-diagonals of opposite sign, or a symmetrised form that is not positive definite."""
+    d = np.full(3, 2.0)
+    with pytest.raises(RuntimeError, match="y-system cannot be symmetrised"):
+        pde._factor_y_system(np.array([-1.0, 0.5]), d, np.array([-1.0, -1.0]))
+    with pytest.raises(RuntimeError, match="y-system cannot be symmetrised"):
+        pde._factor_y_system(np.array([-1.0, 0.0]), d, np.array([-1.0, -1.0]))
+    with pytest.raises(RuntimeError, match="y-system is not positive definite"):
+        pde._factor_y_system(np.array([-3.0, -3.0]), np.ones(3), np.array([-3.0, -3.0]))
 
 
 def test_implicit_systems_sign_pattern():
