@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from scipy.special import ndtr
 
-from .errors import NoConvergence, OutOfBand
+from .errors import ConfigError, NoConvergence, OutOfBand
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -87,10 +87,12 @@ def no_arbitrage_band(x: float, strike: float) -> tuple[float, float]:
 def implied_vol(price: float, tau: float, x: float, strike: float) -> float:
     """Invert the put price for sigma by bisection plus a Newton polish.
 
-    The price must lie strictly inside the no-arbitrage band.  Converges
-    to |price error| < 1e-10 K; the bracket guarantees progress, Newton
-    supplies the terminal rate.
+    tau must be finite and > 0, and the price must lie strictly inside the
+    no-arbitrage band.  Converges to |price error| < 1e-10 K; the bracket
+    guarantees progress, Newton supplies the terminal rate.
     """
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ConfigError(f"implied vol needs a finite tau > 0, got tau = {tau!r}")
     lo_price, hi_price = no_arbitrage_band(x, strike)
     if not (lo_price < price < hi_price):
         raise OutOfBand(

@@ -26,11 +26,13 @@ quadratic gradient term and the constant source step explicitly, then
 one implicit tridiagonal pass in x and one in y.  The implicit y-pass is
 an M-matrix, so the stiff drift costs nothing; a frozen-coefficient von
 Neumann argument shows the implicit passes dominate the explicit mixed
-term for any |rho| < 1, so the time step is set by the quadratic term
-(through a running gradient bound), by resolving the fast relaxation
-(dt <= eps/4), and by a baseline step count.  The solver monitors NaNs,
-the amplitude bound, the gradient bound and the price band, and halves
-dt when a monitor trips.
+term for any |rho| < 1, so dt is set by the quadratic term, by resolving
+the fast relaxation (dt <= eps/4), and by a baseline step count.  The
+quadratic step is contractive while dt max|u_y| <= G = eps dy / (gamma
+(1 - rho^2) sup sigma2^2), so ``make_grid`` takes G over an estimate of
+max|u_y| and the march caps max|u_y| at G / dt.  The solver monitors
+that cap, the amplitude bound and the price band, each with one
+comparison that a NaN fails too, and halves dt when a monitor trips.
 
 Both value functions march in one Fortran-ordered (ny, nx + 1) array W:
 columns ``:nx`` hold u and the last holds u-tilde, which does not depend
@@ -39,9 +41,11 @@ the quadratic term and source, the y-solve) are one pass over all of W;
 the mixed term, the x-solve and the x-boundary fold act on u's columns.
 
 Everything fixed during a solve is set up once per attempt, so a step
-only subtracts, multiplies and adds.  The explicit step takes one raw
-y-difference D = W[j + 1] - W[j - 1] and one raw x-difference of D; dt
-and the spacings are folded into three weight columns (``_explicit_weights``).
+only subtracts, multiplies and adds; the coefficient ranges behind the
+dy cap and G are evaluated once per ``make_grid`` and once per attempt.
+The explicit step takes one raw y-difference D = W[j + 1] - W[j - 1]
+and one raw x-difference of D; dt and the spacings are folded into
+three weight columns (``_explicit_weights``).
 The gradient monitor reads max |D| / (2 dy), which, rounding being
 monotone, is max |u_y| of the central u_y to the bit.  The x-system, one
 tridiagonal matrix per y-row, has only three distinct rows (first,
@@ -63,17 +67,10 @@ factors it as L D L^T once; each step scales W by 1 / s, runs dpttrs
 in place and scales back by s.  dpttrs's back-substitution forms
 b[i] / d[i] - e[i] b[i + 1], so its division is off the chain of
 dependent operations, where dgtsv (which also refactors every call) and
-dgttrs divide inside it.  On a 201 x 539 step it takes 1.1-1.2 ms,
-against 1.7 ms for dgtsv, and it agrees with an extended-precision
-solve to 8e-15 relative there, where dgtsv does to 6e-15.  It must run
-in place on W, since the x-sweep's column views are made once per
-attempt; a copy is a fault, raised as RuntimeError and not retried, and
-so is a y-system that cannot be symmetrised or factored.
-
-In Fortran order W is one flat vector in which y-neighbours are 1 apart,
-so the y-difference is one flat pass; the differences that straddle two
-columns land in the zero-flux end rows, which are zeroed after.  Maxima
-of |D| and |u| are taken as max(max, -min).
+dgttrs divide inside it (the README has the timings).  It must run in
+place on W, since the x-sweep's column views are made once per attempt;
+a copy is a fault, raised as RuntimeError and not retried, and so is a
+y-system that cannot be symmetrised or factored.
 
 Boundary conditions (the continuum problem lives on the whole plane):
 zero second x-derivative at the x-ends, which reproduces both payoff
@@ -174,25 +171,20 @@ class PriceSurface:
 
 
 def _coefficient_bounds(spec: ModelSpec) -> tuple[float, float, float]:
+    """(sup sigma1, inf sigma2, sup sigma2) on the model's probe grid."""
     ys = probe_grid(spec)
     s1 = np.asarray(spec.sigma1(ys))
     s2 = np.asarray(spec.sigma2(ys))
     return float(s1.max()), float(s2.min()), float(s2.max())
 
 
-def _max_dy(spec: ModelSpec) -> float:
-    _, s2_min, _ = _coefficient_bounds(spec)
+def _max_dy(spec: ModelSpec, s2_min: float) -> float:
     return math.sqrt(spec.epsilon) * s2_min / 4.0
 
 
-def gradient_dt_bound(spec: ModelSpec, s2_max: float, dy: float, grad_max: float) -> float:
-    """dt bound keeping the explicit quadratic-gradient step contractive.
-
-    ``s2_max`` is the sup of sigma2 from ``_coefficient_bounds``, evaluated
-    once per solve by the callers.
-    """
-    scale = spec.gamma * (1.0 - spec.rho ** 2) * s2_max ** 2 * max(grad_max, 1e-300)
-    return spec.epsilon * dy / scale
+def _gradient_constant(spec: ModelSpec, s2_max: float, dy: float) -> float:
+    """G: the explicit quadratic-gradient step is contractive while dt max|u_y| <= G."""
+    return spec.epsilon * dy / (spec.gamma * (1.0 - spec.rho ** 2) * s2_max ** 2)
 
 
 def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
@@ -217,7 +209,8 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     std = measure.std()
     y_lo = spec.m - 6.0 * std * max(1.0, math.sqrt(eps))
     y_hi = spec.m + 6.0 * std
-    dy_cap = _max_dy(spec)
+    s1_max, s2_min, s2_max = _coefficient_bounds(spec)
+    dy_cap = _max_dy(spec, s2_min)
     ny_required = max(MIN_NY, int(math.ceil((y_hi - y_lo) / dy_cap)) + 1)
     if ny is None:
         ny = ny_required
@@ -234,10 +227,9 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     if tau == 0.0:
         return Grid2D(x=x, y=y, dt=1.0, n_steps=0)
     if dt is None:
-        s1_max, _, s2_max = _coefficient_bounds(spec)
         gmax0 = 0.05 * spec.strike * math.sqrt(eps)  # estimate of max |u_y|
         candidates = [
-            gradient_dt_bound(spec, s2_max, dy, gmax0),
+            _gradient_constant(spec, s2_max, dy) / gmax0,
             0.25 * eps,            # resolve the fast relaxation
             tau / MIN_STEPS,       # baseline time resolution
         ]
@@ -466,6 +458,11 @@ def _abs_max(a: np.ndarray) -> float:
     return float(np.maximum(a.max(), -a.min()))
 
 
+def _price(W: np.ndarray) -> np.ndarray:
+    """P = u_tilde - u, shape (nx, ny), from the march's (ny, nx + 1) array ``W``."""
+    return W[:, -1] - W[:, :-1].T
+
+
 def payoff_initial(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     """Negative put payoff on the grid, shape (ny, nx)."""
     pay = np.maximum(spec.strike - spec.strike * np.exp(grid.x), 0.0)
@@ -478,35 +475,37 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
 
     W is (ny, nx + 1) and Fortran-ordered: columns ``:nx`` hold u, started
     from ``U0`` (ny, nx), and column ``nx`` holds u_tilde, started from
-    zero.  Every step monitors |u_y| over W, the amplitude of u and of
-    u_tilde, and the price band 0 <= u_tilde - u <= K.  Everything fixed
-    during an attempt is set up once before the time loop: the explicit
-    step's constants folded into three weight columns, the x-factor as
-    multipliers, reciprocal pivots and sup over pivot with its fixed-point
-    rows shared, the y-factor as the L D L^T of its symmetrised form with
-    the scaling s and 1 / s as columns, the coefficient bounds and the two
-    work arrays.  A step then only subtracts, multiplies and adds, apart
-    from dpttrs, which runs in place on W between the two scalings.
+    zero.  Set up once per attempt: one ``_coefficient_bounds``, then dy
+    against the boundary-layer cap (a ``BadGrid``) and the monitors' caps;
+    the explicit weights; the x-factor; the y-factor with s and 1 / s; two
+    work arrays.  Each step checks max |u_y| over W against G / dt, |u|
+    and |u_tilde| against their caps, and 0 <= u_tilde - u <= K, each in
+    one comparison that a NaN fails too.  It only subtracts, multiplies
+    and adds, apart from dpttrs, in place on W between the two scalings.
     """
     coeffs = _Coefficients(spec, grid.y)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     nx, ny = grid.x.size, grid.y.size
+    _, s2_min, s2_max = _coefficient_bounds(spec)
+    dy_cap = _max_dy(spec, s2_min)
+    if dy > dy_cap * (1.0 + 1e-9):
+        raise BadGrid(f"y spacing {dy:.3e} exceeds the boundary-layer cap {dy_cap:.3e}")
     y_factor = _factor_y_system(*_build_y_system(coeffs, dt, dy))
-    _, _, s2_max = _coefficient_bounds(spec)
     mixed, quad, source = _explicit_weights(coeffs, dt, dx, dy)
     two_dy = 2.0 * dy
 
+    grad_cap = _gradient_constant(spec, s2_max, dy) / dt
     growth = grid.tau_final * np.abs(coeffs.source).max()
     u_cap = (np.abs(U0).max() + growth) * 1.5 + spec.strike
     tilde_cap = growth * 1.5 + spec.strike
-    slack = BAND_SLACK * spec.strike
+    band_lo, band_hi = -BAND_SLACK * spec.strike, spec.strike + BAND_SLACK * spec.strike
     wanted = set(snapshot_steps)
     snapshots: dict[int, np.ndarray] = {}
     W = np.zeros((ny, nx + 1), order="F")  # y-columns contiguous: the y-solve works in place
     u, u_tilde = W[:, :nx], W[:, nx]
     u[...] = U0
     if 0 in wanted:
-        snapshots[0] = u_tilde[None, :] - u.T
+        snapshots[0] = _price(W)
     D = np.empty_like(W)  # raw y-differences, then the explicit increment
     D_u = D[:, :nx]
     mixed_u = np.empty((ny, nx), order="F")
@@ -519,8 +518,7 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     for step in range(1, grid.n_steps + 1):
         # rounding is monotone, so this is max |u_y| of the central u_y to the bit
         grad_max = _abs_max(_y_diff(W, D)) / two_dy
-        if not math.isfinite(grad_max) or (
-                grad_max > 0.0 and dt > gradient_dt_bound(spec, s2_max, dy, grad_max)):
+        if not grad_max <= grad_cap:
             raise Instability(f"dt {dt:.3e} exceeds the gradient bound at step {step} "
                               f"(|u_y| = {grad_max:.3e})")
         # W += dt (mixed u_xy + quad u_y^2 + source), dt and the differences' spacings
@@ -543,17 +541,17 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
         row_max, row_min = u.max(axis=1), u.min(axis=1)
         for name, peak, cap in (("u", float(np.maximum(row_max.max(), -row_min.min())), u_cap),
                                 ("u_tilde", _abs_max(u_tilde), tilde_cap)):
-            if not np.isfinite(peak) or peak > cap:
+            if not peak <= cap:
                 raise Instability(f"{name} left the amplitude bound at step {step} "
                                   f"(|{name}| = {peak:.3e})")
         price_min, price_max = (u_tilde - row_max).min(), (u_tilde - row_min).max()
-        if price_min < -slack or price_max > spec.strike + slack:
+        if not (band_lo <= price_min and price_max <= band_hi):
             raise Instability(
                 f"price band violated at step {step}: "
                 f"[{price_min:.3e}, {price_max:.3e}] vs [0, {spec.strike}]"
             )
         if step in wanted:
-            snapshots[step] = u_tilde[None, :] - u.T
+            snapshots[step] = _price(W)
     return W, snapshots
 
 
@@ -565,16 +563,13 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *,
     logged at INFO level with the tripped monitor's message and the new
     step count.  After ``MAX_DT_RETRIES`` halvings, the last monitor's
     message is raised again with that monitor's ``Instability`` as the
-    cause.  P at each of ``snapshot_steps``, steps of ``grid`` in
-    0..n_steps, lands in ``snapshots``.
+    cause.  P at each of ``snapshot_steps``, integer steps of ``grid`` in
+    0..n_steps, lands in ``snapshots``; any other step is a ``BadGrid``.
     """
-    cap = _max_dy(spec)
-    if grid.dy > cap * (1.0 + 1e-9):
-        raise BadGrid(f"y spacing {grid.dy:.3e} exceeds the boundary-layer cap {cap:.3e}")
     steps = tuple(snapshot_steps)
     for s in steps:
-        if not 0 <= s <= grid.n_steps:
-            raise BadGrid(f"snapshot step {s} is outside the grid's steps 0..{grid.n_steps}")
+        if not isinstance(s, numbers.Integral) or not 0 <= s <= grid.n_steps:
+            raise BadGrid(f"snapshot step {s} is not one of the grid's steps 0..{grid.n_steps}")
     attempt_grid = grid
     for attempt in range(MAX_DT_RETRIES + 1):
         factor = attempt_grid.n_steps // grid.n_steps if grid.n_steps else 1
@@ -587,9 +582,8 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *,
             attempt_grid = attempt_grid.with_halved_dt()
             logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue
-        u, u_tilde = W[:, :-1].T, W[:, -1]
-        return PriceSurface(grid=attempt_grid, u=u.copy(), u_tilde=u_tilde.copy(),
-                            P=u_tilde[None, :] - u, tau=attempt_grid.tau_final,
+        return PriceSurface(grid=attempt_grid, u=W[:, :-1].T.copy(), u_tilde=W[:, -1].copy(),
+                            P=_price(W), tau=attempt_grid.tau_final,
                             snapshots={s: snapshots[s * factor] for s in steps})
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from volclust.bs import (bs_put, bs_put_dx_derivatives, bs_vega, implied_vol,
                          no_arbitrage_band)
-from volclust.errors import OutOfBand
+from volclust.errors import ConfigError, OutOfBand
 
 
 def test_payoff_at_expiry():
@@ -157,3 +157,12 @@ def test_out_of_band_prices_rejected():
     lo, _ = no_arbitrage_band(-0.5, 100.0)
     with pytest.raises(OutOfBand):
         implied_vol(lo - 1e-9, 1.0, -0.5, 100.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1, math.nan, math.inf])
+def test_implied_vol_rejects_a_bad_tau_by_name(tau):
+    """One ConfigError naming tau, before the band check or any iteration."""
+    with pytest.raises(ConfigError, match=r"finite tau > 0, got tau = ") as info:
+        implied_vol(5.0, tau, 0.0, 100.0)
+    assert type(info.value) is ConfigError
+    assert str(info.value).endswith(repr(tau))

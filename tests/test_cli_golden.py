@@ -89,8 +89,15 @@ def _one_worker(monkeypatch):
     monkeypatch.setenv("VOLCLUST_THREADS", "1")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_subcommand_output_matches_golden(name, tmp_path):
+# the subcommands that fan out over worker processes also run with 2 workers
+# (fewer on a 1-CPU machine), and must write the same bytes
+WORKER_CASES = [pytest.param(name, 1, id=name) for name in sorted(CASES)] + [
+    pytest.param(name, 2, id=f"{name}-2workers") for name in ("figure2", "pde_sweep")]
+
+
+@pytest.mark.parametrize("name, workers", WORKER_CASES)
+def test_subcommand_output_matches_golden(name, workers, tmp_path, monkeypatch):
+    monkeypatch.setenv("VOLCLUST_THREADS", str(workers))
     for filename, data in _run(name, tmp_path).items():
         assert data == (GOLDEN_DIR / filename).read_bytes(), filename
 

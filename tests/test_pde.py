@@ -45,6 +45,33 @@ def test_make_grid_respects_boundary_layer(fast_spec):
         make_grid(fast_spec, 0.25, ny=11)
 
 
+def test_price_surface_rejects_a_hand_built_grid_above_the_dy_cap(fast_spec, monkeypatch):
+    """dy > sqrt(eps) inf sigma2 / 4 is a BadGrid naming both spacings, before any step."""
+    def no_step(*args):
+        raise AssertionError("the march stepped before checking dy")
+
+    monkeypatch.setattr(pde, "_y_diff", no_step)
+    grid = make_grid(fast_spec, 0.25, nx=21)
+    coarse = replace(grid, y=grid.y[::2])
+    cap = math.sqrt(fast_spec.epsilon) * 0.2 / 4
+    assert coarse.dy > cap
+    with pytest.raises(BadGrid) as info:
+        price_surface(fast_spec, coarse)
+    assert str(info.value) == f"y spacing {coarse.dy:.3e} exceeds the boundary-layer cap {cap:.3e}"
+
+
+def test_near_degenerate_correlation_binds_the_mixed_term_candidate():
+    """Above |rho| = 0.95 make_grid adds the raw explicit bound on the mixed term, and it binds."""
+    demo = arctangent_model()
+    assert make_grid(demo.with_(rho=-0.95), 0.25, nx=201).n_steps == 500
+    spec = demo.with_(rho=-0.96)
+    grid = make_grid(spec, 0.25, nx=201)
+    s1_max, _, s2_max = pde._coefficient_bounds(spec)
+    mixed = math.sqrt(spec.epsilon) * grid.dx * grid.dy / (2.0 * 0.96 * s1_max * s2_max)
+    assert grid.n_steps == math.ceil(0.25 / (pde.SAFETY * mixed)) == 17389
+    assert grid.dt == pytest.approx(1.438e-5, rel=1e-3)
+
+
 def test_grid_validation():
     nodes = np.linspace(0, 1, 5)
     with pytest.raises(BadGrid):
@@ -501,7 +528,7 @@ def test_snapshot_steps_off_the_grid_are_rejected_before_any_march(monkeypatch):
     monkeypatch.setattr(pde, "_march", no_march)
     spec = arctangent_model(epsilon=0.25, maturity=0.05)
     grid = make_grid(spec, spec.maturity, nx=21)
-    for step in (grid.n_steps + 1, -1):
+    for step in (grid.n_steps + 1, -1, 2.5):
         with pytest.raises(BadGrid, match=rf"snapshot step {step} .* 0\.\.{grid.n_steps}$"):
             price_surface(spec, grid, snapshot_steps=[0, step])
 
@@ -572,6 +599,32 @@ def test_out_of_retries_names_the_monitor_that_tripped(monkeypatch):
     assert "price band" not in str(info.value)
     assert isinstance(info.value.__cause__, Instability)
     assert str(info.value.__cause__) in str(info.value)
+
+
+def test_amplitude_monitor_trips_when_u_and_u_tilde_move_together(monkeypatch, caplog):
+    """A source 1e6 times too strong moves u and u_tilde alike, and the amplitude cap trips."""
+    weights = pde._explicit_weights
+
+    def loud_source(*args):
+        mixed, quad, source = weights(*args)
+        return mixed, quad, source * 1e6
+
+    monkeypatch.setattr(pde, "_explicit_weights", loud_source)
+    spec = arctangent_model(epsilon=0.25, maturity=0.05)
+    grid = make_grid(spec, spec.maturity, nx=21)
+    first = "u left the amplitude bound at step 1 (|u| = 1.860e+03)"
+    with pytest.raises(Instability) as info:
+        _march(spec, grid, payoff_initial(spec, grid))
+    assert str(info.value) == first
+
+    monkeypatch.setattr(pde, "MAX_DT_RETRIES", 1)
+    with caplog.at_level(logging.INFO, logger="volclust.pde"), \
+            pytest.raises(Instability) as info:
+        price_surface(spec, grid)
+    records = [r.getMessage() for r in caplog.records if r.name == "volclust.pde"]
+    assert records == [f"{first}; halving dt to 800 steps"]
+    assert str(info.value) == ("u left the amplitude bound at step 1 (|u| = 9.786e+02) "
+                               "(still, after 1 dt halvings)")
 
 
 def test_price_band_monitor_trips_on_either_side(fast_spec, monkeypatch):
