@@ -11,7 +11,7 @@ from .asymptotics import (AsymptoticPrice, CorrectedIV, asymptotic_price,
                           corrected_iv, iv_correction_from_price)
 from .bs import bs_put, bs_put_dx_derivatives, bs_vega, implied_vol
 from .calibrate import (AffineFit, IVQuote, calibrate_from_surface, fit_affine,
-                        recover_constants)
+                        fit_smile, recover_constants)
 from .errors import VolclustError
 from .measure import InvariantMeasure, average, build_invariant_measure
 from .model import (Arctangent, Constant, ModelSpec, Tabulated,
@@ -26,7 +26,7 @@ __all__ = [
     "AsymptoticPrice", "CorrectedIV", "asymptotic_price", "corrected_iv",
     "iv_correction_from_price", "bs_put", "bs_put_dx_derivatives", "bs_vega",
     "implied_vol", "AffineFit", "IVQuote", "calibrate_from_surface",
-    "fit_affine", "recover_constants", "VolclustError", "InvariantMeasure",
+    "fit_affine", "fit_smile", "recover_constants", "VolclustError", "InvariantMeasure",
     "average", "build_invariant_measure", "Arctangent", "Constant",
     "ModelSpec", "Tabulated", "arctangent_model", "read_config", "validate",
     "write_config", "Grid2D", "PriceSurface", "accuracy_sweep", "make_grid",

@@ -44,10 +44,15 @@ def _d12(tau: float, x: float, sigma: float) -> tuple[float, float]:
     return d1, d1 - srt
 
 
+def _payoff(x: float, strike: float) -> float:
+    """The put's payoff ``max(K - K e^x, 0)``."""
+    return max(strike - strike * math.exp(x), 0.0)
+
+
 def bs_put(tau: float, x: float, strike: float, sigma: float) -> float:
-    """Put price; collapses to the payoff ``max(K - K e^x, 0)`` at tau = 0."""
+    """Put price; collapses to the payoff at tau = 0."""
     if tau == 0.0:
-        return max(strike - strike * math.exp(x), 0.0)
+        return _payoff(x, strike)
     d1, d2 = _d12(tau, x, sigma)
     return strike * ndtr(-d2) - strike * math.exp(x) * ndtr(-d1)
 
@@ -81,7 +86,7 @@ def bs_vega(tau: float, x: float, strike: float, sigma: float) -> float:
 
 def no_arbitrage_band(x: float, strike: float) -> tuple[float, float]:
     """Open interval of attainable put prices: (intrinsic, K)."""
-    return max(strike - strike * math.exp(x), 0.0), strike
+    return _payoff(x, strike), strike
 
 
 def implied_vol(price: float, tau: float, x: float, strike: float) -> float:

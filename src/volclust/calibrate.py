@@ -98,6 +98,13 @@ def recover_constants(fit: tuple[float, float], sigma_bar: float, epsilon: float
     return big_a, big_b
 
 
+def fit_smile(quotes: Sequence[IVQuote], sigma_bar: float, epsilon: float) -> AffineFit:
+    """The smile line fitted to ``quotes`` and the (A, B) it inverts to at sigma_bar and epsilon."""
+    a, d, r_squared = fit_affine(quotes)
+    big_a, big_b = recover_constants((a, d), sigma_bar, epsilon)
+    return AffineFit(a=a, d=d, r_squared=r_squared, a_recovered=big_a, b_recovered=big_b)
+
+
 @dataclass(frozen=True)
 class SurfaceCalibration:
     """Result of calibrating quotes against a model with unknown eta."""
@@ -119,18 +126,15 @@ def calibrate_from_surface(quotes: Sequence[IVQuote], spec: ModelSpec,
     """
     measure = build_invariant_measure(spec)
     if sigma_bar is None:
-        sigma_bar = math.sqrt(average(measure, lambda y: np.asarray(spec.sigma1(y)) ** 2))
+        sigma_bar = math.sqrt(average(measure, spec.sigma1(measure.grid) ** 2))
     j_sigma, j_b = model_integrals(spec, measure)
-
-    a, d, r_squared = fit_affine(quotes)
-    big_a, big_b = recover_constants((a, d), sigma_bar, spec.epsilon)
-    fit = AffineFit(a=a, d=d, r_squared=r_squared, a_recovered=big_a, b_recovered=big_b)
+    fit = fit_smile(quotes, sigma_bar, spec.epsilon)
 
     if abs(j_b) <= 1e-12 * _j_b_scale(spec, measure):
         raise Unidentifiable("J_b = 0 for this model (b vanishes or sigma1 is constant); "
                              "eta has no effect on B")
-    eta = (big_b / j_b - spec.rho) / math.sqrt(1.0 - spec.rho ** 2)
-    rho_residual = abs(big_a - spec.rho * j_sigma)
+    eta = (fit.b_recovered / j_b - spec.rho) / math.sqrt(1.0 - spec.rho ** 2)
+    rho_residual = abs(fit.a_recovered - spec.rho * j_sigma)
     return SurfaceCalibration(fit=fit, eta=eta, rho_residual=rho_residual,
                               j_sigma=j_sigma, j_b=j_b)
 
@@ -144,7 +148,7 @@ def _j_b_scale(spec: ModelSpec, measure: InvariantMeasure) -> float:
     where a varying sigma1 gives at least 4e-4 of it.
     """
     y = measure.grid
-    s1, s2, b = (np.asarray(f(y)) for f in (spec.sigma1, spec.sigma2, spec.b))
+    s1, s2, b = spec.sigma1(y), spec.sigma2(y), spec.b(y)
     mass = cumulative_trapezoid(s1 ** 2 * measure.density, y)
     return float(trapezoid(np.abs(b / (s1 * s2)) * np.minimum(mass, mass[-1] - mass), y))
 

@@ -212,18 +212,15 @@ def _cmd_pde_sweep(args) -> None:
 
 def _cmd_calibrate(args) -> None:
     quotes = calibrate.read_quotes_csv(args.quotes)
-    header = ["a", "d", "r_squared", "A", "B"]
-    if not args.config:
-        a, d, r_squared = calibrate.fit_affine(quotes)
-        big_a, big_b = calibrate.recover_constants((a, d), args.sigma_bar, args.epsilon)
-        _write_csv(args.out, header, [a, d, r_squared, big_a, big_b])
-        return
-    spec = _load_spec(args.config, epsilon=args.epsilon)
-    result = calibrate.calibrate_from_surface(quotes, spec, sigma_bar=args.sigma_bar)
-    fit = result.fit  # the one fit: (a, d, r^2) and the (A, B) recovered from it
-    _write_csv(args.out, header + ["eta", "rho_residual"],
+    if args.config:
+        spec = _load_spec(args.config, epsilon=args.epsilon)
+        result = calibrate.calibrate_from_surface(quotes, spec, sigma_bar=args.sigma_bar)
+        fit, eta_columns = result.fit, {"eta": result.eta, "rho_residual": result.rho_residual}
+    else:
+        fit, eta_columns = calibrate.fit_smile(quotes, args.sigma_bar, args.epsilon), {}
+    _write_csv(args.out, ["a", "d", "r_squared", "A", "B", *eta_columns],
                [fit.a, fit.d, fit.r_squared, fit.a_recovered, fit.b_recovered,
-                result.eta, result.rho_residual])
+                *eta_columns.values()])
 
 
 # --- argument parsing ---------------------------------------------------------

@@ -75,7 +75,7 @@ def _unnormalized_density(spec: ModelSpec, grid: np.ndarray) -> np.ndarray:
     outward; for constant sigma2 the integrand is linear, so the rule is
     exact and the density is exactly Gaussian.
     """
-    s2sq = np.asarray(spec.sigma2(grid)) ** 2
+    s2sq = spec.sigma2(grid) ** 2
     integrand = 2.0 * (spec.m - grid) / s2sq
     anchor = int(np.argmin(np.abs(grid - spec.m)))
     exponent = np.empty_like(grid)

@@ -5,7 +5,9 @@ The model has a stock-price volatility ``sigma1(y)``, a vol-of-vol
 factor Y with mean level ``m`` and time scale ``epsilon``.  Coefficient
 functions come from a closed, serializable family: constants, arctangent
 ramps and tables with linear interpolation (flat beyond the table, so
-boundedness is preserved).
+boundedness is preserved); each returns a float ndarray of its input's
+shape.  ``ModelSpec`` defines the combinations that the PDE and the
+asymptotics share: ``risk_prefactor``, ``lam`` and ``h``.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ class Constant:
 
     value: float
 
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.full_like(y, self.value)
-        return out if out.ndim else float(out)
+    def __call__(self, y) -> np.ndarray:
+        return np.full_like(np.asarray(y, dtype=float), self.value)
 
     def config_value(self) -> str:
         return f"constant:{self.value!r}"
@@ -53,10 +53,9 @@ class Arctangent:
     base: float
     amplitude: float
 
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        out = self.base + (self.amplitude / math.pi) * np.arctan(y)
-        return out if out.ndim else float(out)
+    def __call__(self, y) -> np.ndarray:
+        ramp = np.arctan(np.asarray(y, dtype=float))
+        return np.asarray(self.base + (self.amplitude / math.pi) * ramp)
 
     def config_value(self) -> str:
         return f"atan:{self.base!r},{self.amplitude!r}"
@@ -82,10 +81,8 @@ class Tabulated:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.interp(y, self.grid, self.values)
-        return out if out.ndim else float(out)
+    def __call__(self, y) -> np.ndarray:
+        return np.asarray(np.interp(np.asarray(y, dtype=float), self.grid, self.values))
 
     def config_value(self) -> str:
         if not self.source:
@@ -160,6 +157,20 @@ class ModelSpec:
     epsilon: float
     strike: float
     maturity: float
+
+    @property
+    def risk_prefactor(self) -> float:
+        """rho + eta sqrt(1 - rho^2): scales the PDE's risk drift in y and A~ and B."""
+        return self.rho + self.eta * math.sqrt(1.0 - self.rho ** 2)
+
+    @property
+    def lam(self) -> float:
+        """lambda = gamma (1 - rho^2): scales the PDE's quadratic term, G and its oracle."""
+        return self.gamma * (1.0 - self.rho ** 2)
+
+    def h(self, y) -> np.ndarray:
+        """b^2 / (2 gamma sigma1^2) at ``y``: minus the PDE's source, the first corrector's rhs."""
+        return self.b(y) ** 2 / (2.0 * self.gamma * self.sigma1(y) ** 2)
 
     def with_(self, **changes) -> "ModelSpec":
         """Copy with selected fields replaced (specs are immutable)."""

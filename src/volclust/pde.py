@@ -4,11 +4,14 @@ The value functions u (payoff start) and u-tilde (zero start) march in
 time-to-maturity under
 
     du/dtau = s1^2/2 u_xx + s2^2/(2 eps) u_yy + rho s1 s2 / sqrt(eps) u_xy
-              + [ (m - y)/eps - (rho + eta sqrt(1-rho^2)) b s2 / (s1 sqrt(eps)) ] u_y
-              - s1^2/2 u_x - b^2/(2 gamma s1^2)
-              + gamma (1 - rho^2) s2^2 / (2 eps) (u_y)^2,
+              + [ (m - y)/eps - prefactor b s2 / (s1 sqrt(eps)) ] u_y
+              - s1^2/2 u_x - h + lambda s2^2 / (2 eps) (u_y)^2,
 
-and the put price is P = u_tilde - u.  Discretization: central second
+and the put price is P = u_tilde - u.  The model combinations in it are
+``ModelSpec``'s: ``risk_prefactor`` = rho + eta sqrt(1 - rho^2), shared
+with the constants A~ and B; ``lam`` = gamma (1 - rho^2), which also
+scales G and the oracle below; and ``h`` = b^2 / (2 gamma s1^2), the
+first corrector's right-hand side.  Discretization: central second
 differences for the diffusions and the mixed term, first-order upwind
 for every first-order term.  Upwinding keeps every off-diagonal weight
 of ``_stencil`` >= 0 whatever the cell Peclet number, so the implicit
@@ -28,8 +31,8 @@ an M-matrix, so the stiff drift costs nothing; a frozen-coefficient von
 Neumann argument shows the implicit passes dominate the explicit mixed
 term for any |rho| < 1, so dt is set by the quadratic term, by resolving
 the fast relaxation (dt <= eps/4), and by a baseline step count.  The
-quadratic step is contractive while dt max|u_y| <= G = eps dy / (gamma
-(1 - rho^2) sup sigma2^2), so ``make_grid`` takes G over an estimate of
+quadratic step is contractive while dt max|u_y| <= G = eps dy / (lambda
+sup sigma2^2), so ``make_grid`` takes G over an estimate of
 max|u_y| and the march caps max|u_y| at G / dt.  The solver monitors
 that cap, the amplitude bound and the price band, each with one
 comparison that a NaN fails too, and halves dt when a monitor trips.
@@ -43,34 +46,15 @@ the mixed term, the x-solve and the x-boundary fold act on u's columns.
 Everything fixed during a solve is set up once per attempt, so a step
 only subtracts, multiplies and adds; the coefficient ranges behind the
 dy cap and G are evaluated once per ``make_grid`` and once per attempt.
-The explicit step takes one raw y-difference D = W[j + 1] - W[j - 1]
-and one raw x-difference of D; dt and the spacings are folded into
-three weight columns (``_explicit_weights``).
-The gradient monitor reads max |D| / (2 dy), which, rounding being
-monotone, is max |u_y| of the central u_y to the bit.  The x-system, one
-tridiagonal matrix per y-row, has only three distinct rows (first,
-interior, last).  It is eliminated once, row by row without row
-interchanges, and stored as multipliers, reciprocal pivots and sup over
-pivot; the interior pivots reach a fixed point within a few rows, and
-the rows past it share one set of arrays.  Each step solves it in place
-as a sweep along x over u's contiguous y-columns, vectorised over the
-y-rows: two calls per x-column forward, one scaling per run of rows that
-share a pivot, two calls per x-column back.  Without pivoting the
-x-system must be diagonally dominant; its folded first row is so only
-while a <= 1/2, so a larger a trips a monitor before the first step.
-The y-system, one matrix for all nx + 1 columns of W, is factored once
-per attempt too.  Upwinding gives its off-diagonals one sign, so a
-diagonal scaling s with s[i + 1] / s[i] = sqrt(dl[i] / du[i]) makes
-S^-1 A S symmetric, with off-diagonal -sqrt(dl du), and positive
-definite, since it has the M-matrix A's eigenvalues.  LAPACK's dpttrf
-factors it as L D L^T once; each step scales W by 1 / s, runs dpttrs
-in place and scales back by s.  dpttrs's back-substitution forms
-b[i] / d[i] - e[i] b[i + 1], so its division is off the chain of
-dependent operations, where dgtsv (which also refactors every call) and
-dgttrs divide inside it (the README has the timings).  It must run in
-place on W, since the x-sweep's column views are made once per attempt;
-a copy is a fault, raised as RuntimeError and not retried, and so is a
-y-system that cannot be symmetrised or factored.
+``_explicit_weights`` folds dt and the spacings into the explicit step's
+weights.  The x-system is eliminated once without row interchanges
+(``_factor_x_system``, which needs a <= 1/2) and solved in place as a
+sweep along x (``_solve_x_system``); the y-system is symmetrised and
+factored as L D L^T once (``_factor_y_system``) and solved in place on W
+by dpttrs (``_solve_y_system``).  Each says how; the README has why and
+the timings.  A y-system that cannot be symmetrised or factored, or a
+y-solve that returns a copy, is a fault, raised as RuntimeError and not
+retried.
 
 Boundary conditions (the continuum problem lives on the whole plane):
 zero second x-derivative at the x-ends, which reproduces both payoff
@@ -120,7 +104,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform tensor grid plus the time step."""
+    """Uniform tensor grid plus the time step, finite and > 0 even with no steps."""
 
     x: np.ndarray
     y: np.ndarray
@@ -139,7 +123,7 @@ class Grid2D:
             object.__setattr__(self, name, nodes)
         if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 0:
             raise BadGrid(f"n_steps must be an integer >= 0, got {self.n_steps!r}")
-        if not math.isfinite(self.dt) or (self.n_steps > 0 and not self.dt > 0):
+        if not (math.isfinite(self.dt) and self.dt > 0):
             raise BadGrid(f"dt must be finite and > 0, got {self.dt}")
 
     @property
@@ -173,9 +157,8 @@ class PriceSurface:
 def _coefficient_bounds(spec: ModelSpec) -> tuple[float, float, float]:
     """(sup sigma1, inf sigma2, sup sigma2) on the model's probe grid."""
     ys = probe_grid(spec)
-    s1 = np.asarray(spec.sigma1(ys))
-    s2 = np.asarray(spec.sigma2(ys))
-    return float(s1.max()), float(s2.min()), float(s2.max())
+    s2 = spec.sigma2(ys)
+    return float(spec.sigma1(ys).max()), float(s2.min()), float(s2.max())
 
 
 def _max_dy(spec: ModelSpec, s2_min: float) -> float:
@@ -184,7 +167,7 @@ def _max_dy(spec: ModelSpec, s2_min: float) -> float:
 
 def _gradient_constant(spec: ModelSpec, s2_max: float, dy: float) -> float:
     """G: the explicit quadratic-gradient step is contractive while dt max|u_y| <= G."""
-    return spec.epsilon * dy / (spec.gamma * (1.0 - spec.rho ** 2) * s2_max ** 2)
+    return spec.epsilon * dy / (spec.lam * s2_max ** 2)
 
 
 def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
@@ -268,21 +251,18 @@ def _banded(dl, d, du) -> np.ndarray:
 
 
 class _Coefficients:
-    """Nodal PDE coefficients on the y-grid."""
+    """Nodal PDE coefficients on the y-grid, built from the coefficient functions' arrays."""
 
     def __init__(self, spec: ModelSpec, y: np.ndarray):
         eps = spec.epsilon
-        s1 = np.asarray(spec.sigma1(y))
-        s2 = np.asarray(spec.sigma2(y))
-        b = np.asarray(spec.b(y))
-        prefactor = spec.rho + spec.eta * math.sqrt(1.0 - spec.rho ** 2)
+        s1, s2, b = spec.sigma1(y), spec.sigma2(y), spec.b(y)
         self.x_diffusion = 0.5 * s1 ** 2
         self.x_drift = -0.5 * s1 ** 2
         self.y_diffusion = s2 ** 2 / (2.0 * eps)
-        self.y_drift = (spec.m - y) / eps - prefactor * b * s2 / (s1 * math.sqrt(eps))
+        self.y_drift = (spec.m - y) / eps - spec.risk_prefactor * b * s2 / (s1 * math.sqrt(eps))
         self.mixed = spec.rho * s1 * s2 / math.sqrt(eps)
-        self.quad = spec.gamma * (1.0 - spec.rho ** 2) * s2 ** 2 / (2.0 * eps)
-        self.source = -(b ** 2) / (2.0 * spec.gamma * s1 ** 2)
+        self.quad = spec.lam * s2 ** 2 / (2.0 * eps)
+        self.source = -spec.h(y)
 
 
 def _build_x_system(coeffs: _Coefficients, dt: float, dx: float) -> tuple:
@@ -464,7 +444,8 @@ def _price(W: np.ndarray) -> np.ndarray:
 
 
 def payoff_initial(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
-    """Negative put payoff on the grid, shape (ny, nx)."""
+    """Negative put payoff on the grid, shape (ny, nx), by np.exp: for some x that
+    differs in the last bit from the math.exp of ``bs``'s scalar payoff."""
     pay = np.maximum(spec.strike - spec.strike * np.exp(grid.x), 0.0)
     return np.tile(-pay, (grid.y.size, 1))
 
@@ -596,15 +577,14 @@ def solve_u_tilde_cole_hopf(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     lambda recovers u_tilde through entirely different nonlinear algebra.
     """
     coeffs = _Coefficients(spec, grid.y)
-    lam = spec.gamma * (1.0 - spec.rho ** 2)
     ab = _banded(*_build_y_system(coeffs, grid.dt, grid.dy))
-    ab[1] -= grid.dt * (lam * coeffs.source)  # the reaction term
+    ab[1] -= grid.dt * (spec.lam * coeffs.source)  # the reaction term
     w = np.ones(grid.y.size)
     for _ in range(grid.n_steps):
         w = solve_banded((1, 1), ab, w)
         if w.min() <= 0.0 or not np.all(np.isfinite(w)):
             raise Instability("exponential-substitution march lost positivity")
-    return np.log(w) / lam
+    return np.log(w) / spec.lam
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Two Poisson equations ``(m-y) v' + sigma2^2 v'' / 2 = f`` with centered
 right-hand sides
 
-    f1 = b^2 / (2 gamma sigma1^2) - <b^2 / (2 gamma sigma1^2)>
+    f1 = h - <h>,  h = b^2 / (2 gamma sigma1^2) = ``ModelSpec.h``, the PDE's source negated,
     f2 = (sigma1^2 - <sigma1^2>) / 2
 
 are solved by the integrating-factor construction: the derivative is
@@ -11,10 +11,11 @@ are solved by the integrating-factor construction: the derivative is
     v'(y) = 2 / (sigma2(y)^2 pi(y)) * integral_{-inf}^y f dpi,
 
 with the equivalent tail-anchored form (sign flipped) used for y > m so
-that neither side divides a vanishing cumulative by a vanishing density.
-Only the derivatives are ever needed: the group constants feeding the
+that neither side divides a vanishing cumulative by a vanishing density
+(``_tail_anchored``, which ``model_integrals`` shares).  Only the
+derivatives are ever needed: the group constants feeding the
 sqrt(epsilon) price correction are stationary averages of coefficient
-combinations times v'.
+combinations times v', A~ and B scaled by ``ModelSpec.risk_prefactor``.
 """
 
 from __future__ import annotations
@@ -69,15 +70,18 @@ def _centered(values: np.ndarray, measure: InvariantMeasure) -> np.ndarray:
     return values - average(measure, values) / mass
 
 
+def _tail_anchored(cum: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
+    """The cumulative ``cum`` from the left end for y <= m, from the right end beyond."""
+    return np.where(y <= m, cum, cum - cum[-1])
+
+
 def _poisson_derivative(f_centered: np.ndarray, measure: InvariantMeasure,
                         sigma2_sq: np.ndarray, m: float) -> np.ndarray:
     """Integrating-factor solution derivative for a centered rhs."""
     y = measure.grid
     pi = measure.density
-    weighted = f_centered * pi
-    cum = cumulative_trapezoid(weighted, y)
-    # left-anchored for y <= m, tail-anchored (= cum - total) beyond
-    cum_switched = np.where(y <= m, cum, cum - cum[-1])
+    cum = cumulative_trapezoid(f_centered * pi, y)
+    cum_switched = _tail_anchored(cum, y, m)
 
     denom = sigma2_sq * pi
     scale = np.max(np.abs(cum))
@@ -96,12 +100,9 @@ def _poisson_derivative(f_centered: np.ndarray, measure: InvariantMeasure,
 def solve_phi_derivatives(spec: ModelSpec, measure: InvariantMeasure) -> PhiDerivatives:
     """Solve both Poisson equations for the corrector derivatives."""
     y = measure.grid
-    s1sq = np.asarray(spec.sigma1(y)) ** 2
-    s2sq = np.asarray(spec.sigma2(y)) ** 2
-    b = np.asarray(spec.b(y))
-
-    f1 = _centered(b ** 2 / (2.0 * spec.gamma * s1sq), measure)
-    f2 = _centered(0.5 * s1sq, measure)
+    s2sq = spec.sigma2(y) ** 2
+    f1 = _centered(spec.h(y), measure)
+    f2 = _centered(0.5 * spec.sigma1(y) ** 2, measure)
     return PhiDerivatives(
         grid=y,
         phi1_prime=_poisson_derivative(f1, measure, s2sq, spec.m),
@@ -115,17 +116,13 @@ def compute_group_constants(spec: ModelSpec, measure: InvariantMeasure,
     if phis.grid.shape != measure.grid.shape or not np.array_equal(phis.grid, measure.grid):
         raise ValueError("corrector derivatives and measure must share the same grid")
     y = measure.grid
-    s1 = np.asarray(spec.sigma1(y))
-    s2 = np.asarray(spec.sigma2(y))
-    b = np.asarray(spec.b(y))
-    prefactor = spec.rho + spec.eta * math.sqrt(1.0 - spec.rho ** 2)
-
+    s1, s2, b = spec.sigma1(y), spec.sigma2(y), spec.b(y)
     sigma1_bar_sq = average(measure, s1 ** 2)
     avg_b2_over_s2 = average(measure, b ** 2 / s1 ** 2)
 
     a = spec.rho * average(measure, s1 * s2 * phis.phi2_prime)
-    a_tilde = prefactor * average(measure, b * s2 / s1 * phis.phi1_prime)
-    b_const = prefactor * average(measure, b * s2 / s1 * phis.phi2_prime)
+    a_tilde = spec.risk_prefactor * average(measure, b * s2 / s1 * phis.phi1_prime)
+    b_const = spec.risk_prefactor * average(measure, b * s2 / s1 * phis.phi2_prime)
     j_sigma, j_b = model_integrals(spec, measure)
 
     return GroupConstants(
@@ -135,7 +132,7 @@ def compute_group_constants(spec: ModelSpec, measure: InvariantMeasure,
         a_tilde=float(a_tilde),
         b=float(b_const),
         a_alt=spec.rho * j_sigma,
-        b_alt=prefactor * j_b,
+        b_alt=spec.risk_prefactor * j_b,
     )
 
 
@@ -148,11 +145,9 @@ def model_integrals(spec: ModelSpec, measure: InvariantMeasure) -> tuple[float, 
     the prefactor vanishes.
     """
     y = measure.grid
-    s1 = np.asarray(spec.sigma1(y))
-    s2 = np.asarray(spec.sigma2(y))
-    b = np.asarray(spec.b(y))
-    inner = cumulative_trapezoid(_centered(s1 ** 2, measure) * measure.density, y)
-    inner = np.where(y <= spec.m, inner, inner - inner[-1])
+    s1, s2, b = spec.sigma1(y), spec.sigma2(y), spec.b(y)
+    inner = _tail_anchored(cumulative_trapezoid(_centered(s1 ** 2, measure) * measure.density, y),
+                           y, spec.m)
     return float(trapezoid(s1 / s2 * inner, y)), float(trapezoid(b / (s1 * s2) * inner, y))
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from volclust.asymptotics import corrected_iv
-from volclust.calibrate import (IVQuote, calibrate_from_surface, fit_affine,
-                                read_quotes_csv, recover_constants)
+from volclust.calibrate import (AffineFit, IVQuote, calibrate_from_surface, fit_affine,
+                                fit_smile, read_quotes_csv, recover_constants)
 from volclust.errors import ConfigError, DegenerateDesign, Unidentifiable
 from volclust.model import Constant, arctangent_model
 from volclust.poisson import group_constants_for
@@ -81,6 +81,15 @@ def test_round_trip_through_corrected_iv(demo_gc, demo_spec):
     big_a, big_b = recover_constants((a, d), civ.sigma_bar, demo_spec.epsilon)
     assert big_a == pytest.approx(demo_gc.a, abs=1e-10)
     assert big_b == pytest.approx(demo_gc.b, abs=1e-10)
+
+
+def test_fit_smile_is_the_fit_and_the_recovery_it_names(demo_spec):
+    quotes = line_quotes(-0.154, 0.149)[:-1] + [IVQuote(tau=1.0, x=0.3, iv=0.1, weight=2.0)]
+    a, d, r2 = fit_affine(quotes)
+    big_a, big_b = recover_constants((a, d), 0.2, 0.004)
+    assert fit_smile(quotes, 0.2, 0.004) == AffineFit(a, d, r2, big_a, big_b)
+    assert calibrate_from_surface(quotes, demo_spec, sigma_bar=0.2).fit == AffineFit(
+        a, d, r2, big_a, big_b)
 
 
 @pytest.mark.parametrize("true_eta", [0.25, 0.0])

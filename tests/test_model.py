@@ -64,6 +64,30 @@ def test_tabulated_interpolation_and_flat_tails():
     assert t(-10.0) == 1.0 and t(10.0) == 2.0                   # flat outside
 
 
+# each class's values on COEFFICIENT_NODES, as the scalar-or-array coefficients gave them
+COEFFICIENT_NODES = np.array([-3.0, -0.5, 0.0, 0.25, 1.5, 4.0])
+COEFFICIENT_VALUES = [
+    pytest.param(Constant(0.2), [0.2] * 6, id="Constant"),
+    pytest.param(Arctangent(0.3, 0.5), [0.10120819117478333, 0.22620819117478336, 0.3,
+                                        0.33898956518868467, 0.45641647909450056,
+                                        0.5110104348113154], id="Arctangent"),
+    pytest.param(Tabulated(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 2.0])),
+                 [1.0, 2.0, 3.0, 2.875, 2.25, 2.0], id="Tabulated"),
+]
+
+
+@pytest.mark.parametrize("coefficient,values", COEFFICIENT_VALUES)
+@pytest.mark.parametrize("shape", [(), (6,), (2, 3)], ids=["0d", "1d", "2d"])
+def test_coefficients_return_a_float_array_of_the_input_shape(coefficient, values, shape):
+    if shape:
+        y, expected = COEFFICIENT_NODES.reshape(shape), np.reshape(values, shape)
+    else:
+        y, expected = 0.25, np.array(values[3])  # a Python float in, a 0-d array out
+    out = coefficient(y)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape
+    assert np.array_equal(out, expected)
+
+
 def test_tabulated_rejects_bad_grid():
     with pytest.raises(ConfigError):
         Tabulated(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))

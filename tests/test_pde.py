@@ -76,7 +76,7 @@ def test_grid_validation():
     nodes = np.linspace(0, 1, 5)
     with pytest.raises(BadGrid):
         Grid2D(x=np.array([0.0, 1.0, 3.0, 4.0, 5.0]), y=nodes, dt=0.1, n_steps=1)
-    for dt, n_steps in ((-0.1, 1), (math.inf, 1), (math.nan, 1), (0.1, 2.5)):
+    for dt, n_steps in ((-0.1, 1), (math.inf, 1), (math.nan, 1), (0.1, 2.5), (0.0, 0), (-0.1, 0)):
         with pytest.raises(BadGrid):  # a ConfigError: exit code 2, not a march's 3
             Grid2D(x=nodes, y=nodes, dt=dt, n_steps=n_steps)
 
