@@ -7,9 +7,8 @@ semilinear pricing PDE, and calibrates the risk/correlation parameters
 from implied-volatility quotes.
 """
 
-from .asymptotics import (AsymptoticPrice, CorrectedIV, asymptotic_price,
-                          corrected_iv, iv_correction_from_price)
-from .bs import bs_put, bs_put_dx_derivatives, bs_vega, implied_vol
+from .asymptotics import AsymptoticPrice, CorrectedIV, asymptotic_price, corrected_iv
+from .bs import bs_put, bs_vega, implied_vol
 from .calibrate import (AffineFit, IVQuote, calibrate_from_surface, fit_affine,
                         fit_smile, recover_constants)
 from .errors import VolclustError
@@ -24,8 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticPrice", "CorrectedIV", "asymptotic_price", "corrected_iv",
-    "iv_correction_from_price", "bs_put", "bs_put_dx_derivatives", "bs_vega",
-    "implied_vol", "AffineFit", "IVQuote", "calibrate_from_surface",
+    "bs_put", "bs_vega", "implied_vol", "AffineFit", "IVQuote", "calibrate_from_surface",
     "fit_affine", "fit_smile", "recover_constants", "VolclustError", "InvariantMeasure",
     "average", "build_invariant_measure", "Arctangent", "Constant",
     "ModelSpec", "Tabulated", "arctangent_model", "read_config", "validate",

@@ -6,9 +6,17 @@ the Black-Scholes price at the stationary-average volatility and
 
     P1 = tau [ -A P0_xxx + (A + B) P0_xx - B P0_x ]
 
-with the group constants A, B from :mod:`volclust.poisson`.  Dividing P1
-by vega collapses the corrected implied volatility to a line in the
-log-moneyness-to-maturity ratio, LMMR = -x / tau:
+with the group constants A, B from :mod:`volclust.poisson`.  Divided by
+vega, P1 is affine in the log-moneyness-to-maturity ratio LMMR = -x / tau,
+
+    P1 / vega = -A / sigma_bar^3 * LMMR + (B - A/2) / sigma_bar,
+
+the epsilon-free smile shift.  It is written once, in ``_smile_shift``.
+The price takes P1 as vega times the shift, never by differencing the
+x-derivatives of P0 (that cancels O(K e^x) terms for an O(K pdf(d2))
+result); the tests check it against the operator form above, evaluated
+in high precision.  The smile is sigma_bar plus sqrt(epsilon) times the
+shift, a line in LMMR:
 
     iv(tau, x) = a * LMMR + d,
     a = -sqrt(epsilon) A / sigma_bar^3,
@@ -26,8 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bs import bs_put, bs_put_dx_derivatives, bs_vega
-from .errors import DegenerateVega
+from .bs import bs_put, bs_vega
 from .model import ModelSpec
 from .poisson import GroupConstants
 
@@ -44,13 +51,24 @@ class AsymptoticPrice:
     u1_tilde: float
 
 
+def _smile_shift(gc: GroupConstants) -> tuple[float, float]:
+    """The epsilon-free shift (iv - sigma_bar) / sqrt(epsilon) as (LMMR slope, intercept)."""
+    sigma_bar = gc.sigma_bar
+    if not sigma_bar > 0:
+        raise ValueError("sigma_bar must be positive")
+    return -gc.a / sigma_bar ** 3, (gc.b - gc.a / 2.0) / sigma_bar
+
+
 def asymptotic_price(gc: GroupConstants, spec: ModelSpec, tau: float, x: float) -> AsymptoticPrice:
     """Evaluate P0, P1 and the diagnostics at one (tau, x)."""
     sigma_bar = gc.sigma_bar
     p0 = bs_put(tau, x, spec.strike, sigma_bar)
     if tau > 0.0:
-        d = bs_put_dx_derivatives(tau, x, spec.strike, sigma_bar)
-        p1 = tau * (-gc.a * d.d3x + (gc.a + gc.b) * d.d2x - gc.b * d.d1x)
+        slope, intercept = _smile_shift(gc)
+        vega = bs_vega(tau, x, spec.strike, sigma_bar)
+        # vega (slope LMMR + intercept) multiplied out, so that LMMR = -x / tau is never
+        # formed: it overflows for a tiny tau, where vega is 0, and vega / tau stays finite
+        p1 = vega * intercept - vega / tau * slope * x
     else:
         p1 = 0.0
     shift = gc.avg_b2_over_s2 * tau / (2.0 * spec.gamma)
@@ -80,27 +98,7 @@ class CorrectedIV:
 
 def corrected_iv(gc: GroupConstants, spec: ModelSpec) -> CorrectedIV:
     """Slope/intercept of the corrected smile for this model."""
-    sigma_bar = gc.sigma_bar
-    if not sigma_bar > 0:
-        raise ValueError("sigma_bar must be positive")
+    slope, intercept = _smile_shift(gc)
     sqrt_eps = math.sqrt(spec.epsilon)
-    return CorrectedIV(
-        sigma_bar=sigma_bar,
-        a=-sqrt_eps * gc.a / sigma_bar ** 3,
-        d=sigma_bar + sqrt_eps / sigma_bar * (gc.b - gc.a / 2.0),
-    )
-
-
-def iv_correction_from_price(p1: float, vega: float) -> float:
-    """Vol correction implied by a price correction: p1 / vega."""
-    if vega < 1e-300:
-        raise DegenerateVega(f"vega {vega!r} too small to convert a price correction")
-    return p1 / vega
-
-
-def corrected_iv_via_vega(gc: GroupConstants, spec: ModelSpec, tau: float, x: float) -> float:
-    """Same corrected vol through the price/vega route (identity check path)."""
-    sigma_bar = gc.sigma_bar
-    p1 = asymptotic_price(gc, spec, tau, x).P1
-    vega = bs_vega(tau, x, spec.strike, sigma_bar)
-    return sigma_bar + math.sqrt(spec.epsilon) * iv_correction_from_price(p1, vega)
+    return CorrectedIV(sigma_bar=gc.sigma_bar, a=sqrt_eps * slope,
+                       d=gc.sigma_bar + sqrt_eps * intercept)

@@ -5,22 +5,17 @@ Everything is expressed in ``x = ln(S/K)`` with zero rates:
     put(tau, x; sigma) = K N(-d2) - K e^x N(-d1),
     d1 = (x + sigma^2 tau / 2) / (sigma sqrt(tau)),   d2 = d1 - sigma sqrt(tau).
 
-The x-derivatives up to third order and the vega are closed-form; the
-identity e^x pdf(d1) = pdf(d2) collapses them to
-
-    d/dx   = -K e^x N(-d1)
-    d2/dx2 = d/dx + K pdf(d2) / (sigma sqrt(tau))
-    d3/dx3 = d2/dx2 - K d2 pdf(d2) / (sigma^2 tau)
-    vega   = K pdf(d2) sqrt(tau).
+The vega is closed-form, vega = K pdf(d2) sqrt(tau).  It is the one
+sensitivity the asymptotics need: their price correction P1 is vega
+times the smile shift (:mod:`volclust.asymptotics`).
 
 The cumulative normal goes through erfc (scipy.special.ndtr), which keeps
-relative accuracy in the tails where the derivative formulas are touchy.
+relative accuracy in the tails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import ndtr
 
@@ -55,25 +50,6 @@ def bs_put(tau: float, x: float, strike: float, sigma: float) -> float:
         return _payoff(x, strike)
     d1, d2 = _d12(tau, x, sigma)
     return strike * ndtr(-d2) - strike * math.exp(x) * ndtr(-d1)
-
-
-@dataclass(frozen=True)
-class PutDxDerivatives:
-    d1x: float  # d/dx
-    d2x: float  # d^2/dx^2
-    d3x: float  # d^3/dx^3
-
-
-def bs_put_dx_derivatives(tau: float, x: float, strike: float, sigma: float) -> PutDxDerivatives:
-    """Analytic first three x-derivatives of the put price (tau > 0)."""
-    if tau <= 0 or sigma <= 0:
-        raise ValueError("x-derivatives need tau > 0 and sigma > 0")
-    d1, d2 = _d12(tau, x, sigma)
-    srt = sigma * math.sqrt(tau)
-    d1x = -strike * math.exp(x) * ndtr(-d1)
-    d2x = d1x + strike * _pdf(d2) / srt
-    d3x = d2x - strike * d2 * _pdf(d2) / (sigma * sigma * tau)
-    return PutDxDerivatives(d1x=d1x, d2x=d2x, d3x=d3x)
 
 
 def bs_vega(tau: float, x: float, strike: float, sigma: float) -> float:

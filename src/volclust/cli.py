@@ -201,8 +201,15 @@ def _sweep_member(task):
     return pde.accuracy_sweep(spec, [spec.epsilon], probes)[0]
 
 
+def _probe(row: list[float]) -> tuple[float, ...]:
+    """A (tau, x, y) probe; a tau < 0 is a ConfigError."""
+    if row[0] < 0.0:
+        raise ConfigError(f"probe needs tau >= 0, got {row[0]}")
+    return tuple(row)
+
+
 def _cmd_pde_sweep(args) -> None:
-    probes = calibrate._read_float_rows(args.probes, ("tau", "x", "y"))
+    probes = calibrate._read_float_rows(args.probes, ("tau", "x", "y"), _probe)
     rows = _parallel_map(_sweep_member, [(_load_spec(args.config, epsilon=eps), probes)
                                          for eps in args.eps_list])
     _write_csv(args.out, ["eps", "max_abs_error", "normalized"],

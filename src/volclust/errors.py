@@ -33,10 +33,6 @@ class NoConvergence(NumericalError):
     """Root finding exhausted its iteration budget."""
 
 
-class DegenerateVega(NumericalError):
-    """Vega too small to convert a price correction into a vol correction."""
-
-
 class DegenerateDesign(ConfigError):
     """Regression design matrix is singular (all quotes share one abscissa)."""
 

@@ -15,7 +15,6 @@ is effectively spectrally accurate once the tails are resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -114,13 +113,8 @@ def build_invariant_measure(spec: ModelSpec, tol: float = 1e-10,
     return InvariantMeasure(grid=grid, density=w / float(trapezoid(w, grid)))
 
 
-def average(measure: InvariantMeasure, f: Union[Callable, np.ndarray]) -> float:
-    """Trapezoid quadrature of ``f`` against the stationary density.
-
-    ``f`` may be a coefficient function / callable or an array of nodal
-    values on ``measure.grid``.
-    """
-    values = f(measure.grid) if callable(f) else np.asarray(f, dtype=float)
+def average(measure: InvariantMeasure, values: np.ndarray) -> float:
+    """Trapezoid quadrature of ``values``, nodal on ``measure.grid``, against the density."""
     if values.shape != measure.grid.shape:
         raise ValueError("nodal values must match the measure grid")
     return float(trapezoid(values * measure.density, measure.grid))

@@ -208,7 +208,7 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     dx = float(x[1] - x[0])
 
     if tau == 0.0:
-        return Grid2D(x=x, y=y, dt=1.0, n_steps=0)
+        return Grid2D(x=x, y=y, dt=1.0, n_steps=0)  # a placeholder dt: no step is taken
     if dt is None:
         gmax0 = 0.05 * spec.strike * math.sqrt(eps)  # estimate of max |u_y|
         candidates = [
@@ -457,12 +457,14 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     W is (ny, nx + 1) and Fortran-ordered: columns ``:nx`` hold u, started
     from ``U0`` (ny, nx), and column ``nx`` holds u_tilde, started from
     zero.  Set up once per attempt: one ``_coefficient_bounds``, then dy
-    against the boundary-layer cap (a ``BadGrid``) and the monitors' caps;
-    the explicit weights; the x-factor; the y-factor with s and 1 / s; two
-    work arrays.  Each step checks max |u_y| over W against G / dt, |u|
-    and |u_tilde| against their caps, and 0 <= u_tilde - u <= K, each in
-    one comparison that a NaN fails too.  It only subtracts, multiplies
-    and adds, apart from dpttrs, in place on W between the two scalings.
+    against the boundary-layer cap (a ``BadGrid``).  A grid of no steps
+    returns W as it starts, before anything that depends on dt.  Otherwise
+    come the monitors' caps; the explicit weights; the x-factor; the
+    y-factor with s and 1 / s; two work arrays.  Each step checks max |u_y|
+    over W against G / dt, |u| and |u_tilde| against their caps, and
+    0 <= u_tilde - u <= K, each in one comparison that a NaN fails too.  It
+    only subtracts, multiplies and adds, apart from dpttrs, in place on W
+    between the two scalings.
     """
     coeffs = _Coefficients(spec, grid.y)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
@@ -471,6 +473,15 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     dy_cap = _max_dy(spec, s2_min)
     if dy > dy_cap * (1.0 + 1e-9):
         raise BadGrid(f"y spacing {dy:.3e} exceeds the boundary-layer cap {dy_cap:.3e}")
+    wanted = set(snapshot_steps)
+    snapshots: dict[int, np.ndarray] = {}
+    W = np.zeros((ny, nx + 1), order="F")  # y-columns contiguous: the y-solve works in place
+    u, u_tilde = W[:, :nx], W[:, nx]
+    u[...] = U0
+    if 0 in wanted:
+        snapshots[0] = _price(W)
+    if grid.n_steps == 0:  # no step is taken, so nothing that depends on dt is set up
+        return W, snapshots
     y_factor = _factor_y_system(*_build_y_system(coeffs, dt, dy))
     mixed, quad, source = _explicit_weights(coeffs, dt, dx, dy)
     two_dy = 2.0 * dy
@@ -480,13 +491,6 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     u_cap = (np.abs(U0).max() + growth) * 1.5 + spec.strike
     tilde_cap = growth * 1.5 + spec.strike
     band_lo, band_hi = -BAND_SLACK * spec.strike, spec.strike + BAND_SLACK * spec.strike
-    wanted = set(snapshot_steps)
-    snapshots: dict[int, np.ndarray] = {}
-    W = np.zeros((ny, nx + 1), order="F")  # y-columns contiguous: the y-solve works in place
-    u, u_tilde = W[:, :nx], W[:, nx]
-    u[...] = U0
-    if 0 in wanted:
-        snapshots[0] = _price(W)
     D = np.empty_like(W)  # raw y-differences, then the explicit increment
     D_u = D[:, :nx]
     mixed_u = np.empty((ny, nx), order="F")
@@ -553,7 +557,7 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *,
             raise BadGrid(f"snapshot step {s} is not one of the grid's steps 0..{grid.n_steps}")
     attempt_grid = grid
     for attempt in range(MAX_DT_RETRIES + 1):
-        factor = attempt_grid.n_steps // grid.n_steps if grid.n_steps else 1
+        factor = 2 ** attempt  # attempt_grid's steps per step of grid
         try:
             W, snapshots = _march(spec, attempt_grid, payoff_initial(spec, attempt_grid),
                                   snapshot_steps=[s * factor for s in steps])

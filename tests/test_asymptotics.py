@@ -1,14 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from volclust.asymptotics import (asymptotic_price, corrected_iv,
-                                  corrected_iv_via_vega,
-                                  iv_correction_from_price)
-from volclust.bs import bs_put, bs_vega
-from volclust.errors import DegenerateVega
-from volclust.model import Constant
+from conftest import random_valid_spec
+from volclust.asymptotics import asymptotic_price, corrected_iv
+from volclust.bs import bs_vega
+from volclust.model import Constant, arctangent_model
 from volclust.poisson import group_constants_for
 
 # frozen first computation; cross-validated against the PDE in acceptance
@@ -37,6 +36,12 @@ def test_small_tau_correction_vanishes(demo_gc, demo_spec):
     ap = asymptotic_price(demo_gc, demo_spec, 1e-9, -0.3)
     assert abs(ap.P1) < 1e-6
     assert ap.corrected == pytest.approx(100 - 100 * math.exp(-0.3), abs=1e-5)
+
+
+def test_p1_is_zero_where_lmmr_overflows(demo_gc, demo_spec):
+    # -x / tau is inf at this tau; vega underflows to 0, and P1 with it, not to nan
+    ap = asymptotic_price(demo_gc, demo_spec, 1e-310, 0.5)
+    assert ap.P1 == 0.0 and ap.corrected == ap.P0
 
 
 def test_demo_corrected_price_regression(demo_gc, demo_spec):
@@ -85,20 +90,6 @@ def test_affine_law_exact(demo_gc, demo_spec):
         assert abs(civ.iv(tau, x) - (civ.a * (-x / tau) + civ.d)) < 1e-14
 
 
-def test_iv_correction_from_price_basics():
-    assert iv_correction_from_price(0.0, 40.0) == 0.0
-    assert iv_correction_from_price(1.0, 40.0) == pytest.approx(0.025)
-    with pytest.raises(DegenerateVega):
-        iv_correction_from_price(1.0, 0.0)
-
-
-def test_vega_route_matches_affine_route(demo_gc, demo_spec):
-    civ = corrected_iv(demo_gc, demo_spec)
-    for tau, x in ((0.25, 0.0), (0.5, -0.2), (1.0, 0.3), (0.1, 0.05)):
-        assert corrected_iv_via_vega(demo_gc, demo_spec, tau, x) == pytest.approx(
-            civ.iv(tau, x), abs=1e-10)
-
-
 def test_gamma_independence_bitwise(demo_spec, demo_measure):
     from volclust.poisson import compute_group_constants, solve_phi_derivatives
 
@@ -132,3 +123,61 @@ def test_p1_formula_collapses_to_vega_form(demo_gc, demo_spec):
     collapsed = 100 * pdf * (demo_gc.b * math.sqrt(tau) / s + demo_gc.a * d2 / s ** 2)
     assert ap.P1 == pytest.approx(collapsed, rel=1e-10)
     assert bs_vega(tau, x, 100.0, s) == pytest.approx(100 * pdf * math.sqrt(tau), rel=1e-12)
+
+
+def _put_x_derivatives(strike, tau, x, sigma):
+    """P, P_x, P_xx, P_xxx of K N(-d2) - K e^x N(-d1) by Leibniz's rule, in mpmath.
+
+    d1 and d2 are linear in x with slope u = 1 / (sigma sqrt(tau)), so the
+    k-th x-derivative of N(-d) is (-u)^k N^(k)(-d), where N^(1) = pdf,
+    N^(2)(z) = -z pdf(z) and N^(3)(z) = (z^2 - 1) pdf(z).
+    """
+    u = 1 / (sigma * mp.sqrt(tau))
+    d1 = x * u + 1 / (2 * u)
+
+    def n_minus(d):
+        z = -d
+        pdf = mp.npdf(z)
+        return [mp.ncdf(z), -u * pdf, u ** 2 * -z * pdf, -u ** 3 * (z * z - 1) * pdf]
+
+    g2, g1 = n_minus(d1 - 1 / u), n_minus(d1)
+    return [strike * (g2[n] - mp.exp(x) * sum(mp.binomial(n, k) * g1[k] for k in range(n + 1)))
+            for n in range(4)]
+
+
+def test_put_x_derivatives_oracle_matches_mpmath_differentiation():
+    with mp.workdps(40):
+        strike, tau, x, sigma = mp.mpf(100), mp.mpf("0.3"), mp.mpf("-0.2"), mp.mpf("0.25")
+        exact = _put_x_derivatives(strike, tau, x, sigma)
+        numeric = mp.diffs(lambda z: _put_x_derivatives(strike, tau, z, sigma)[0], x, 3)
+        for e, n in zip(exact, numeric):
+            assert abs(e - n) <= mp.mpf("1e-35") * abs(n)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 5], ids=["demo", "seed1", "seed2", "seed5"])
+def test_p1_matches_the_operator_form_in_high_precision(seed):
+    """P1 against tau [-A P0_xxx + (A + B) P0_xx - B P0_x], evaluated at 320 digits.
+
+    On these points the derivatives stay below 1e3 and |A|, |B| below 1, and
+    P1 is compared only above 1e-280, so the cancellation leaves more than 30
+    of the 320 digits.  seed 2's A and B are about 1e-20, where a P1 formed
+    as (iv - sigma_bar) / sqrt(eps) would round to 0.
+    """
+    spec = arctangent_model() if seed is None else random_valid_spec(np.random.default_rng(seed))
+    gc = group_constants_for(spec)
+    rng = np.random.default_rng(2015)
+    compared = 0
+    for _ in range(40):
+        tau, x = float(rng.uniform(0.02, 2.0)), float(rng.uniform(-1.5, 1.5))
+        with mp.workdps(320):
+            t = mp.mpf(tau)
+            _, p_x, p_xx, p_xxx = _put_x_derivatives(mp.mpf(spec.strike), t, mp.mpf(x),
+                                                     mp.mpf(gc.sigma_bar))
+            a, b = mp.mpf(gc.a), mp.mpf(gc.b)
+            exact = t * (-a * p_xxx + (a + b) * p_xx - b * p_x)
+            if abs(exact) <= mp.mpf("1e-280"):
+                continue
+            p1 = asymptotic_price(gc, spec, tau, x).P1
+            assert abs(p1 - exact) <= 1e-12 * abs(exact), (tau, x, p1, float(exact))
+        compared += 1
+    assert compared >= 30

@@ -204,6 +204,16 @@ def test_non_finite_cells_exit_with_2_naming_the_file_and_column(cheap_config, t
     assert not out.exists()
 
 
+def test_pde_sweep_rejects_a_negative_probe_tau_naming_the_file_and_line(cheap_config, tmp_path,
+                                                                          capsys):
+    probes, out = tmp_path / "probes.csv", tmp_path / "out.csv"
+    probes.write_text("tau,x,y\n-0.2,0.0,0.0\n0.05,0.0,0.0\n")
+    assert main(["pde-sweep", "--config", cheap_config, "--eps-list", "0.25",
+                 "--probes", str(probes), "--out", str(out)]) == 2
+    assert f"{str(probes)!r} line 2: probe needs tau >= 0, got -0.2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_price_rejects_a_non_finite_x(demo_config, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["price", "--config", demo_config, "--x", "0.0", "--x", "nan",

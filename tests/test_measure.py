@@ -47,11 +47,11 @@ def test_ou_standard_deviation(demo_spec, demo_measure):
 def test_normalization(demo_measure):
     mass = trapezoid(demo_measure.density, demo_measure.grid)
     assert abs(mass - 1.0) < 1e-8
-    assert average(demo_measure, Constant(1.0)) == pytest.approx(1.0, abs=1e-8)
+    assert average(demo_measure, Constant(1.0)(demo_measure.grid)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_average_sigma1_sq_against_quadrature_oracle(demo_spec, demo_measure):
-    value = average(demo_measure, lambda y: np.asarray(demo_spec.sigma1(y)) ** 2)
+    value = average(demo_measure, demo_spec.sigma1(demo_measure.grid) ** 2)
     assert value > 0.09  # symmetry: 0.09 + (0.5/pi)^2 E[atan^2 Y]
     assert value == pytest.approx(DEMO_AVG_SIGMA1_SQ, abs=1e-10)
 
@@ -102,7 +102,7 @@ def test_doubling_resolution_is_quadrature_stable(demo_spec):
     for f in (lambda y: np.asarray(demo_spec.sigma1(y)) ** 2,
               lambda y: 1.0 / np.asarray(demo_spec.sigma1(y)) ** 2,
               np.cos):
-        assert abs(average(coarse, f) - average(fine, f)) < 1e-7
+        assert abs(average(coarse, f(coarse.grid)) - average(fine, f(fine.grid))) < 1e-7
 
 
 def test_doubling_resolution_nonconstant_sigma2(demo_spec):
@@ -112,7 +112,7 @@ def test_doubling_resolution_nonconstant_sigma2(demo_spec):
     coarse = build_invariant_measure(spec, n_nodes=4001)
     fine = build_invariant_measure(spec, n_nodes=8001)
     for f in (lambda y: np.asarray(spec.sigma1(y)) ** 2, np.cos):
-        assert abs(average(coarse, f) - average(fine, f)) < 1e-7
+        assert abs(average(coarse, f(coarse.grid)) - average(fine, f(fine.grid))) < 1e-7
 
 
 def test_density_nonnegative(demo_measure):

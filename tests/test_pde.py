@@ -108,6 +108,19 @@ def test_price_is_payoff_at_tau_zero(fast_spec):
     assert np.array_equal(surface.P, np.tile(payoff[:, None], (1, grid.y.size)))
 
 
+@pytest.mark.parametrize("nx", [601, 2401])
+def test_tau_zero_on_the_demo_is_the_payoff_without_a_halving(nx, caplog):
+    """A grid of no steps sets up nothing from its placeholder dt, so it never halves it."""
+    spec = arctangent_model()
+    grid = make_grid(spec, 0.0, nx=nx)
+    with caplog.at_level(logging.INFO, logger="volclust.pde"):
+        surface = price_surface(spec, grid, snapshot_steps=[0])
+    assert [r for r in caplog.records if r.name == "volclust.pde"] == []
+    assert surface.grid is grid
+    payoff = np.tile(np.maximum(100 - 100 * np.exp(grid.x), 0.0)[:, None], (1, grid.y.size))
+    assert surface.P.tobytes() == surface.snapshots[0].tobytes() == payoff.tobytes()
+
+
 def test_price_band(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=121)
     surface = price_surface(fast_spec, grid)
