@@ -53,7 +53,7 @@ def bs_put(tau: float, x: float, strike: float, sigma: float) -> float:
 
 
 def bs_vega(tau: float, x: float, strike: float, sigma: float) -> float:
-    """d(price)/d(sigma); strictly positive for tau > 0."""
+    """d(price)/d(sigma); >= 0, and 0.0 where the normal density of d2 underflows."""
     if tau <= 0 or sigma <= 0:
         raise ValueError("vega needs tau > 0 and sigma > 0")
     _, d2 = _d12(tau, x, sigma)

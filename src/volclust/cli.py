@@ -28,36 +28,51 @@ FIGURE2_ETAS = (-0.25, 0.0, 0.25)
 FIGURE2_LM_SPAN = (-0.3, 0.3)
 FIGURE2_POINTS = 61
 CSV_BLOCK_ROWS = 1024  # rows formatted and written at a time
+CELL_FORMAT = "%.17g"  # every number in every CSV: 17 significant digits
 
 
 def _fmt(value) -> str:
-    return f"{float(value):.17g}"
+    return CELL_FORMAT % float(value)
 
 
-_text = np.frompyfunc(_fmt, 1, 1)  # elementwise _fmt into an object array
+def _text(a: np.ndarray) -> np.ndarray:
+    """``_fmt`` of each element of ``a``, in one ``%``, as an object array of ``a``'s shape."""
+    cells = ((CELL_FORMAT + "\n") * a.size % tuple(a.ravel().tolist())).split("\n")
+    return np.array(cells[:-1], dtype=object).reshape(a.shape)
 
 
 def _write_csv(out: str | None, header: list[str], columns) -> None:
     """Write the broadcast ``columns``, one row per element in C order, to ``out``.
 
-    A column constant along the leading axis is formatted once, any other
-    one block of leading indices at a time, so memory holds one block.
-    ``out`` of '-' or None means stdout.
+    Each block of leading indices is written as one ``template % values``.
+    A column constant along the leading axis is formatted once, into the
+    template; a column of the full shape is a ``%.17g`` field; any other is
+    a ``%s`` field, formatted once per block.  A template is built once per
+    block shape and memory holds one block.  ``out`` of '-' or None means
+    stdout.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes((1,), *(a.shape for a in arrays))
     arrays = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays]
-    fixed = [_text(a) if a.shape[0] == 1 else None for a in arrays]
+    cells = [_text(a) if a.shape[0] == 1 else CELL_FORMAT if a.shape == shape else "%s"
+             for a in arrays]
+    fields = [(a, a.shape == shape) for a in arrays if a.shape[0] > 1]
     per_lead = int(np.prod(shape[1:]))
     step = max(1, CSV_BLOCK_ROWS // max(1, per_lead))
+    templates = {}
     to_stdout = out in (None, "-")
     with contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, shape[0] if per_lead else 0, step):
             block = (min(step, shape[0] - start),) + shape[1:]
-            cells = [np.broadcast_to(_text(a[start:start + step]) if t is None else t, block)
-                     .ravel().tolist() for a, t in zip(arrays, fixed)]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            if block not in templates:
+                rows = zip(*(np.broadcast_to(c, block).ravel().tolist() for c in cells))
+                templates[block] = "\n".join(map(",".join, rows)) + "\n"
+            values = np.empty(block + (len(fields),), dtype=object)
+            for k, (a, full) in enumerate(fields):
+                part = a[start:start + step]
+                values[..., k] = part if full else _text(part)
+            fh.write(templates[block] % tuple(values.ravel().tolist()))
 
 
 def _worker_count(n_tasks: int) -> int:

@@ -605,12 +605,15 @@ def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
                    grid_factory=None) -> list[SweepRow]:
     """Measure the corrected-asymptotics gap across a decreasing epsilon list.
 
-    Probes are (tau, x, y) triples, snapped to the nearest node and time
-    step of each epsilon's grid; the asymptotic side is evaluated at the
-    snapped coordinates so the comparison is node-exact.
+    Probes are (tau, x, y) triples with tau >= 0, snapped to the nearest
+    node and time step of each epsilon's grid; the asymptotic side is
+    evaluated at the snapped coordinates so the comparison is node-exact.
     """
     if not probe_points:
         raise ValueError("need at least one probe point")
+    for probe in probe_points:
+        if not probe[0] >= 0.0:
+            raise ValueError(f"probe {tuple(probe)} needs tau >= 0, got {probe[0]}")
     gc = group_constants_for(spec)  # epsilon-independent
     tau_final = max(p[0] for p in probe_points)
     rows = []
@@ -634,4 +637,4 @@ def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
 
 
 def _snap_step(tau: float, grid: Grid2D) -> int:
-    return max(0, min(grid.n_steps, int(round(tau / grid.dt))))
+    return min(grid.n_steps, int(round(tau / grid.dt)))

@@ -39,6 +39,11 @@ def test_vega_closed_form_and_positivity():
                        rng.uniform(0.05, 2)) > 0
 
 
+@pytest.mark.parametrize("tau, x, sigma", [(1e-310, 0.5, 0.3), (0.02, -1.5, 0.05)])
+def test_vega_is_exactly_zero_where_the_density_underflows(tau, x, sigma):
+    assert bs_vega(tau, x, 100.0, sigma) == 0.0
+
+
 def test_vega_vanishes_like_sqrt_tau():
     small = bs_vega(1e-10, 0.0, 100.0, 0.2)
     assert small == pytest.approx(100 * 1e-5 / math.sqrt(2 * math.pi), rel=1e-6)

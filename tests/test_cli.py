@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import volclust
 from volclust.cli import build_parser, main
@@ -345,6 +348,60 @@ def _oracle_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+SPECIAL_VALUES = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+                  0.1 + 0.2)
+
+
+def _broadcast_rows(columns):
+    """The rows of ``_write_csv(..., columns)``: the broadcast elements in C order."""
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes((1,), *(a.shape for a in arrays))
+    return list(zip(*(np.broadcast_to(a, shape).ravel() for a in arrays)))
+
+
+def test_text_is_fmt_of_each_element():
+    from volclust.cli import _fmt, _text
+
+    values = np.array(SPECIAL_VALUES + (-1.2345678901234567e300, 2.0 ** 53 + 2, 3))
+    assert _text(values).tolist() == [_fmt(v) for v in values]
+    grid = values[:10].reshape(2, 5)
+    assert _text(grid).tolist() == [[_fmt(v) for v in row] for row in grid]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), block_rows=st.integers(1, 12),
+       shapes=hnp.mutually_broadcastable_shapes(num_shapes=4, min_dims=0, max_dims=3,
+                                                max_side=5))
+def test_writer_matches_row_oracle_on_random_broadcast_shapes(tmp_path_factory, data,
+                                                              block_rows, shapes):
+    from volclust import cli
+
+    cells = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+    n_columns = data.draw(st.integers(1, 4))
+    columns = [data.draw(hnp.arrays(float, shape, elements=cells))
+               for shape in shapes.input_shapes[:n_columns]]
+    header = [f"c{i}" for i in range(n_columns)]
+    folder = tmp_path_factory.mktemp("writer")
+    got, want = folder / "got.csv", folder / "want.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        cli._write_csv(str(got), header, columns)
+    _oracle_csv(str(want), header, _broadcast_rows(columns))
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("out", ["-", None])
+def test_writer_stdout_matches_row_oracle(tmp_path, capsys, out):
+    from volclust.cli import _write_csv
+
+    x, y = np.linspace(-1, 1, 4), np.array(SPECIAL_VALUES)
+    columns = [0.5, x[:, None], y[None, :], x[:, None] * y]
+    want = tmp_path / "want.csv"
+    _write_csv(out, ["tau", "x", "y", "xy"], columns)
+    _oracle_csv(str(want), ["tau", "x", "y", "xy"], _broadcast_rows(columns))
+    assert capsys.readouterr().out == want.read_text()
+
+
 def test_writer_special_values_match_row_oracle(tmp_path):
     from volclust.cli import _write_csv
 
@@ -357,7 +414,10 @@ def test_writer_special_values_match_row_oracle(tmp_path):
     assert got.read_text().splitlines()[1:4] == ["-0,0,7", "0,-0,7", "nan,nan,7"]
 
 
-@pytest.mark.parametrize("block_rows", [1, 5, 1024])
+# 6 rows a block puts 2 leading indices of the (7, 3) case in each block, so the
+# (7, 1) column is broadcast inside a block and the last, partial block needs a
+# template of its own
+@pytest.mark.parametrize("block_rows", [1, 5, 6, 1024])
 def test_writer_broadcasts_columns_in_c_order(tmp_path, monkeypatch, block_rows):
     from volclust import cli
 

@@ -556,6 +556,23 @@ def test_accuracy_sweep_single_member(fast_spec):
         rows[0].max_abs_error / (-0.04 * math.log(0.04)))
 
 
+def test_accuracy_sweep_rejects_a_negative_probe_tau_before_any_grid():
+    spec = arctangent_model(epsilon=0.25, maturity=0.05)
+    grids = []
+
+    def factory(spec_eps, tau):
+        grids.append(tau)
+        return make_grid(spec_eps, tau, nx=41)
+
+    with pytest.raises(ValueError, match=r"probe \(-0\.2, 0, 0\) needs tau >= 0, got -0\.2"):
+        accuracy_sweep(spec, [0.25], [(-0.2, 0, 0), (0.05, 0, 0)], grid_factory=factory)
+    with pytest.raises(ValueError, match=r"needs tau >= 0, got nan"):
+        accuracy_sweep(spec, [0.25], [(0.05, 0, 0), (math.nan, 0, 0)], grid_factory=factory)
+    assert grids == []
+    (row,) = accuracy_sweep(spec, [0.25], [(0.0, 0, 0), (0.05, 0, 0)], grid_factory=factory)
+    assert grids == [0.05] and math.isfinite(row.max_abs_error)
+
+
 def test_payoff_initial_matches_contract(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=61)
     u0 = payoff_initial(fast_spec, grid)
