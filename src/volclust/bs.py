@@ -16,12 +16,14 @@ relative accuracy in the tails.
 from __future__ import annotations
 
 import math
+import sys
 
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .errors import ConfigError, NoConvergence, OutOfBand
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)  # math.exp overflows above it
 
 #: search interval and tolerances for implied-vol inversion
 VOL_FLOOR = 1e-8
@@ -40,16 +42,22 @@ def _d12(tau: float, x: float, sigma: float) -> tuple[float, float]:
 
 
 def _payoff(x: float, strike: float) -> float:
-    """The put's payoff ``max(K - K e^x, 0)``."""
-    return max(strike - strike * math.exp(x), 0.0)
+    """The put's payoff ``max(K - K e^x, 0)``: 0 for x >= 0, where e^x may overflow."""
+    return 0.0 if x >= 0.0 else max(strike - strike * math.exp(x), 0.0)
 
 
 def bs_put(tau: float, x: float, strike: float, sigma: float) -> float:
-    """Put price; collapses to the payoff at tau = 0."""
+    """Put price; collapses to the payoff at tau = 0.
+
+    Where K e^x overflows, K e^x N(-d1) is taken as K exp(x + log N(-d1)),
+    which stays finite: N(-d1) falls faster than e^x grows.
+    """
     if tau == 0.0:
         return _payoff(x, strike)
     d1, d2 = _d12(tau, x, sigma)
-    return strike * ndtr(-d2) - strike * math.exp(x) * ndtr(-d1)
+    if x > _LOG_MAX_FLOAT or math.isinf(forward := strike * math.exp(x)):
+        return strike * ndtr(-d2) - strike * math.exp(x + log_ndtr(-d1))
+    return strike * ndtr(-d2) - forward * ndtr(-d1)
 
 
 def bs_vega(tau: float, x: float, strike: float, sigma: float) -> float:

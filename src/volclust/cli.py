@@ -4,7 +4,8 @@ Subcommands: constants, price, iv-surface, pde-solve, pde-sweep,
 calibrate, figure1, figure2, measure-dump.  Inputs are checked where
 they enter: a checked type per numeric flag, ``model.validate`` per spec
 after its overrides, one reader for probe and quote files.  Exit codes:
-0 success, 2 bad input (naming the flag or file), 3 numerical failure.
+0 success, 2 bad input (naming the flag or file) or an output file that
+cannot be opened (naming its path), 3 numerical failure.
 CSVs have a header and 17 significant digits and rerun byte-identical.
 Independent PDE solves (figure2's etas, pde-sweep's epsilons) run in
 parallel workers; VOLCLUST_THREADS caps the worker count.
@@ -41,6 +42,14 @@ def _text(a: np.ndarray) -> np.ndarray:
     return np.array(cells[:-1], dtype=object).reshape(a.shape)
 
 
+def _open_out(path: str, **kwargs):
+    """``open(path, "w")``; a path that cannot be opened is a ``ConfigError`` naming it."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(out: str | None, header: list[str], columns) -> None:
     """Write the broadcast ``columns``, one row per element in C order, to ``out``.
 
@@ -49,7 +58,7 @@ def _write_csv(out: str | None, header: list[str], columns) -> None:
     template; a column of the full shape is a ``%.17g`` field; any other is
     a ``%s`` field, formatted once per block.  A template is built once per
     block shape and memory holds one block.  ``out`` of '-' or None means
-    stdout.
+    stdout; nothing is opened before the columns broadcast.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes((1,), *(a.shape for a in arrays))
@@ -61,7 +70,7 @@ def _write_csv(out: str | None, header: list[str], columns) -> None:
     step = max(1, CSV_BLOCK_ROWS // max(1, per_lead))
     templates = {}
     to_stdout = out in (None, "-")
-    with contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "w", newline="") as fh:
+    with contextlib.nullcontext(sys.stdout) if to_stdout else _open_out(out, newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, shape[0] if per_lead else 0, step):
             block = (min(step, shape[0] - start),) + shape[1:]
@@ -104,7 +113,7 @@ def _load_spec(path: str | None, **overrides) -> model.ModelSpec:
 
 
 def _write_gnuplot(script_path: str, lines: list[str]) -> None:
-    with open(script_path, "w") as fh:
+    with _open_out(script_path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

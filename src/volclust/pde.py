@@ -27,15 +27,22 @@ tests' consistency check both take their weights from it.  Time
 stepping is a first-order IMEX Lie splitting: the mixed term, the
 quadratic gradient term and the constant source step explicitly, then
 one implicit tridiagonal pass in x and one in y.  The implicit y-pass is
-an M-matrix, so the stiff drift costs nothing; a frozen-coefficient von
-Neumann argument shows the implicit passes dominate the explicit mixed
-term for any |rho| < 1, so dt is set by the quadratic term, by resolving
-the fast relaxation (dt <= eps/4), and by a baseline step count.  The
-quadratic step is contractive while dt max|u_y| <= G = eps dy / (lambda
-sup sigma2^2), so ``make_grid`` takes G over an estimate of
-max|u_y| and the march caps max|u_y| at G / dt.  The solver monitors
-that cap, the amplitude bound and the price band, each with one
-comparison that a NaN fails too, and halves dt when a monitor trips.
+an M-matrix, so the stiff drift costs nothing.  The implicit passes also
+dominate the explicit mixed term for every |rho| <= 1, by a
+frozen-coefficient von Neumann bound: at wave numbers (thx, thy), with
+X = dt (s1^2 / 2) 4 sin^2(thx / 2) / dx^2 and Y = dt (s2^2 / (2 eps))
+4 sin^2(thy / 2) / dy^2, the mixed term's symbol m satisfies
+|m| <= 2 |rho| sqrt(X Y) <= X + Y, and upwinding only adds a
+non-negative real part to each implicit symbol, so the amplification
+|1 - m| / |(1 - dt Lx)(1 - dt Ly)| is at most (1 + X + Y) / ((1 + X)(1 + Y))
+<= 1.  So the whole dt policy is three candidates: the quadratic term's
+G over an estimate of max|u_y|, resolving the fast relaxation
+(dt <= eps/4), and a baseline of ``MIN_STEPS`` steps; dt is ``SAFETY``
+times the least.  The quadratic step is contractive while
+dt max|u_y| <= G = eps dy / (lambda sup sigma2^2), and the march caps
+max|u_y| at G / dt.  The solver monitors that cap, the amplitude bound
+and the price band, each with one comparison that a NaN fails too, and
+halves dt when a monitor trips.
 
 Both value functions march in one Fortran-ordered (ny, nx + 1) array W:
 columns ``:nx`` hold u and the last holds u-tilde, which does not depend
@@ -154,11 +161,10 @@ class PriceSurface:
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # requested step -> P
 
 
-def _coefficient_bounds(spec: ModelSpec) -> tuple[float, float, float]:
-    """(sup sigma1, inf sigma2, sup sigma2) on the model's probe grid."""
-    ys = probe_grid(spec)
-    s2 = spec.sigma2(ys)
-    return float(spec.sigma1(ys).max()), float(s2.min()), float(s2.max())
+def _coefficient_bounds(spec: ModelSpec) -> tuple[float, float]:
+    """(inf sigma2, sup sigma2) on the model's probe grid."""
+    s2 = spec.sigma2(probe_grid(spec))
+    return float(s2.min()), float(s2.max())
 
 
 def _max_dy(spec: ModelSpec, s2_min: float) -> float:
@@ -177,8 +183,11 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
 
     The y-domain spans 6 stationary standard deviations each side of the
     mean level (stretched below when epsilon > 1) and the y-spacing
-    resolves the boundary layer: dy <= sqrt(eps) * inf(sigma2) / 4.  A
-    given ``dt`` must be finite and positive; it is shrunk to divide tau.
+    resolves the boundary layer: dy <= sqrt(eps) * inf(sigma2) / 4, with
+    at least ``MIN_NY`` nodes; a given ``ny`` below either is a ``BadGrid``
+    naming the one that binds.  Without a ``dt``, dt is ``SAFETY`` times
+    the least of the module docstring's three candidates, whatever rho.
+    A given ``dt`` must be finite and positive; it is shrunk to divide tau.
     ``tau`` must be finite and >= 0; tau = 0 gives the payoff grid (no steps).
     """
     if not (math.isfinite(tau) and tau >= 0.0):
@@ -192,37 +201,27 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     std = measure.std()
     y_lo = spec.m - 6.0 * std * max(1.0, math.sqrt(eps))
     y_hi = spec.m + 6.0 * std
-    s1_max, s2_min, s2_max = _coefficient_bounds(spec)
-    dy_cap = _max_dy(spec, s2_min)
-    ny_required = max(MIN_NY, int(math.ceil((y_hi - y_lo) / dy_cap)) + 1)
+    s2_min, s2_max = _coefficient_bounds(spec)
+    ny_cap = int(math.ceil((y_hi - y_lo) / _max_dy(spec, s2_min))) + 1
+    ny_required, bound = max((MIN_NY, "the MIN_NY floor"), (ny_cap, "the boundary-layer dy cap"))
     if ny is None:
         ny = ny_required
     elif ny < ny_required:
-        raise BadGrid(f"ny = {ny} too coarse: boundary layer needs at least {ny_required} nodes")
+        raise BadGrid(f"ny = {ny} too coarse: {bound} needs at least {ny_required} nodes")
     if ny % 2 == 0:
         ny += 1  # keep the mean level on a node for symmetric domains
 
-    x = np.linspace(x_span[0], x_span[1], nx)
-    y = np.linspace(y_lo, y_hi, ny)
-    dy = float(y[1] - y[0])
-    dx = float(x[1] - x[0])
-
+    # the payoff grid; its placeholder dt is never stepped
+    grid = Grid2D(x=np.linspace(*x_span, nx), y=np.linspace(y_lo, y_hi, ny), dt=1.0, n_steps=0)
     if tau == 0.0:
-        return Grid2D(x=x, y=y, dt=1.0, n_steps=0)  # a placeholder dt: no step is taken
+        return grid
     if dt is None:
         gmax0 = 0.05 * spec.strike * math.sqrt(eps)  # estimate of max |u_y|
-        candidates = [
-            _gradient_constant(spec, s2_max, dy) / gmax0,
-            0.25 * eps,            # resolve the fast relaxation
-            tau / MIN_STEPS,       # baseline time resolution
-        ]
-        if abs(spec.rho) > 0.95:
-            # near-degenerate correlation: fall back to the raw explicit
-            # bound on the mixed term rather than trusting the implicit damping
-            candidates.append(math.sqrt(eps) * dx * dy / (2.0 * abs(spec.rho) * s1_max * s2_max))
-        dt = SAFETY * min(candidates)
+        dt = SAFETY * min(_gradient_constant(spec, s2_max, grid.dy) / gmax0,
+                          0.25 * eps,       # resolve the fast relaxation
+                          tau / MIN_STEPS)  # baseline time resolution
     n_steps = max(1, int(math.ceil(tau / dt)))
-    return Grid2D(x=x, y=y, dt=tau / n_steps, n_steps=n_steps)
+    return replace(grid, dt=tau / n_steps, n_steps=n_steps)
 
 
 def _stencil(diffusion, drift, h):
@@ -469,7 +468,7 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     coeffs = _Coefficients(spec, grid.y)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
     nx, ny = grid.x.size, grid.y.size
-    _, s2_min, s2_max = _coefficient_bounds(spec)
+    s2_min, s2_max = _coefficient_bounds(spec)
     dy_cap = _max_dy(spec, s2_min)
     if dy > dy_cap * (1.0 + 1e-9):
         raise BadGrid(f"y spacing {dy:.3e} exceeds the boundary-layer cap {dy_cap:.3e}")

@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from volclust.bs import bs_put, bs_vega, implied_vol, no_arbitrage_band
 from volclust.errors import ConfigError, OutOfBand
@@ -20,6 +22,45 @@ def test_atm_price_against_normal_cdf():
 
 def test_deep_out_of_the_money_vanishes():
     assert bs_put(1.0, 6.0, 100.0, 0.2) < 1e-8
+
+
+def _mp_put(tau, x, strike, sigma):
+    """K N(-d2) - K e^x N(-d1) in 50-digit arithmetic."""
+    with mp.workdps(50):
+        x, srt = mp.mpf(x), mp.mpf(sigma) * mp.sqrt(tau)
+        d1 = x / srt + srt / 2
+        return float(strike * mp.ncdf(-(d1 - srt)) - strike * mp.exp(x) * mp.ncdf(-d1))
+
+
+@pytest.mark.parametrize("x, srt", [(709.7, math.sqrt(2 * 709.7)), (710.0, math.sqrt(1420.0)),
+                                    (800.0, math.sqrt(1600.0)), (800.0, 0.2)])
+def test_put_stays_finite_where_e_to_the_x_overflows(x, srt):
+    """At sigma sqrt(tau) = sqrt(2x), K e^x N(-d1) is about K pdf(0) / d1, not small."""
+    assert bs_put(1.0, x, 100.0, srt) == pytest.approx(_mp_put(1.0, x, 100.0, srt),
+                                                       rel=1e-12, abs=1e-12)
+
+
+def test_put_at_the_largest_x_is_zero():
+    """mpmath's erfc cannot take d ~ 5e308; the reference is the bound 0 <= P <= K pdf(d2) / d2."""
+    with mp.workdps(50):
+        d2 = mp.mpf(1e308) / mp.mpf(0.2) - mp.mpf(0.1)
+        assert 100 * mp.npdf(d2) / d2 < mp.mpf(2) ** -1075  # below the least subnormal
+    assert bs_put(1.0, 1e308, 100.0, 0.2) == 0.0
+
+
+def test_put_keeps_the_plain_formula_where_e_to_the_x_is_finite():
+    rng = np.random.default_rng(7)
+    for x, tau, sigma in zip(rng.uniform(-5.0, 705.0, 200), rng.uniform(1e-4, 3.0, 200),
+                             rng.uniform(0.01, 2.0, 200)):
+        srt = sigma * math.sqrt(tau)
+        d1 = x / srt + 0.5 * srt
+        plain = 100.0 * ndtr(-(d1 - srt)) - 100.0 * math.exp(x) * ndtr(-d1)
+        assert bs_put(tau, x, 100.0, sigma) == plain
+
+
+@pytest.mark.parametrize("x", [709.7, 710.0, 800.0, 1e308])
+def test_payoff_at_expiry_where_e_to_the_x_overflows(x):
+    assert bs_put(0.0, x, 100.0, 0.2) == no_arbitrage_band(x, 100.0)[0] == 0.0
 
 
 def test_payoff_consistency_small_tau():

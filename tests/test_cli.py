@@ -64,6 +64,13 @@ def test_price_command(demo_config, capsys):
     assert corrected == pytest.approx(6.019690881458755, rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", ["0.25", "0"])
+def test_price_far_above_the_strike_is_zero(demo_config, capsys, tau):
+    """e^x overflows a float from x = 709.79 on; the put there is worth 0."""
+    assert main(["price", "--config", demo_config, "--tau", tau, "--x", "800"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"{tau},800,0,0,0"
+
+
 def test_figure1_rows_sit_on_the_line(tmp_path):
     out = tmp_path / "fig1.csv"
     assert main(["figure1", "--a", "-0.154", "--d", "0.149", "--out", str(out)]) == 0
@@ -215,6 +222,16 @@ def test_pde_sweep_rejects_a_negative_probe_tau_naming_the_file_and_line(cheap_c
                  "--probes", str(probes), "--out", str(out)]) == 2
     assert f"{str(probes)!r} line 2: probe needs tau >= 0, got -0.2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_output_that_cannot_be_opened_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "missing" / "fig1.csv"
+    assert main(["figure1", "--a", "-0.1", "--d", "0.2", "--out", str(out)]) == 2
+    assert f"cannot write {out}: No such file or directory" in capsys.readouterr().err
+    (tmp_path / "fig1.gp").mkdir()  # the CSV opens, the gnuplot script next to it cannot
+    out = tmp_path / "fig1.csv"
+    assert main(["figure1", "--a", "-0.1", "--d", "0.2", "--out", str(out)]) == 2
+    assert f"cannot write {tmp_path / 'fig1.gp'}: Is a directory" in capsys.readouterr().err
 
 
 def test_price_rejects_a_non_finite_x(demo_config, tmp_path, capsys):

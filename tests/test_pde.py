@@ -45,6 +45,21 @@ def test_make_grid_respects_boundary_layer(fast_spec):
         make_grid(fast_spec, 0.25, ny=11)
 
 
+def test_a_coarse_ny_is_rejected_naming_the_bound_that_binds(fast_spec):
+    """At eps = 0.04 the MIN_NY floor binds and a grid of 181 y-nodes meets the dy cap;
+    at the demo's eps = 0.004 the dy cap binds."""
+    with pytest.raises(BadGrid) as info:
+        make_grid(fast_spec, 0.25, nx=41, ny=181)
+    assert str(info.value) == "ny = 181 too coarse: the MIN_NY floor needs at least 201 nodes"
+    grid = make_grid(fast_spec, 0.25, nx=41)
+    grid = replace(grid, y=np.linspace(grid.y[0], grid.y[-1], 181))
+    assert price_surface(fast_spec, grid).grid.n_steps == grid.n_steps  # no halving either
+    with pytest.raises(BadGrid) as info:
+        make_grid(arctangent_model(), 0.25, nx=41, ny=537)
+    assert str(info.value) == ("ny = 537 too coarse: the boundary-layer dy cap needs at least "
+                               "538 nodes")
+
+
 def test_price_surface_rejects_a_hand_built_grid_above_the_dy_cap(fast_spec, monkeypatch):
     """dy > sqrt(eps) inf sigma2 / 4 is a BadGrid naming both spacings, before any step."""
     def no_step(*args):
@@ -60,16 +75,81 @@ def test_price_surface_rejects_a_hand_built_grid_above_the_dy_cap(fast_spec, mon
     assert str(info.value) == f"y spacing {coarse.dy:.3e} exceeds the boundary-layer cap {cap:.3e}"
 
 
-def test_near_degenerate_correlation_binds_the_mixed_term_candidate():
-    """Above |rho| = 0.95 make_grid adds the raw explicit bound on the mixed term, and it binds."""
+@pytest.mark.parametrize("rho", [-0.95, -0.96, -0.99, 0.99, -0.999])
+def test_near_degenerate_correlation_keeps_the_relaxation_step(rho):
+    """No dt candidate depends on rho: the demo takes eps/4's 500 steps up to |rho| -> 1."""
+    assert make_grid(arctangent_model().with_(rho=rho), 0.25, nx=201).n_steps == 500
+
+
+def test_near_degenerate_correlation_solves_at_the_relaxation_step(caplog):
+    """At rho = +-0.99 the demo takes 500 steps with no halving, stays in the band, and
+    its dt against dt/4 gap is within 1.1x of that at the demo's own rho = -0.2."""
+    def time_gap(spec):
+        grid = make_grid(spec, 0.25, nx=201)
+        with caplog.at_level(logging.INFO, logger="volclust.pde"):
+            surface = price_surface(spec, grid)
+        assert [r for r in caplog.records if r.name == "volclust.pde"] == []
+        assert surface.grid.n_steps == 500
+        assert -1e-6 * spec.strike <= surface.P.min() <= surface.P.max() <= spec.strike
+        finer = price_surface(spec, make_grid(spec, 0.25, nx=201, dt=grid.dt / 4))
+        return np.abs(surface.P - finer.P).max()
+
     demo = arctangent_model()
-    assert make_grid(demo.with_(rho=-0.95), 0.25, nx=201).n_steps == 500
-    spec = demo.with_(rho=-0.96)
-    grid = make_grid(spec, 0.25, nx=201)
-    s1_max, _, s2_max = pde._coefficient_bounds(spec)
-    mixed = math.sqrt(spec.epsilon) * grid.dx * grid.dy / (2.0 * 0.96 * s1_max * s2_max)
-    assert grid.n_steps == math.ceil(0.25 / (pde.SAFETY * mixed)) == 17389
-    assert grid.dt == pytest.approx(1.438e-5, rel=1e-3)
+    reference = time_gap(demo)
+    for rho in (-0.99, 0.99):
+        assert time_gap(demo.with_(rho=rho)) <= 1.1 * reference
+
+
+def _max_amplification(spec: ModelSpec, grid: Grid2D) -> float:
+    """max |g| of one linear step, coefficients frozen at each y-node, over 65 x 65 wave numbers.
+
+    For the mode exp(i (k thx + j thy)) the explicit mixed step is 1 + mixed (2i sin thx)
+    (2i sin thy), from the raw differences its weight multiplies, and each implicit pass
+    is 1 - dt (sub e^-i th + diag + sup e^i th), from its ``_stencil``.
+    """
+    coeffs = pde._Coefficients(spec, grid.y)
+    mixed = pde._explicit_weights(coeffs, grid.dt, grid.dx, grid.dy)[0][:, 0]
+    theta = np.linspace(-np.pi, np.pi, 65)
+    shift = np.exp(1j * theta)
+
+    def implicit(diffusion, drift, h):
+        sub, diag, sup = pde._stencil(diffusion[:, None], drift[:, None], h)
+        return 1.0 - grid.dt * (sub / shift + diag + sup * shift)  # (ny, 65)
+
+    ix = implicit(coeffs.x_diffusion, coeffs.x_drift, grid.dx)
+    iy = implicit(coeffs.y_diffusion, coeffs.y_drift, grid.dy)
+    diff = 2j * np.sin(theta)
+    return max(float(np.abs((1.0 + m * np.outer(diff, diff)) / np.outer(gx, gy)).max())
+               for m, gx, gy in zip(mixed, ix, iy))
+
+
+def test_implicit_passes_dominate_the_explicit_mixed_term_up_to_rho_one():
+    """|m| <= 2 |rho| sqrt(X Y) <= X + Y, so |g| <= 1 for every |rho| <= 1: the bound that
+    lets make_grid's dt ignore rho, checked at 1x and 64x its dt on two x-spacings."""
+    rng = np.random.default_rng(18)
+    models = [arctangent_model()] + [random_valid_spec(rng) for _ in range(3)]
+    for spec in (model.with_(rho=rho) for model in models for rho in (-0.999, 0.999)):
+        for nx in (41, 601):
+            grid = make_grid(spec, 0.25, nx=nx)
+            for scale in (1, 64):
+                assert _max_amplification(spec, replace(grid, dt=grid.dt * scale)) <= 1 + 1e-10
+
+
+@pytest.mark.parametrize("eps, tau, binding, n_steps", [
+    (0.004, 0.25, "relaxation", 500), (0.04, 0.25, "baseline", 400), (1.0, 10.0, "gradient", 453)])
+def test_each_dt_candidate_binds_somewhere(eps, tau, binding, n_steps):
+    """dt is SAFETY times the least of three candidates, and each is the least somewhere."""
+    spec = arctangent_model(epsilon=eps)
+    grid = make_grid(spec, tau, nx=41)
+    _, s2_max = pde._coefficient_bounds(spec)
+    gmax0 = 0.05 * spec.strike * math.sqrt(eps)  # make_grid's estimate of max |u_y|
+    candidates = {
+        "gradient": pde._gradient_constant(spec, s2_max, grid.dy) / gmax0,
+        "relaxation": eps / 4,
+        "baseline": tau / pde.MIN_STEPS,
+    }
+    assert min(candidates, key=candidates.get) == binding
+    assert grid.n_steps == math.ceil(tau / (pde.SAFETY * candidates[binding])) == n_steps
 
 
 def test_grid_validation():
