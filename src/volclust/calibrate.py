@@ -15,7 +15,6 @@ model integral independent of eta.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateDesign, Unidentifiable
 from .measure import (InvariantMeasure, average, build_invariant_measure, cumulative_trapezoid,
                       trapezoid)
-from .model import ModelSpec
+from .model import ModelSpec, read_float_rows
 from .poisson import model_integrals
 
 
@@ -153,45 +152,6 @@ def _j_b_scale(spec: ModelSpec, measure: InvariantMeasure) -> float:
     return float(trapezoid(np.abs(b / (s1 * s2)) * np.minimum(mass, mass[-1] - mass), y))
 
 
-def _read_float_rows(path: str, names: tuple[str, ...], make=tuple, **defaults: float) -> list:
-    """``make`` of the finite floats of the named columns, then the ``defaults`` ones, per data row.
-
-    Header names are case-insensitive.  A column in ``defaults`` may be
-    absent or blank; any other gap, or a cell that is no finite number,
-    raises ConfigError naming the file and the column.  A ConfigError
-    from ``make`` is raised again naming the file and the line.
-    """
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = [name.strip().lower() for name in next(reader, [])]
-            for name in names:
-                if name not in header:
-                    raise ConfigError(f"{path!r} has no column {name!r}")
-            rows = []
-            for cells in filter(None, reader):  # blank lines hold no row
-                texts = dict(zip(header, map(str.strip, cells)))
-                row = []
-                for name in names + tuple(defaults):
-                    text = texts.get(name) or defaults.get(name, "")
-                    try:
-                        row.append(float(text))
-                    except ValueError:
-                        row.append(math.nan)  # reported below, as a non-finite number is
-                    if not math.isfinite(row[-1]):
-                        raise ConfigError(f"{path!r} line {reader.line_num}, column {name!r}: "
-                                          f"expected a finite number, got {text!r}")
-                try:
-                    rows.append(make(row))
-                except ConfigError as exc:
-                    raise ConfigError(f"{path!r} line {reader.line_num}: {exc}") from exc
-    except (OSError, UnicodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"{path!r} has no data rows")
-    return rows
-
-
 def read_quotes_csv(path: str) -> list[IVQuote]:
     """Read quotes from a csv with header tau,x,iv[,weight]; a blank or absent weight is 1."""
-    return _read_float_rows(path, ("tau", "x", "iv"), lambda row: IVQuote(*row), weight=1.0)
+    return read_float_rows(path, ("tau", "x", "iv"), lambda row: IVQuote(*row), weight=1.0)

@@ -3,9 +3,11 @@
 Subcommands: constants, price, iv-surface, pde-solve, pde-sweep,
 calibrate, figure1, figure2, measure-dump.  Inputs are checked where
 they enter: a checked type per numeric flag, ``model.validate`` per spec
-after its overrides, one reader for probe and quote files.  Exit codes:
-0 success, 2 bad input (naming the flag or file) or an output file that
-cannot be opened (naming its path), 3 numerical failure.
+after its overrides, and one reader, ``model.read_float_rows``, for
+probe, quote and coefficient-table files, each with a required header
+row.  Output paths are checked before any work.  Exit codes: 0 success,
+2 bad input (naming the flag or file) or an output file that cannot be
+opened (naming its path), 3 numerical failure.
 CSVs have a header and 17 significant digits and rerun byte-identical.
 Independent PDE solves (figure2's etas, pde-sweep's epsilons) run in
 parallel workers; VOLCLUST_THREADS caps the worker count.
@@ -48,6 +50,24 @@ def _open_out(path: str, **kwargs):
         return open(path, "w", **kwargs)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _gnuplot_path(out: str | None) -> str | None:
+    """The gnuplot script a figure writes beside ``out``; None when ``out`` is stdout."""
+    return None if out in (None, "-") else os.path.splitext(out)[0] + ".gp"
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output whose directory is missing or that is a directory.
+
+    The outputs are ``--out`` and, for a figure, its gnuplot script.  The
+    check opens nothing, so it creates and truncates nothing.
+    """
+    paths = [args.out, _gnuplot_path(args.out) if args.plots else None]
+    for path in (p for p in paths if p not in (None, "-")):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            reason = "Is a directory" if os.path.isdir(path) else "No such file or directory"
+            raise ConfigError(f"cannot write {path}: {reason}")
 
 
 def _write_csv(out: str | None, header: list[str], columns) -> None:
@@ -112,9 +132,11 @@ def _load_spec(path: str | None, **overrides) -> model.ModelSpec:
     return spec
 
 
-def _write_gnuplot(script_path: str, lines: list[str]) -> None:
-    with _open_out(script_path) as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_gnuplot(out: str | None, lines: list[str]) -> None:
+    """Write the gnuplot script for the figure data at ``out``, unless that is stdout."""
+    if script := _gnuplot_path(out):
+        with _open_out(script) as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -141,6 +163,9 @@ def _smile_line(args) -> tuple[float, float]:
     """Slope/intercept either given directly or derived from a config."""
     if args.a is not None and args.d is not None:
         return args.a, args.d
+    if args.a is not None or args.d is not None:
+        given, missing = ("--a", "--d") if args.d is None else ("--d", "--a")
+        raise ConfigError(f"{given} needs {missing}: the smile line takes both or neither")
     if args.config is None:
         raise ConfigError("need either --a and --d, or --config to derive them")
     spec = _load_spec(args.config)
@@ -160,16 +185,15 @@ def _cmd_figure1(args) -> None:
     taus = np.linspace(args.tau_min, args.tau_max, args.n_tau)
     lmmrs = np.linspace(args.lmmr_min, args.lmmr_max, args.n_lmmr)
     _write_csv(args.out, ["tau", "lmmr", "iv"], [taus[:, None], lmmrs, args.a * lmmrs + args.d])
-    if args.out not in (None, "-"):
-        _write_gnuplot(os.path.splitext(args.out)[0] + ".gp", [
-            "set datafile separator ','",
-            "set xlabel 'LMMR'",
-            "set ylabel 'time to maturity'",
-            "set zlabel 'implied volatility'",
-            "set dgrid3d {},{}".format(args.n_tau, args.n_lmmr),
-            "set hidden3d",
-            f"splot '{os.path.basename(args.out)}' every ::1 using 2:1:3 with lines notitle",
-        ])
+    _write_gnuplot(args.out, [
+        "set datafile separator ','",
+        "set xlabel 'LMMR'",
+        "set ylabel 'time to maturity'",
+        "set zlabel 'implied volatility'",
+        "set dgrid3d {},{}".format(args.n_tau, args.n_lmmr),
+        "set hidden3d",
+        f"splot '{os.path.basename(args.out)}' every ::1 using 2:1:3 with lines notitle",
+    ])
 
 
 def _figure2_curve(task) -> list[float]:
@@ -190,17 +214,16 @@ def _cmd_figure2(args) -> None:
     curves = _parallel_map(_figure2_curve, tasks)
     _write_csv(args.out, ["log_moneyness", "iv_eta_m025", "iv_eta_0", "iv_eta_p025"],
                [lm_grid, *curves])
-    if args.out not in (None, "-"):
-        name = os.path.basename(args.out)
-        _write_gnuplot(os.path.splitext(args.out)[0] + ".gp", [
-            "set datafile separator ','",
-            "set xlabel 'log moneyness'",
-            "set ylabel 'implied volatility'",
-            "set key top left",
-            f"plot '{name}' every ::1 using 1:2 with lines title 'eta = -0.25', \\",
-            f"     '{name}' every ::1 using 1:3 with lines title 'eta = 0', \\",
-            f"     '{name}' every ::1 using 1:4 with lines title 'eta = 0.25'",
-        ])
+    name = os.path.basename(args.out)
+    _write_gnuplot(args.out, [
+        "set datafile separator ','",
+        "set xlabel 'log moneyness'",
+        "set ylabel 'implied volatility'",
+        "set key top left",
+        f"plot '{name}' every ::1 using 1:2 with lines title 'eta = -0.25', \\",
+        f"     '{name}' every ::1 using 1:3 with lines title 'eta = 0', \\",
+        f"     '{name}' every ::1 using 1:4 with lines title 'eta = 0.25'",
+    ])
 
 
 def _cmd_measure_dump(args) -> None:
@@ -233,7 +256,7 @@ def _probe(row: list[float]) -> tuple[float, ...]:
 
 
 def _cmd_pde_sweep(args) -> None:
-    probes = calibrate._read_float_rows(args.probes, ("tau", "x", "y"), _probe)
+    probes = model.read_float_rows(args.probes, ("tau", "x", "y"), _probe)
     rows = _parallel_map(_sweep_member, [(_load_spec(args.config, epsilon=eps), probes)
                                          for eps in args.eps_list])
     _write_csv(args.out, ["eps", "max_abs_error", "normalized"],
@@ -286,11 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, out=None):
-        """A subcommand parser with its handler and its --out default."""
+    def command(name, func, summary, out=None, plots=False):
+        """A subcommand parser with its handler, its --out default and whether it writes a plot."""
         p = sub.add_parser(name, help=summary, exit_on_error=False)
         p.add_argument("--out", default=out)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, plots=plots)
         return p
 
     p = command("constants", _cmd_constants, "group constants for a model config")
@@ -311,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=count, default=51)
 
     p = command("figure1", _cmd_figure1, "smile surface from a given (a, d) line",
-                out="figure1.csv")
+                out="figure1.csv", plots=True)
     p.add_argument("--a", type=finite, required=True)
     p.add_argument("--d", type=finite, required=True)
     p.add_argument("--tau-min", type=nonnegative, default=0.1)
@@ -322,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-lmmr", type=count, default=41)
 
     p = command("figure2", _cmd_figure2, "PDE-implied skew for three risk premia",
-                out="figure2.csv")
+                out="figure2.csv", plots=True)
     p.add_argument("--config", default=None, help="model config (default arctangent demo)")
     p.add_argument("--tau", type=positive, default=0.25)
     p.add_argument("--epsilon", type=positive, default=0.004)
@@ -358,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_outputs(args)
         args.func(args)
     except argparse.ArgumentError as exc:  # e.g. a flag value that fails its type
         print("error:", *filter(None, (exc.argument_name, exc.message)), file=sys.stderr)

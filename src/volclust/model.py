@@ -7,7 +7,9 @@ functions come from a closed, serializable family: constants, arctangent
 ramps and tables with linear interpolation (flat beyond the table, so
 boundedness is preserved); each returns a float ndarray of its input's
 shape.  ``ModelSpec`` defines the combinations that the PDE and the
-asymptotics share: ``risk_prefactor``, ``lam`` and ``h``.
+asymptotics share: ``risk_prefactor``, ``lam`` and ``h``.  File input
+lives here too: the ini config round trip and ``read_float_rows``, the
+one reader of numeric CSVs (coefficient tables, quotes and probes).
 """
 
 from __future__ import annotations
@@ -94,48 +96,67 @@ CoefficientFunction = Union[Constant, Arctangent, Tabulated]
 
 
 def coefficient_from_string(text: str, base_dir: str = ".") -> CoefficientFunction:
-    """Parse ``constant:<v>``, ``atan:<base>,<amp>`` or ``table:<path.csv>``."""
+    """Parse ``constant:<v>``, ``atan:<base>,<amp>`` or ``table:<path.csv>`` (columns y,value)."""
     kind, _, arg = text.strip().partition(":")
+    if kind == "table":
+        path = arg if os.path.isabs(arg) else os.path.join(base_dir, arg)
+        grid, values = np.array(read_float_rows(path, ("y", "value"))).T
+        try:
+            return Tabulated(grid, values, source=arg)
+        except ConfigError as exc:
+            raise ConfigError(f"{path!r}: {exc}") from exc
     try:
         if kind == "constant":
             return Constant(float(arg))
         if kind == "atan":
             base, amp = (float(p) for p in arg.split(","))
             return Arctangent(base, amp)
-        if kind == "table":
-            path = arg if os.path.isabs(arg) else os.path.join(base_dir, arg)
-            grid, values = _read_table_csv(path)
-            return Tabulated(grid, values, source=arg)
-    except ConfigError:
-        raise
-    except Exception as exc:
+    except ValueError as exc:
         raise ConfigError(f"cannot parse coefficient {text!r}: {exc}") from exc
     raise ConfigError(f"unknown coefficient kind {kind!r} in {text!r}")
 
 
-def _read_table_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+def read_float_rows(path: str, names: tuple[str, ...], make=tuple, **defaults: float) -> list:
+    """``make`` of the finite floats of the named columns, then the ``defaults`` ones, per data row.
+
+    The one reader of numeric CSV input: coefficient tables, quotes and
+    probes.  The header row is required; columns are found by name,
+    case-insensitive, and blank lines are skipped.  A missing column is a
+    ConfigError naming the file and the column.  A column in ``defaults``
+    may be absent or blank; any other missing or empty cell, or one that
+    is no finite number, is a ConfigError naming the file, the line and
+    the column.  A ConfigError from ``make`` is raised again naming the
+    file and the line.
+    """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read table csv {path!r}: {exc}") from exc
-    if rows and not _is_numeric_row(rows[0]):
-        rows = rows[1:]  # header row
-    ys, vals = [], []
-    for row in rows:
-        if not row:
-            continue
-        ys.append(float(row[0]))
-        vals.append(float(row[1]))
-    return np.asarray(ys), np.asarray(vals)
-
-
-def _is_numeric_row(row) -> bool:
-    try:
-        [float(c) for c in row[:2]]
-        return True
-    except (ValueError, IndexError):
-        return False
+            reader = csv.reader(fh)
+            header = [name.strip().lower() for name in next(reader, [])]
+            for name in names:
+                if name not in header:
+                    raise ConfigError(f"{path!r} has no column {name!r}")
+            rows = []
+            for cells in filter(None, reader):  # blank lines hold no row
+                texts = dict(zip(header, map(str.strip, cells)))
+                row = []
+                for name in names + tuple(defaults):
+                    text = texts.get(name) or defaults.get(name, "")
+                    try:
+                        row.append(float(text))
+                    except ValueError:
+                        row.append(math.nan)  # reported below, as a non-finite number is
+                    if not math.isfinite(row[-1]):
+                        raise ConfigError(f"{path!r} line {reader.line_num}, column {name!r}: "
+                                          f"expected a finite number, got {text!r}")
+                try:
+                    rows.append(make(row))
+                except ConfigError as exc:
+                    raise ConfigError(f"{path!r} line {reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path!r} has no data rows")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -200,8 +221,9 @@ def validate(spec: ModelSpec) -> ValidationReport:
                         ("strike", spec.strike), ("maturity", spec.maturity)):
         if not value > 0 or not math.isfinite(value):
             bad.append(f"{name} must be positive and finite, got {value}")
-    if not math.isfinite(spec.m):
-        bad.append(f"mean level m must be finite, got {spec.m}")
+    for name, value in (("mean level m", spec.m), ("eta", spec.eta)):
+        if not math.isfinite(value):
+            bad.append(f"{name} must be finite, got {value}")
 
     ys = probe_grid(spec) if math.isfinite(spec.m) else np.linspace(-PROBE_HALF_WIDTH, PROBE_HALF_WIDTH, PROBE_POINTS)
     for name, fn in (("sigma1", spec.sigma1), ("sigma2", spec.sigma2)):

@@ -93,6 +93,18 @@ def test_iv_surface_direct_coefficients(capsys):
         assert iv == pytest.approx(-0.154 * lmmr + 0.149, abs=1e-14)
 
 
+@pytest.mark.parametrize("flag,partner", [("--a", "--d"), ("--d", "--a")])
+@pytest.mark.parametrize("with_config", [True, False], ids=["config", "no-config"])
+def test_iv_surface_refuses_a_lone_line_flag_naming_its_partner(demo_config, tmp_path, capsys,
+                                                                flag, partner, with_config):
+    out = tmp_path / "out.csv"
+    config = ["--config", demo_config] if with_config else []
+    assert main(["iv-surface", *config, flag, "-9", "--tau", "0.5", "--nx", "2",
+                 "--out", str(out)]) == 2
+    assert f"{flag} needs {partner}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_measure_dump(demo_config, capsys):
     assert main(["measure-dump", "--config", demo_config]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -232,6 +244,54 @@ def test_an_output_that_cannot_be_opened_exits_2_naming_it(tmp_path, capsys):
     out = tmp_path / "fig1.csv"
     assert main(["figure1", "--a", "-0.1", "--d", "0.2", "--out", str(out)]) == 2
     assert f"cannot write {tmp_path / 'fig1.gp'}: Is a directory" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def no_solve(monkeypatch):
+    """Make any PDE solve fail; one worker keeps every solve in this process."""
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the output was checked")
+    monkeypatch.setattr("volclust.pde.price_surface", solve)
+    monkeypatch.setenv("VOLCLUST_THREADS", "1")
+
+
+@pytest.mark.parametrize("command", [
+    ["pde-solve", "--nx", "41"],
+    ["figure2", "--nx", "41", "--epsilon", "0.25", "--tau", "0.05"],
+    ["pde-sweep", "--eps-list", "0.25"],
+], ids=["pde-solve", "figure2", "pde-sweep"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_an_unwritable_out_is_refused_before_any_solve(cheap_config, tmp_path, capsys, no_solve,
+                                                       command, where):
+    probes, _ = _input_files(tmp_path)
+    out = tmp_path / "missing" / "out.csv" if where == "missing-dir" else tmp_path
+    inputs = ["--probes", probes] if command[0] == "pde-sweep" else []
+    assert main(command + ["--config", cheap_config, *inputs, "--out", str(out)]) == 2
+    reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+    assert f"cannot write {out}: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["figure1", "--a", "-0.1", "--d", "0.2"],
+    ["figure2", "--nx", "41", "--epsilon", "0.25", "--tau", "0.05"],
+], ids=["figure1", "figure2"])
+def test_a_figure_whose_plot_script_is_a_directory_writes_nothing(tmp_path, capsys, no_solve,
+                                                                   command):
+    out = tmp_path / "fig.csv"
+    out.write_text("kept\n")
+    (tmp_path / "fig.gp").mkdir()
+    assert main(command + ["--out", str(out)]) == 2
+    assert f"cannot write {tmp_path / 'fig.gp'}: Is a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"  # neither truncated nor rewritten
+
+
+def test_constants_refuses_a_non_finite_eta_naming_it(tmp_path, capsys):
+    config, out = tmp_path / "model.cfg", tmp_path / "out.csv"
+    write_config(arctangent_model(eta=math.nan), str(config))
+    assert main(["constants", "--config", str(config), "--out", str(out)]) == 2
+    assert "eta must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_price_rejects_a_non_finite_x(demo_config, tmp_path, capsys):

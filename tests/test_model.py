@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volclust.cli import main
 from volclust.errors import ConfigError
 from volclust.model import (Arctangent, Constant, ModelSpec, Tabulated,
                             arctangent_model, coefficient_from_string,
@@ -34,6 +35,11 @@ def test_negative_sigma1_rejected(demo_spec):
 ])
 def test_positive_scalars_enforced(demo_spec, field, value):
     assert not validate(demo_spec.with_(**{field: value})).is_valid
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_eta_must_be_finite(demo_spec, eta):
+    assert validate(demo_spec.with_(eta=eta)).violations == (f"eta must be finite, got {eta}",)
 
 
 def test_demo_coefficients_arctangent(demo_spec):
@@ -108,6 +114,62 @@ def test_coefficient_string_parsing(tmp_path):
     assert t(0.0) == pytest.approx(0.15)
     with pytest.raises(ConfigError):
         coefficient_from_string("spline:1,2")
+
+
+@pytest.mark.parametrize("text", [
+    "y,value\n-1.0,0.1\n1.0,0.2\n",
+    "value,y\n0.1,-1.0\n0.2,1.0\n",
+    " Y , VALUE\n-1.0,0.1\n\n1.0,0.2\n\n",
+], ids=["y-value", "value-y", "case-spaces-blank-lines"])
+def test_table_columns_are_found_by_header_name(tmp_path, text):
+    (tmp_path / "table.csv").write_text(text)
+    t = coefficient_from_string("table:table.csv", str(tmp_path))
+    assert t.grid.tolist() == [-1.0, 1.0] and t.values.tolist() == [0.1, 0.2]
+    assert t.source == "table.csv"
+
+
+# malformed coefficient tables and what the error names besides the file
+MALFORMED_TABLES = [
+    pytest.param("y,value\n0.0,nan\n1.0,0.2\n", "line 2, column 'value'", id="nan"),
+    pytest.param("y,value\n-inf,0.1\n1.0,0.2\n", "line 2, column 'y'", id="inf"),
+    pytest.param("y,value\n0.0,0.1\n\n1.0,\n", "line 4, column 'value'", id="empty-cell"),
+    pytest.param("y,value\n0.0,0.1\n1.0\n", "line 3, column 'value'", id="one-cell-row"),
+    pytest.param("-1.0,0.1\n1.0,0.2\n", "has no column 'y'", id="no-header"),
+    pytest.param("y,value\n1.0,0.1\n0.0,0.2\n", "strictly increasing", id="not-increasing"),
+    pytest.param("y,value\n0.0,0.1\n", ">= 2 nodes", id="one-node"),
+    pytest.param("y,value\n", "has no data rows", id="no-rows"),
+]
+
+
+@pytest.mark.parametrize("text,names", MALFORMED_TABLES)
+def test_malformed_table_is_a_config_error_naming_the_file(tmp_path, text, names):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        coefficient_from_string("table:bad.csv", str(tmp_path))
+    assert repr(str(path)) in str(info.value) and names in str(info.value)
+
+
+@pytest.mark.parametrize("text,names", MALFORMED_TABLES)
+def test_malformed_table_exits_the_cli_with_2_naming_the_file(tmp_path, capsys, text, names):
+    path, config = tmp_path / "bad.csv", tmp_path / "model.cfg"
+    path.write_text(text)
+    write_config(arctangent_model(), str(config))
+    parser = configparser.ConfigParser()
+    parser.read(config)
+    parser["model"]["sigma2"] = "table:bad.csv"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    assert main(["constants", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert repr(str(path)) in err and names in err
+
+
+def test_only_input_errors_become_config_errors():
+    with pytest.raises(ConfigError, match="cannot parse coefficient 'atan:0.3'"):
+        coefficient_from_string("atan:0.3")
+    with pytest.raises(TypeError):  # a caller's bug stays a traceback
+        coefficient_from_string("table:table.csv", base_dir=None)
 
 
 def test_config_round_trip(tmp_path, demo_spec):
