@@ -39,7 +39,7 @@ class Constant:
     def __call__(self, y) -> np.ndarray:
         return np.full_like(np.asarray(y, dtype=float), self.value)
 
-    def config_value(self) -> str:
+    def config_value(self, config_dir: str = ".") -> str:
         return f"constant:{self.value!r}"
 
 
@@ -59,7 +59,7 @@ class Arctangent:
         ramp = np.arctan(np.asarray(y, dtype=float))
         return np.asarray(self.base + (self.amplitude / math.pi) * ramp)
 
-    def config_value(self) -> str:
+    def config_value(self, config_dir: str = ".") -> str:
         return f"atan:{self.base!r},{self.amplitude!r}"
 
 
@@ -70,6 +70,7 @@ class Tabulated:
     grid: np.ndarray
     values: np.ndarray
     source: str = ""  # original csv path, if any; used when serializing
+    base_dir: str = "."  # the directory a relative ``source`` is read from
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -86,10 +87,13 @@ class Tabulated:
     def __call__(self, y) -> np.ndarray:
         return np.asarray(np.interp(np.asarray(y, dtype=float), self.grid, self.values))
 
-    def config_value(self) -> str:
+    def config_value(self, config_dir: str = ".") -> str:
+        """``table:`` and the csv path as a config in ``config_dir`` reads it back."""
         if not self.source:
             raise ConfigError("tabulated coefficient has no backing csv path to serialize")
-        return f"table:{self.source}"
+        if os.path.isabs(self.source):
+            return f"table:{self.source}"
+        return f"table:{os.path.relpath(os.path.join(self.base_dir, self.source), config_dir)}"
 
 
 CoefficientFunction = Union[Constant, Arctangent, Tabulated]
@@ -102,7 +106,7 @@ def coefficient_from_string(text: str, base_dir: str = ".") -> CoefficientFuncti
         path = arg if os.path.isabs(arg) else os.path.join(base_dir, arg)
         grid, values = np.array(read_float_rows(path, ("y", "value"))).T
         try:
-            return Tabulated(grid, values, source=arg)
+            return Tabulated(grid, values, source=arg, base_dir=base_dir)
         except ConfigError as exc:
             raise ConfigError(f"{path!r}: {exc}") from exc
     try:
@@ -292,10 +296,12 @@ def read_config(path: str) -> ModelSpec:
 def write_config(spec: ModelSpec, path: str) -> None:
     """Serialize a ModelSpec to an ini-style config file."""
     parser = configparser.ConfigParser()
+    config_dir = os.path.dirname(os.path.abspath(path))
     for section, keys in _CONFIG_LAYOUT:
         parser[section] = {}
         for key in keys:
             value = getattr(spec, key)
-            parser[section][key] = value.config_value() if key in _COEFFICIENT_FIELDS else repr(value)
+            parser[section][key] = (value.config_value(config_dir) if key in _COEFFICIENT_FIELDS
+                                    else repr(value))
     with open(path, "w") as fh:
         parser.write(fh)

@@ -23,25 +23,32 @@ model that number peaks at the y-edges, at 0.14 for eps = 0.004 and
 too.  So the upwind drift is a safety margin paid for with first-order
 accuracy in y, not a cure for oscillation.  ``_stencil`` is the one
 place the drift differencing is written; the implicit systems and the
-tests' consistency check both take their weights from it.  Time
-stepping is a first-order IMEX Lie splitting: the mixed term, the
-quadratic gradient term and the constant source step explicitly, then
-one implicit tridiagonal pass in x and one in y.  The implicit y-pass is
-an M-matrix, so the stiff drift costs nothing.  The implicit passes also
-dominate the explicit mixed term for every |rho| <= 1, by a
-frozen-coefficient von Neumann bound: at wave numbers (thx, thy), with
-X = dt (s1^2 / 2) 4 sin^2(thx / 2) / dx^2 and Y = dt (s2^2 / (2 eps))
-4 sin^2(thy / 2) / dy^2, the mixed term's symbol m satisfies
-|m| <= 2 |rho| sqrt(X Y) <= X + Y, and upwinding only adds a
-non-negative real part to each implicit symbol, so the amplification
-|1 - m| / |(1 - dt Lx)(1 - dt Ly)| is at most (1 + X + Y) / ((1 + X)(1 + Y))
-<= 1.  So the whole dt policy is three candidates: the quadratic term's
-G over an estimate of max|u_y|, resolving the fast relaxation
-(dt <= eps/4), and a baseline of ``MIN_STEPS`` steps; dt is ``SAFETY``
-times the least.  The quadratic step is contractive while
-dt max|u_y| <= G = eps dy / (lambda sup sigma2^2), and the march caps
-max|u_y| at G / dt.  The solver monitors that cap, the amplitude bound
-and the price band, each with one comparison that a NaN fails too, and
+tests' consistency check both take their weights from it.
+
+Time stepping is IMEX-BDF2 (Ascher, Ruuth & Wetton 1995, SIAM J.
+Numer. Anal. 32) after one start-up step of IMEX Euler at dt.  The
+diffusions and drifts are implicit, as one tridiagonal pass in x and one
+in y at beta dt, beta = 2/3; the implicit y-pass is an M-matrix, so
+the stiff drift costs nothing.  Q, the quadratic gradient term plus the
+source, is extrapolated to 2 Q^n - Q^{n-1}.  M, the mixed term, is taken
+at level n only: extrapolating it too lifts the frozen-coefficient max
+|xi| above 1 from |rho| about 0.9 up, while the lagged M keeps every
+|rho| <= 1 stable, at a time error that grows with |rho|.  The bound: at
+wave numbers (thx, thy), with X = beta dt (s1^2 / 2) 4 sin^2(thx / 2) / dx^2
+and Y = beta dt (s2^2 / (2 eps)) 4 sin^2(thy / 2) / dy^2, the lagged
+mixed term's symbol beta m satisfies |beta m| <= 2 |rho| sqrt(X Y)
+<= X + Y (In 't Hout & Welfert 2007).  A step amplifies a mode by a
+root xi of (1 + X)(1 + Y) xi^2 - (4/3 + beta m) xi + 1/3 = 0, and as
+(1 + X)(1 + Y) - 1 >= X + Y >= |beta m|, the Schur-Cohn conditions put
+both roots in |xi| <= 1.  Upwinding adds a non-negative real part to
+each implicit symbol; the tests check both roots with the scheme's own
+upwind stencils.  So the whole dt policy is the least of three candidates:
+the quadratic term's G over an estimate of max|u_y|, resolving the fast
+relaxation (dt <= eps/4), and a baseline of ``MIN_STEPS`` steps.  The
+explicit quadratic step is contractive while dt max|u_y| <= G =
+eps dy / (lambda sup sigma2^2), and the march caps max|u_y| at G / dt.
+The solver monitors that cap, the amplitude bound and the price band
+at every step, each with one comparison that a NaN fails too, and
 halves dt when a monitor trips.
 
 Both value functions march in one Fortran-ordered (ny, nx + 1) array W:
@@ -54,12 +61,13 @@ Everything fixed during a solve is set up once per attempt, so a step
 only subtracts, multiplies and adds; the coefficient ranges behind the
 dy cap and G are evaluated once per ``make_grid`` and once per attempt.
 ``_explicit_weights`` folds dt and the spacings into the explicit step's
-weights.  The x-system is eliminated once without row interchanges
-(``_factor_x_system``, which needs a <= 1/2) and solved in place as a
-sweep along x (``_solve_x_system``); the y-system is symmetrised and
-factored as L D L^T once (``_factor_y_system``) and solved in place on W
-by dpttrs (``_solve_y_system``).  Each says how; the README has why and
-the timings.  A y-system that cannot be symmetrised or factored, or a
+weights.  Each implicit system is factored twice per attempt, at dt for
+the Euler start and at beta dt.  The x-system is eliminated without row
+interchanges (``_factor_x_system``, which needs a <= 1/2) and solved in
+place as a sweep along x (``_solve_x_system``); the y-system is
+symmetrised and factored as L D L^T (``_factor_y_system``) and solved
+in place on W by dpttrs (``_solve_y_system``).  Each says how; the
+README has why and the timings.  A y-system that cannot be symmetrised or factored, or a
 y-solve that returns a copy, is a fault, raised as RuntimeError and not
 retried.
 
@@ -102,7 +110,7 @@ DEFAULT_X_SPAN = (-3.0, 3.0)
 MIN_NODES = 5  # per direction, on any Grid2D
 MIN_NY = 201
 MIN_STEPS = 200
-SAFETY = 0.5
+BDF2_BETA = 2.0 / 3.0  # the implicit weight of an IMEX-BDF2 step, in units of dt
 BAND_SLACK = 1e-6  # relative to strike; explicit mixed term is not exactly monotone
 MAX_DT_RETRIES = 6  # dt halvings price_surface tries before it gives up
 
@@ -185,8 +193,9 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     mean level (stretched below when epsilon > 1) and the y-spacing
     resolves the boundary layer: dy <= sqrt(eps) * inf(sigma2) / 4, with
     at least ``MIN_NY`` nodes; a given ``ny`` below either is a ``BadGrid``
-    naming the one that binds.  Without a ``dt``, dt is ``SAFETY`` times
-    the least of the module docstring's three candidates, whatever rho.
+    naming the one that binds.  Without a ``dt``, dt is the least of the
+    module docstring's three candidates, whatever rho: the BDF2 step's
+    stability needs no margin below them.
     A given ``dt`` must be finite and positive; it is shrunk to divide tau.
     ``tau`` must be finite and >= 0; tau = 0 gives the payoff grid (no steps).
     """
@@ -217,9 +226,9 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
         return grid
     if dt is None:
         gmax0 = 0.05 * spec.strike * math.sqrt(eps)  # estimate of max |u_y|
-        dt = SAFETY * min(_gradient_constant(spec, s2_max, grid.dy) / gmax0,
-                          0.25 * eps,       # resolve the fast relaxation
-                          tau / MIN_STEPS)  # baseline time resolution
+        dt = min(_gradient_constant(spec, s2_max, grid.dy) / gmax0,
+                 0.25 * eps,       # resolve the fast relaxation
+                 tau / MIN_STEPS)  # baseline time resolution
     n_steps = max(1, int(math.ceil(tau / dt)))
     return replace(grid, dt=tau / n_steps, n_steps=n_steps)
 
@@ -458,12 +467,27 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     zero.  Set up once per attempt: one ``_coefficient_bounds``, then dy
     against the boundary-layer cap (a ``BadGrid``).  A grid of no steps
     returns W as it starts, before anything that depends on dt.  Otherwise
-    come the monitors' caps; the explicit weights; the x-factor; the
-    y-factor with s and 1 / s; two work arrays.  Each step checks max |u_y|
-    over W against G / dt, |u| and |u_tilde| against their caps, and
-    0 <= u_tilde - u <= K, each in one comparison that a NaN fails too.  It
-    only subtracts, multiplies and adds, apart from dpttrs, in place on W
-    between the two scalings.
+    come the monitors' caps; the explicit weights; the x- and y-factors at
+    dt and at beta dt, beta = 2/3; two solution arrays and two work
+    arrays.
+
+    Step 1 is IMEX Euler at dt.  Every later step is IMEX-BDF2 (Ascher,
+    Ruuth & Wetton 1995): with E the Euler step's explicit increment
+    dt (quadratic term + source) and M dt times the mixed term, it solves
+
+        (I - beta dt Lx)(I - beta dt Ly) W^{n+1}
+            = 4/3 [W^n + E^n + M^n / 2 + H^{n-1}],  H^{n-1} = -(W^{n-1} + 2 E^{n-1}) / 4,
+
+    which is 4/3 W^n - 1/3 W^{n-1} + beta dt [M^n + 2 Q^n - Q^{n-1}]:
+    Q extrapolated, M lagged (see the module docstring).  The bracket is
+    formed in the array that held H^{n-1}, which then holds the solution,
+    and H^n is formed in place of W^n, so the two arrays swap roles each
+    step; 1/2 is folded into a second mixed weight and 4/3 into the
+    y-solve's scale column.  Each step checks max |u_y| over W against
+    G / dt, |u| and |u_tilde| against their caps, and 0 <= u_tilde - u <= K,
+    each in one comparison that a NaN fails too.  It only subtracts,
+    multiplies and adds, apart from dpttrs, in place between the two
+    scalings.
     """
     coeffs = _Coefficients(spec, grid.y)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
@@ -475,14 +499,17 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     wanted = set(snapshot_steps)
     snapshots: dict[int, np.ndarray] = {}
     W = np.zeros((ny, nx + 1), order="F")  # y-columns contiguous: the y-solve works in place
-    u, u_tilde = W[:, :nx], W[:, nx]
-    u[...] = U0
+    W[:, :nx] = U0
     if 0 in wanted:
         snapshots[0] = _price(W)
     if grid.n_steps == 0:  # no step is taken, so nothing that depends on dt is set up
         return W, snapshots
-    y_factor = _factor_y_system(*_build_y_system(coeffs, dt, dy))
+    beta_dt = BDF2_BETA * dt
+    euler_y = _factor_y_system(*_build_y_system(coeffs, dt, dy))
+    d_fact, e_fact, s, inv_s = _factor_y_system(*_build_y_system(coeffs, beta_dt, dy))
+    bdf2_y = (d_fact, e_fact, s * (4.0 / 3.0), inv_s)
     mixed, quad, source = _explicit_weights(coeffs, dt, dx, dy)
+    half_mixed = 0.5 * mixed
     two_dy = 2.0 * dy
 
     grad_cap = _gradient_constant(spec, s2_max, dy) / dt
@@ -490,31 +517,54 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     u_cap = (np.abs(U0).max() + growth) * 1.5 + spec.strike
     tilde_cap = growth * 1.5 + spec.strike
     band_lo, band_hi = -BAND_SLACK * spec.strike, spec.strike + BAND_SLACK * spec.strike
-    D = np.empty_like(W)  # raw y-differences, then the explicit increment
+    D = np.empty_like(W)  # raw y-differences, then the explicit increment E
     D_u = D[:, :nx]
     mixed_u = np.empty((ny, nx), order="F")
     x_tmp = np.empty(ny)
-    x_mult, x_recip, x_upper = _factor_x_system(*_build_x_system(coeffs, dt, dx), nx - 2)
-    # views of u's interior y-columns; valid while the y-solve works in place
-    x_runs = _pivot_runs(x_recip, u[:, 1:-1])
-    x_cols = list(u.T[1:-1])
+    # dt first: its fold has the larger a, so a failed dominance guard names it
+    (euler_mult, euler_recip, euler_upper), (bdf2_mult, bdf2_recip, bdf2_upper) = (
+        _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx - 2)
+        for step_dt in (dt, beta_dt))
+    # (W, u, u_tilde, u's interior y-columns, their BDF2 pivot runs) for each of the two
+    # arrays; the views stay valid while the y-solve works in place
+    sides = []
+    for array in (W, np.empty_like(W)):
+        u = array[:, :nx]
+        sides.append((array, u, array[:, nx], list(u.T[1:-1]), _pivot_runs(bdf2_recip, u[:, 1:-1])))
+    cur, nxt = sides
+    euler_x = (euler_mult, euler_upper, _pivot_runs(euler_recip, W[:, 1:nx - 1]))
 
     for step in range(1, grid.n_steps + 1):
+        W, H, H_u = cur[0], nxt[0], nxt[1]
         # rounding is monotone, so this is max |u_y| of the central u_y to the bit
         grad_max = _abs_max(_y_diff(W, D)) / two_dy
         if not grad_max <= grad_cap:
             raise Instability(f"dt {dt:.3e} exceeds the gradient bound at step {step} "
                               f"(|u_y| = {grad_max:.3e})")
-        # W += dt (mixed u_xy + quad u_y^2 + source), dt and the differences' spacings
-        # folded into the weights; u_tilde does not depend on x and takes no mixed term
-        np.multiply(_x_diff(D_u, mixed_u), mixed, out=mixed_u)
+        # the weights fold in dt and the differences' spacings; u_tilde does not
+        # depend on x and takes no mixed term
+        np.multiply(_x_diff(D_u, mixed_u), mixed if step == 1 else half_mixed, out=mixed_u)
         np.square(D, out=D)
         np.multiply(D, quad, out=D)
-        np.add(D_u, mixed_u, out=D_u)
         np.add(D, source, out=D)
-        np.add(W, D, out=W)
+        if step == 1:  # Euler: W += E + M, and H^0 = -(W^0 + 2 E^0) / 4 for step 2
+            np.add(W, D, out=H)
+            np.add(H, D, out=H)
+            np.multiply(H, -0.25, out=H)
+            np.add(D_u, mixed_u, out=D_u)
+            np.add(W, D, out=W)
+            x_factor, y_factor = euler_x, euler_y
+        else:  # BDF2: H^{n-1} += W^n + E^n + M^n / 2, then W^n becomes H^n
+            np.add(W, D, out=W)
+            np.add(H, W, out=H)
+            np.add(H_u, mixed_u, out=H_u)
+            np.add(W, D, out=W)
+            np.multiply(W, -0.25, out=W)
+            cur, nxt = nxt, cur
+            x_factor, y_factor = (bdf2_mult, bdf2_upper, cur[4]), bdf2_y
+        W, u, u_tilde, x_cols, _ = cur
 
-        _solve_x_system(x_mult, x_upper, x_runs, x_cols, x_tmp)
+        _solve_x_system(*x_factor, x_cols, x_tmp)
         u[:, 0] = 2.0 * u[:, 1] - u[:, 2]
         u[:, -1] = 2.0 * u[:, -2] - u[:, -3]
 
@@ -536,7 +586,7 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
             )
         if step in wanted:
             snapshots[step] = _price(W)
-    return W, snapshots
+    return cur[0], snapshots
 
 
 def price_surface(spec: ModelSpec, grid: Grid2D, *,

@@ -179,12 +179,15 @@ def test_config_round_trip(tmp_path, demo_spec):
     assert loaded == demo_spec
 
 
-def test_config_round_trip_with_table(tmp_path):
+@pytest.mark.parametrize("out_dir", [".", "elsewhere/nested"],
+                         ids=["same-directory", "other-directory"])
+def test_config_round_trip_with_table(tmp_path, out_dir):
     table = tmp_path / "sigma2.csv"
     table.write_text("y,value\n-5.0,0.15\n0.0,0.2\n5.0,0.3\n")
     spec = arctangent_model().with_(
         sigma2=coefficient_from_string("table:sigma2.csv", str(tmp_path)))
-    path = tmp_path / "model.cfg"
+    path = tmp_path / out_dir / "model.cfg"
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_config(spec, str(path))
     loaded = read_config(str(path))
     assert loaded.sigma2(1.0) == spec.sigma2(1.0)

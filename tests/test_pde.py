@@ -77,55 +77,68 @@ def test_price_surface_rejects_a_hand_built_grid_above_the_dy_cap(fast_spec, mon
 
 @pytest.mark.parametrize("rho", [-0.95, -0.96, -0.99, 0.99, -0.999])
 def test_near_degenerate_correlation_keeps_the_relaxation_step(rho):
-    """No dt candidate depends on rho: the demo takes eps/4's 500 steps up to |rho| -> 1."""
-    assert make_grid(arctangent_model().with_(rho=rho), 0.25, nx=201).n_steps == 500
+    """No dt candidate depends on rho: the demo takes eps/4's 250 steps up to |rho| -> 1."""
+    assert make_grid(arctangent_model().with_(rho=rho), 0.25, nx=201).n_steps == 250
 
 
 def test_near_degenerate_correlation_solves_at_the_relaxation_step(caplog):
-    """At rho = +-0.99 the demo takes 500 steps with no halving, stays in the band, and
-    its dt against dt/4 gap is within 1.1x of that at the demo's own rho = -0.2."""
+    """At rho = +-0.99 the demo takes 250 steps with no halving, stays in the band, and
+    its dt against dt/4 gap is at most 2.5e-4 (K = 100), 1.2e-4 at the demo's own rho.
+
+    The lagged mixed term's time error grows with |rho|, so the bounds are absolute."""
     def time_gap(spec):
         grid = make_grid(spec, 0.25, nx=201)
         with caplog.at_level(logging.INFO, logger="volclust.pde"):
             surface = price_surface(spec, grid)
         assert [r for r in caplog.records if r.name == "volclust.pde"] == []
-        assert surface.grid.n_steps == 500
+        assert surface.grid.n_steps == 250
         assert -1e-6 * spec.strike <= surface.P.min() <= surface.P.max() <= spec.strike
         finer = price_surface(spec, make_grid(spec, 0.25, nx=201, dt=grid.dt / 4))
         return np.abs(surface.P - finer.P).max()
 
     demo = arctangent_model()
-    reference = time_gap(demo)
+    assert time_gap(demo) <= 1.2e-4
     for rho in (-0.99, 0.99):
-        assert time_gap(demo.with_(rho=rho)) <= 1.1 * reference
+        assert time_gap(demo.with_(rho=rho)) <= 2.5e-4
 
 
 def _max_amplification(spec: ModelSpec, grid: Grid2D) -> float:
-    """max |g| of one linear step, coefficients frozen at each y-node, over 65 x 65 wave numbers.
+    """max |xi| of a linear BDF2 step, frozen at each y-node, over 65 x 65 wave numbers.
 
-    For the mode exp(i (k thx + j thy)) the explicit mixed step is 1 + mixed (2i sin thx)
-    (2i sin thy), from the raw differences its weight multiplies, and each implicit pass
-    is 1 - dt (sub e^-i th + diag + sup e^i th), from its ``_stencil``.
+    For the mode exp(i (k thx + j thy)) the lagged mixed term is
+    m = mixed (2i sin thx)(2i sin thy), from the raw differences its weight
+    multiplies, and each implicit pass at beta dt is a = 1 - beta dt (sub e^-i th
+    + diag + sup e^i th), from its ``_stencil``.  A step amplifies by a root xi of
+    ax ay xi^2 - (4/3 + beta m) xi + 1/3 = 0; both roots are taken, the larger
+    in magnitude from the quadratic formula and the other as their product over it.
     """
     coeffs = pde._Coefficients(spec, grid.y)
+    beta_dt = pde.BDF2_BETA * grid.dt
     mixed = pde._explicit_weights(coeffs, grid.dt, grid.dx, grid.dy)[0][:, 0]
     theta = np.linspace(-np.pi, np.pi, 65)
     shift = np.exp(1j * theta)
 
     def implicit(diffusion, drift, h):
         sub, diag, sup = pde._stencil(diffusion[:, None], drift[:, None], h)
-        return 1.0 - grid.dt * (sub / shift + diag + sup * shift)  # (ny, 65)
+        return 1.0 - beta_dt * (sub / shift + diag + sup * shift)  # (ny, 65)
 
     ix = implicit(coeffs.x_diffusion, coeffs.x_drift, grid.dx)
     iy = implicit(coeffs.y_diffusion, coeffs.y_drift, grid.dy)
     diff = 2j * np.sin(theta)
-    return max(float(np.abs((1.0 + m * np.outer(diff, diff)) / np.outer(gx, gy)).max())
-               for m, gx, gy in zip(mixed, ix, iy))
+    worst = 0.0
+    for m, gx, gy in zip(mixed, ix, iy):
+        a = np.outer(gx, gy)
+        b = 4.0 / 3.0 + pde.BDF2_BETA * m * np.outer(diff, diff)
+        root = np.sqrt(b * b - 4.0 / 3.0 * a)
+        big = np.where(np.abs(b + root) >= np.abs(b - root), b + root, b - root)
+        worst = max(worst, float(np.abs(big / (2.0 * a)).max()),
+                    float(np.abs(2.0 / (3.0 * big)).max()))
+    return worst
 
 
 def test_implicit_passes_dominate_the_explicit_mixed_term_up_to_rho_one():
-    """|m| <= 2 |rho| sqrt(X Y) <= X + Y, so |g| <= 1 for every |rho| <= 1: the bound that
-    lets make_grid's dt ignore rho, checked at 1x and 64x its dt on two x-spacings."""
+    """Both roots of the lagged-mixed-term BDF2 step have |xi| <= 1 for every |rho| <= 1: the
+    bound that lets make_grid's dt ignore rho, checked at 1x and 64x its dt on two x-spacings."""
     rng = np.random.default_rng(18)
     models = [arctangent_model()] + [random_valid_spec(rng) for _ in range(3)]
     for spec in (model.with_(rho=rho) for model in models for rho in (-0.999, 0.999)):
@@ -136,9 +149,9 @@ def test_implicit_passes_dominate_the_explicit_mixed_term_up_to_rho_one():
 
 
 @pytest.mark.parametrize("eps, tau, binding, n_steps", [
-    (0.004, 0.25, "relaxation", 500), (0.04, 0.25, "baseline", 400), (1.0, 10.0, "gradient", 453)])
+    (0.004, 0.25, "relaxation", 250), (0.04, 0.25, "baseline", 200), (1.0, 10.0, "gradient", 227)])
 def test_each_dt_candidate_binds_somewhere(eps, tau, binding, n_steps):
-    """dt is SAFETY times the least of three candidates, and each is the least somewhere."""
+    """dt is the least of three candidates, and each is the least somewhere."""
     spec = arctangent_model(epsilon=eps)
     grid = make_grid(spec, tau, nx=41)
     _, s2_max = pde._coefficient_bounds(spec)
@@ -149,7 +162,7 @@ def test_each_dt_candidate_binds_somewhere(eps, tau, binding, n_steps):
         "baseline": tau / pde.MIN_STEPS,
     }
     assert min(candidates, key=candidates.get) == binding
-    assert grid.n_steps == math.ceil(tau / (pde.SAFETY * candidates[binding])) == n_steps
+    assert grid.n_steps == math.ceil(tau / candidates[binding]) == n_steps
 
 
 def test_grid_validation():
@@ -664,7 +677,7 @@ def test_payoff_initial_matches_contract(fast_spec):
 def test_surface_matches_golden_output(fast_spec):
     """Pins the march's output at the speed-up tolerance.
 
-    The files hold ``_golden_surface(fast_spec)`` of the first-order IMEX
+    The files hold ``_golden_surface(fast_spec)`` of the IMEX-BDF2
     march (``np.save`` of ``.P`` and ``.u_tilde``); a change of scheme must
     regenerate them on purpose, with ``python tests/test_pde.py``.
     """
@@ -722,7 +735,7 @@ def test_amplitude_monitor_trips_when_u_and_u_tilde_move_together(monkeypatch, c
     monkeypatch.setattr(pde, "_explicit_weights", loud_source)
     spec = arctangent_model(epsilon=0.25, maturity=0.05)
     grid = make_grid(spec, spec.maturity, nx=21)
-    first = "u left the amplitude bound at step 1 (|u| = 1.860e+03)"
+    first = "u left the amplitude bound at step 1 (|u| = 3.618e+03)"
     with pytest.raises(Instability) as info:
         _march(spec, grid, payoff_initial(spec, grid))
     assert str(info.value) == first
@@ -732,8 +745,8 @@ def test_amplitude_monitor_trips_when_u_and_u_tilde_move_together(monkeypatch, c
             pytest.raises(Instability) as info:
         price_surface(spec, grid)
     records = [r.getMessage() for r in caplog.records if r.name == "volclust.pde"]
-    assert records == [f"{first}; halving dt to 800 steps"]
-    assert str(info.value) == ("u left the amplitude bound at step 1 (|u| = 9.786e+02) "
+    assert records == [f"{first}; halving dt to 400 steps"]
+    assert str(info.value) == ("u left the amplitude bound at step 1 (|u| = 1.860e+03) "
                                "(still, after 1 dt halvings)")
 
 
