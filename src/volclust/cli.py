@@ -257,8 +257,9 @@ def _probe(row: list[float]) -> tuple[float, ...]:
 
 def _cmd_pde_sweep(args) -> None:
     probes = model.read_float_rows(args.probes, ("tau", "x", "y"), _probe)
-    rows = _parallel_map(_sweep_member, [(_load_spec(args.config, epsilon=eps), probes)
-                                         for eps in args.eps_list])
+    specs = [_load_spec(args.config, epsilon=eps) for eps in args.eps_list]
+    pde.snap_probes(specs, probes)  # a probe off any member's grid fails before any march
+    rows = _parallel_map(_sweep_member, [(spec, probes) for spec in specs])
     _write_csv(args.out, ["eps", "max_abs_error", "normalized"],
                [[r.eps for r in rows], [r.max_abs_error for r in rows],
                 [r.normalized for r in rows]])
@@ -357,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("pde-solve", _cmd_pde_solve, "solve the full pricing PDE", out="pde_solution.csv")
     p.add_argument("--config", required=True)
-    p.add_argument("--xmin", type=finite, default=-3.0)
-    p.add_argument("--xmax", type=finite, default=3.0)
+    p.add_argument("--xmin", type=finite, default=pde.DEFAULT_X_SPAN[0])
+    p.add_argument("--xmax", type=finite, default=pde.DEFAULT_X_SPAN[1])
     p.add_argument("--nx", type=int, default=pde.DEFAULT_NX)
     p.add_argument("--ny", type=int, default=None)
     p.add_argument("--tau", type=nonnegative, default=None)

@@ -26,7 +26,8 @@ place the drift differencing is written; the implicit systems and the
 tests' consistency check both take their weights from it.
 
 Time stepping is IMEX-BDF2 (Ascher, Ruuth & Wetton 1995, SIAM J.
-Numer. Anal. 32) after one start-up step of IMEX Euler at dt.  The
+Numer. Anal. 32); the start-up step is the same step with an empty
+history and its implicit passes at dt, which makes it IMEX Euler.  The
 diffusions and drifts are implicit, as one tridiagonal pass in x and one
 in y at beta dt, beta = 2/3; the implicit y-pass is an M-matrix, so
 the stiff drift costs nothing.  Q, the quadratic gradient term plus the
@@ -62,14 +63,14 @@ only subtracts, multiplies and adds; the coefficient ranges behind the
 dy cap and G are evaluated once per ``make_grid`` and once per attempt.
 ``_explicit_weights`` folds dt and the spacings into the explicit step's
 weights.  Each implicit system is factored twice per attempt, at dt for
-the Euler start and at beta dt.  The x-system is eliminated without row
-interchanges (``_factor_x_system``, which needs a <= 1/2) and solved in
-place as a sweep along x (``_solve_x_system``); the y-system is
-symmetrised and factored as L D L^T (``_factor_y_system``) and solved
-in place on W by dpttrs (``_solve_y_system``).  Each says how; the
-README has why and the timings.  A y-system that cannot be symmetrised or factored, or a
-y-solve that returns a copy, is a fault, raised as RuntimeError and not
-retried.
+the start-up step and at beta dt for the rest.  The x-system is
+eliminated without row interchanges (``_factor_x_system``, which needs
+a <= 1/2) and solved in place as a sweep along x (``_solve_x_system``);
+the y-system is symmetrised and factored as L D L^T (``_factor_y_system``)
+and solved in place on W by dpttrs (``_solve_y_system``).  Each says how;
+the README has why and the timings.  A y-system that cannot be
+symmetrised or factored, or a y-solve that returns a copy, is a fault,
+raised as RuntimeError and not retried.
 
 Boundary conditions (the continuum problem lives on the whole plane):
 zero second x-derivative at the x-ends, which reproduces both payoff
@@ -100,7 +101,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .asymptotics import asymptotic_price
-from .errors import BadGrid, Instability
+from .errors import BadGrid, ConfigError, Instability
 from .measure import build_invariant_measure
 from .model import ModelSpec, probe_grid
 from .poisson import group_constants_for
@@ -467,27 +468,30 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     zero.  Set up once per attempt: one ``_coefficient_bounds``, then dy
     against the boundary-layer cap (a ``BadGrid``).  A grid of no steps
     returns W as it starts, before anything that depends on dt.  Otherwise
-    come the monitors' caps; the explicit weights; the x- and y-factors at
-    dt and at beta dt, beta = 2/3; two solution arrays and two work
-    arrays.
+    come the monitors' caps; the explicit weights; the solution array and
+    the history array, which starts at zero; two work arrays; and a table
+    of the two step kinds, each with its mixed weight and its x- and
+    y-factors.
 
-    Step 1 is IMEX Euler at dt.  Every later step is IMEX-BDF2 (Ascher,
-    Ruuth & Wetton 1995): with E the Euler step's explicit increment
-    dt (quadratic term + source) and M dt times the mixed term, it solves
+    Every step is one IMEX-BDF2 step (Ascher, Ruuth & Wetton 1995): with
+    E dt (quadratic term + source) and M dt times the mixed term, it solves
 
-        (I - beta dt Lx)(I - beta dt Ly) W^{n+1}
-            = 4/3 [W^n + E^n + M^n / 2 + H^{n-1}],  H^{n-1} = -(W^{n-1} + 2 E^{n-1}) / 4,
+        (I - k Lx)(I - k Ly) W^{n+1} = c [W^n + E^n + w M^n + H^{n-1}],
+        H^{n-1} = -(W^{n-1} + 2 E^{n-1}) / 4.
 
-    which is 4/3 W^n - 1/3 W^{n-1} + beta dt [M^n + 2 Q^n - Q^{n-1}]:
-    Q extrapolated, M lagged (see the module docstring).  The bracket is
-    formed in the array that held H^{n-1}, which then holds the solution,
-    and H^n is formed in place of W^n, so the two arrays swap roles each
-    step; 1/2 is folded into a second mixed weight and 4/3 into the
-    y-solve's scale column.  Each step checks max |u_y| over W against
-    G / dt, |u| and |u_tilde| against their caps, and 0 <= u_tilde - u <= K,
-    each in one comparison that a NaN fails too.  It only subtracts,
-    multiplies and adds, apart from dpttrs, in place between the two
-    scalings.
+    After the start-up, (k, c, w) = (beta dt, 4/3, 1/2), beta = 2/3, and
+    the right side is 4/3 W^n - 1/3 W^{n-1} + beta dt [M^n + 2 Q^n - Q^{n-1}]:
+    Q extrapolated, M lagged (see the module docstring).  The start-up
+    step has H^{-1} = 0 and (k, c, w) = (dt, 1, 1), so it is IMEX Euler,
+    W^1 = W^0 + E^0 + M^0 solved at dt, and it leaves H^0 for step 2.
+    The bracket is formed in the array that held H^{n-1}, which then
+    holds the solution, and H^n is formed in place of W^n, so the two
+    arrays swap roles each step; w is folded into the kind's mixed weight
+    and c into its y-solve's scale column.  Each step checks max |u_y|
+    over W against G / dt, |u| and |u_tilde| against their caps, and
+    0 <= u_tilde - u <= K, each in one comparison that a NaN fails too.
+    It only subtracts, multiplies and adds, apart from dpttrs, in place
+    between the two scalings.
     """
     coeffs = _Coefficients(spec, grid.y)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
@@ -504,12 +508,7 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
         snapshots[0] = _price(W)
     if grid.n_steps == 0:  # no step is taken, so nothing that depends on dt is set up
         return W, snapshots
-    beta_dt = BDF2_BETA * dt
-    euler_y = _factor_y_system(*_build_y_system(coeffs, dt, dy))
-    d_fact, e_fact, s, inv_s = _factor_y_system(*_build_y_system(coeffs, beta_dt, dy))
-    bdf2_y = (d_fact, e_fact, s * (4.0 / 3.0), inv_s)
     mixed, quad, source = _explicit_weights(coeffs, dt, dx, dy)
-    half_mixed = 0.5 * mixed
     two_dy = 2.0 * dy
 
     grad_cap = _gradient_constant(spec, s2_max, dy) / dt
@@ -521,21 +520,23 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     D_u = D[:, :nx]
     mixed_u = np.empty((ny, nx), order="F")
     x_tmp = np.empty(ny)
+    # (W, u, u_tilde, u's interior y-columns) for the solution and the history, which
+    # starts at zero; the views stay valid while the y-solve works in place
+    sides = [(array, array[:, :nx], array[:, nx], list(array[:, 1:nx - 1].T))
+             for array in (W, np.zeros_like(W))]
+    # the step kinds, start-up then BDF2: (mixed weight, x-factor on each side, y-factor);
     # dt first: its fold has the larger a, so a failed dominance guard names it
-    (euler_mult, euler_recip, euler_upper), (bdf2_mult, bdf2_recip, bdf2_upper) = (
-        _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx - 2)
-        for step_dt in (dt, beta_dt))
-    # (W, u, u_tilde, u's interior y-columns, their BDF2 pivot runs) for each of the two
-    # arrays; the views stay valid while the y-solve works in place
-    sides = []
-    for array in (W, np.empty_like(W)):
-        u = array[:, :nx]
-        sides.append((array, u, array[:, nx], list(u.T[1:-1]), _pivot_runs(bdf2_recip, u[:, 1:-1])))
-    cur, nxt = sides
-    euler_x = (euler_mult, euler_upper, _pivot_runs(euler_recip, W[:, 1:nx - 1]))
+    kinds = []
+    for step_dt, scale, weight in ((dt, 1.0, mixed), (BDF2_BETA * dt, 4.0 / 3.0, 0.5 * mixed)):
+        d_fact, e_fact, s, inv_s = _factor_y_system(*_build_y_system(coeffs, step_dt, dy))
+        mult, recip, upper = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx - 2)
+        x_factors = [(mult, upper, _pivot_runs(recip, u[:, 1:-1])) for _, u, _, _ in sides]
+        kinds.append((weight, x_factors, (d_fact, e_fact, s * scale, inv_s)))
 
+    cur = 0  # the side that holds the solution
     for step in range(1, grid.n_steps + 1):
-        W, H, H_u = cur[0], nxt[0], nxt[1]
+        weight, x_factors, y_factor = kinds[step > 1]  # the start-up kind for step 1 only
+        (W, *_), (H, H_u, *_) = sides[cur], sides[1 - cur]
         # rounding is monotone, so this is max |u_y| of the central u_y to the bit
         grad_max = _abs_max(_y_diff(W, D)) / two_dy
         if not grad_max <= grad_cap:
@@ -543,28 +544,20 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
                               f"(|u_y| = {grad_max:.3e})")
         # the weights fold in dt and the differences' spacings; u_tilde does not
         # depend on x and takes no mixed term
-        np.multiply(_x_diff(D_u, mixed_u), mixed if step == 1 else half_mixed, out=mixed_u)
+        np.multiply(_x_diff(D_u, mixed_u), weight, out=mixed_u)
         np.square(D, out=D)
         np.multiply(D, quad, out=D)
         np.add(D, source, out=D)
-        if step == 1:  # Euler: W += E + M, and H^0 = -(W^0 + 2 E^0) / 4 for step 2
-            np.add(W, D, out=H)
-            np.add(H, D, out=H)
-            np.multiply(H, -0.25, out=H)
-            np.add(D_u, mixed_u, out=D_u)
-            np.add(W, D, out=W)
-            x_factor, y_factor = euler_x, euler_y
-        else:  # BDF2: H^{n-1} += W^n + E^n + M^n / 2, then W^n becomes H^n
-            np.add(W, D, out=W)
-            np.add(H, W, out=H)
-            np.add(H_u, mixed_u, out=H_u)
-            np.add(W, D, out=W)
-            np.multiply(W, -0.25, out=W)
-            cur, nxt = nxt, cur
-            x_factor, y_factor = (bdf2_mult, bdf2_upper, cur[4]), bdf2_y
-        W, u, u_tilde, x_cols, _ = cur
+        # H^{n-1} += W^n + E^n + w M^n, then W^n becomes H^n
+        np.add(W, D, out=W)
+        np.add(H, W, out=H)
+        np.add(H_u, mixed_u, out=H_u)
+        np.add(W, D, out=W)
+        np.multiply(W, -0.25, out=W)
+        cur = 1 - cur
+        W, u, u_tilde, x_cols = sides[cur]
 
-        _solve_x_system(*x_factor, x_cols, x_tmp)
+        _solve_x_system(*x_factors[cur], x_cols, x_tmp)
         u[:, 0] = 2.0 * u[:, 1] - u[:, 2]
         u[:, -1] = 2.0 * u[:, -2] - u[:, -3]
 
@@ -586,7 +579,7 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
             )
         if step in wanted:
             snapshots[step] = _price(W)
-    return cur[0], snapshots
+    return W, snapshots
 
 
 def price_surface(spec: ModelSpec, grid: Grid2D, *,
@@ -605,11 +598,11 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *,
         if not isinstance(s, numbers.Integral) or not 0 <= s <= grid.n_steps:
             raise BadGrid(f"snapshot step {s} is not one of the grid's steps 0..{grid.n_steps}")
     attempt_grid = grid
+    U0 = payoff_initial(spec, grid)  # halving dt leaves the x-grid as it is
     for attempt in range(MAX_DT_RETRIES + 1):
         factor = 2 ** attempt  # attempt_grid's steps per step of grid
         try:
-            W, snapshots = _march(spec, attempt_grid, payoff_initial(spec, attempt_grid),
-                                  snapshot_steps=[s * factor for s in steps])
+            W, snapshots = _march(spec, attempt_grid, U0, snapshot_steps=[s * factor for s in steps])
         except Instability as exc:
             if attempt == MAX_DT_RETRIES:
                 raise Instability(f"{exc} (still, after {attempt} dt halvings)") from exc
@@ -654,28 +647,19 @@ def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
                    grid_factory=None) -> list[SweepRow]:
     """Measure the corrected-asymptotics gap across a decreasing epsilon list.
 
-    Probes are (tau, x, y) triples with tau >= 0, snapped to the nearest
-    node and time step of each epsilon's grid; the asymptotic side is
-    evaluated at the snapped coordinates so the comparison is node-exact.
+    Probes are snapped to each epsilon's grid by ``snap_probes``, before
+    any march; the asymptotic side is evaluated at the snapped coordinates
+    so the comparison is node-exact.
     """
-    if not probe_points:
-        raise ValueError("need at least one probe point")
-    for probe in probe_points:
-        if not probe[0] >= 0.0:
-            raise ValueError(f"probe {tuple(probe)} needs tau >= 0, got {probe[0]}")
+    specs = [spec.with_(epsilon=float(eps)) for eps in eps_list]
+    snapped = snap_probes(specs, probe_points, grid_factory=grid_factory)
     gc = group_constants_for(spec)  # epsilon-independent
-    tau_final = max(p[0] for p in probe_points)
     rows = []
-    for eps in eps_list:
-        spec_eps = spec.with_(epsilon=float(eps))
-        grid = grid_factory(spec_eps, tau_final) if grid_factory else make_grid(spec_eps, tau_final)
-        steps = sorted({_snap_step(p[0], grid) for p in probe_points})
-        snapshots = price_surface(spec_eps, grid, snapshot_steps=steps).snapshots
+    for eps, spec_eps, (grid, nodes) in zip(eps_list, specs, snapped):
+        snapshots = price_surface(spec_eps, grid,
+                                  snapshot_steps=sorted({step for step, _, _ in nodes})).snapshots
         worst = 0.0
-        for tau_p, x_p, y_p in probe_points:
-            step = _snap_step(tau_p, grid)
-            ix = int(np.argmin(np.abs(grid.x - x_p)))
-            jy = int(np.argmin(np.abs(grid.y - y_p)))
+        for step, ix, jy in nodes:
             p_num = float(snapshots[step][ix, jy])
             corrected = asymptotic_price(gc, spec_eps, step * grid.dt, float(grid.x[ix])).corrected
             worst = max(worst, abs(p_num - corrected))
@@ -685,5 +669,32 @@ def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
     return rows
 
 
-def _snap_step(tau: float, grid: Grid2D) -> int:
-    return min(grid.n_steps, int(round(tau / grid.dt)))
+def snap_probes(specs: Sequence[ModelSpec], probe_points: Sequence[tuple[float, float, float]], *,
+                grid_factory=None) -> list[tuple[Grid2D, list[tuple[int, int, int]]]]:
+    """Each spec's grid to the latest probe's tau, and the (step, ix, jy) nearest each probe on it.
+
+    Probes are (tau, x, y) triples with tau >= 0; one that is not is a
+    ``ValueError`` raised before any grid is built.  Every grid is built
+    first, and a probe more than half a cell outside one is a
+    ``ConfigError``.
+    """
+    if not probe_points:
+        raise ValueError("need at least one probe point")
+    for probe in probe_points:
+        if not probe[0] >= 0.0:
+            raise ValueError(f"probe {tuple(probe)} needs tau >= 0, got {probe[0]}")
+    tau_final = max(p[0] for p in probe_points)
+    grids = [grid_factory(s, tau_final) if grid_factory else make_grid(s, tau_final) for s in specs]
+    return [(grid, [_snap_probe(p, grid, s.epsilon) for p in probe_points])
+            for s, grid in zip(specs, grids)]
+
+
+def _snap_probe(probe, grid: Grid2D, eps: float) -> tuple[int, int, int]:
+    """(step, ix, jy) of the time step and node nearest ``probe``; a probe more than
+    half a cell outside the grid is a ``ConfigError``."""
+    tau_p, x_p, y_p = probe
+    ix, jy = (int(np.argmin(np.abs(nodes - v))) for nodes, v in ((grid.x, x_p), (grid.y, y_p)))
+    if not (abs(grid.x[ix] - x_p) <= 0.5 * grid.dx and abs(grid.y[jy] - y_p) <= 0.5 * grid.dy):
+        raise ConfigError(f"probe {tuple(probe)} lies outside the eps = {eps:g} grid: "
+                          f"x in [{grid.x[0]:g}, {grid.x[-1]:g}], y in [{grid.y[0]:.6g}, {grid.y[-1]:.6g}]")
+    return min(grid.n_steps, int(round(tau_p / grid.dt))), ix, jy

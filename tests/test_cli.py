@@ -236,6 +236,24 @@ def test_pde_sweep_rejects_a_negative_probe_tau_naming_the_file_and_line(cheap_c
     assert not out.exists()
 
 
+def test_pde_sweep_rejects_a_probe_outside_a_grid_before_any_march(cheap_config, tmp_path, capsys,
+                                                                   monkeypatch):
+    """y = -1.2 lies inside the eps = 4 grid, whose y-domain is stretched below, and
+    outside the eps = 0.25 one; every member is checked before the first one marches."""
+    def no_march(*args, **kwargs):
+        raise AssertionError("a member marched before every probe was checked")
+
+    monkeypatch.setenv("VOLCLUST_THREADS", "1")  # members run in this process
+    monkeypatch.setattr(volclust.pde, "price_surface", no_march)
+    probes, out = tmp_path / "probes.csv", tmp_path / "out.csv"
+    probes.write_text("tau,x,y\n0.05,0.0,0.0\n0.05,0.0,-1.2\n")
+    assert main(["pde-sweep", "--config", cheap_config, "--eps-list", "4,0.25",
+                 "--probes", str(probes), "--out", str(out)]) == 2
+    assert ("error: probe (0.05, 0.0, -1.2) lies outside the eps = 0.25 grid: "
+            "x in [-3, 3], y in [-0.848528, 0.848528]") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_an_output_that_cannot_be_opened_exits_2_naming_it(tmp_path, capsys):
     out = tmp_path / "missing" / "fig1.csv"
     assert main(["figure1", "--a", "-0.1", "--d", "0.2", "--out", str(out)]) == 2

@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 from conftest import random_valid_spec
 from volclust import pde
 from volclust.bs import bs_put
-from volclust.errors import BadGrid, Instability, NumericalError
+from volclust.errors import BadGrid, ConfigError, Instability, NumericalError
 from volclust.model import Constant, ModelSpec, arctangent_model
 from volclust.pde import (Grid2D, _march, accuracy_sweep, make_grid, payoff_initial,
                           price_surface, solve_u_tilde_cole_hopf)
@@ -273,6 +273,66 @@ def test_first_order_convergence_in_time(fast_spec):
     d1 = np.abs(surfaces[50] - surfaces[100]).max()
     d2 = np.abs(surfaces[100] - surfaces[200]).max()
     assert math.log2(d1 / d2) > 0.9
+
+
+def _dense_step(spec, grid, step_dt, rhs):
+    """W with (I - step_dt Lx)(I - step_dt Ly) W = ``rhs``, by dense solves, in the march's layout.
+
+    Lx and Ly are assembled from ``_build_x_system``'s and ``_build_y_system``'s rows; the
+    x-end extrapolation comes between the two solves and u_tilde's column has no x-part.
+    """
+    nx = grid.x.size
+    sub, diag, sup = _tiled_x_system(pde._Coefficients(spec, grid.y), replace(grid, dt=step_dt))
+    W = rhs.copy()
+    for j in range(grid.y.size):
+        A = np.diag(diag[:, j]) + np.diag(sub[1:, j], -1) + np.diag(sup[:-1, j], 1)
+        W[j, 1:nx - 1] = np.linalg.solve(A, rhs[j, 1:nx - 1])
+    W[:, 0] = 2.0 * W[:, 1] - W[:, 2]
+    W[:, nx - 1] = 2.0 * W[:, nx - 2] - W[:, nx - 3]
+    dl, d, du = pde._build_y_system(pde._Coefficients(spec, grid.y), step_dt, grid.dy)
+    return np.linalg.solve(np.diag(d) + np.diag(dl, -1) + np.diag(du, 1), W)
+
+
+def test_first_three_steps_follow_the_scheme():
+    """Step 1 is IMEX Euler, later steps IMEX-BDF2 with Q extrapolated and M lagged:
+
+        (I - dt Lx)(I - dt Ly) W^1 = W^0 + dt (Q^0 + M^0),
+        (I - b dt Lx)(I - b dt Ly) W^{n+1}
+            = 4/3 W^n - 1/3 W^{n-1} + b dt (M^n + 2 Q^n - Q^{n-1}),  b = 2/3,
+
+    with central u_y, u_xy one-sided at the x-ends, and a start that depends on y, so M^0 != 0.
+    """
+    spec = arctangent_model(epsilon=0.25).with_(rho=-0.7)
+    x, y = np.linspace(-1.0, 1.0, 9), 0.02 * np.arange(-5, 6)  # dy under the cap 0.025
+    grid = Grid2D(x=x, y=y, dt=1e-3, n_steps=3)
+    c = pde._Coefficients(spec, y)
+    nx = x.size
+    W0 = np.zeros((y.size, nx + 1))
+    W0[:, :nx] = payoff_initial(spec, grid) * (1.0 + 0.2 * y[:, None])
+
+    def u_y(W):
+        out = np.zeros_like(W)
+        out[1:-1] = (W[2:] - W[:-2]) / (2.0 * grid.dy)
+        return out
+
+    def Q(W):
+        return c.quad[:, None] * u_y(W) ** 2 + c.source[:, None]
+
+    def M(W):
+        out = np.zeros_like(W)
+        out[:, :nx] = c.mixed[:, None] * np.gradient(u_y(W)[:, :nx], grid.dx, axis=1, edge_order=1)
+        return out
+
+    dt, beta_dt = grid.dt, pde.BDF2_BETA * grid.dt
+    levels = [W0, _dense_step(spec, grid, dt, W0 + dt * (Q(W0) + M(W0)))]
+    for _ in range(2):
+        prev, now = levels[-2:]
+        rhs = 4.0 / 3.0 * now - prev / 3.0 + beta_dt * (M(now) + 2.0 * Q(now) - Q(prev))
+        levels.append(_dense_step(spec, grid, beta_dt, rhs))
+    assert np.abs(M(W0)).max() > 1.0
+    for n in (1, 2, 3):
+        W, _ = _march(spec, replace(grid, n_steps=n), W0[:, :nx])
+        np.testing.assert_allclose(W, levels[n], rtol=1e-12)
 
 
 def _march_operator(spec, x, y, U, drift_scale):
@@ -664,6 +724,28 @@ def test_accuracy_sweep_rejects_a_negative_probe_tau_before_any_grid():
     assert grids == []
     (row,) = accuracy_sweep(spec, [0.25], [(0.0, 0, 0), (0.05, 0, 0)], grid_factory=factory)
     assert grids == [0.05] and math.isfinite(row.max_abs_error)
+
+
+@pytest.mark.parametrize("probe", [(0.05, 9.0, 0.0), (0.05, 0.0, 50.0)], ids=["x", "y"])
+def test_accuracy_sweep_rejects_a_probe_outside_a_grid_before_any_march(probe, monkeypatch):
+    """A probe over half a cell past the grid's edge would be compared at the edge node:
+    at x = 9 that reads as agreement to 2e-15.  Every grid is built and checked first."""
+    spec = arctangent_model(epsilon=0.25, maturity=0.05)
+    grids = []
+
+    def factory(spec_eps, tau):
+        grids.append(spec_eps.epsilon)
+        return make_grid(spec_eps, tau, nx=41)
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("a march ran before every probe was checked")
+
+    monkeypatch.setattr(pde, "price_surface", no_march)
+    with pytest.raises(ConfigError) as info:
+        accuracy_sweep(spec, [0.25, 0.2], [(0.05, 0.0, 0.0), probe], grid_factory=factory)
+    assert str(info.value) == (f"probe {probe} lies outside the eps = 0.25 grid: "
+                               "x in [-3, 3], y in [-0.848528, 0.848528]")
+    assert grids == [0.25, 0.2]
 
 
 def test_payoff_initial_matches_contract(fast_spec):
