@@ -46,4 +46,12 @@ class BadGrid(ConfigError):
 
 
 class Instability(NumericalError):
-    """Time-marching produced NaNs or violated a monitored bound."""
+    """Time-marching produced NaNs or violated a monitored bound.
+
+    ``monitor`` names the bound that tripped and ``tau`` the time-to-maturity
+    of the step that tripped it; both are None for a failure before any step.
+    """
+
+    def __init__(self, message: str, *, monitor: str | None = None, tau: float | None = None):
+        super().__init__(message)
+        self.monitor, self.tau = monitor, tau

@@ -190,7 +190,7 @@ class ModelSpec:
 
     @property
     def lam(self) -> float:
-        """lambda = gamma (1 - rho^2): scales the PDE's quadratic term, G and its oracle."""
+        """lambda = gamma (1 - rho^2): scales the PDE's quadratic term and its oracle."""
         return self.gamma * (1.0 - self.rho ** 2)
 
     def h(self, y) -> np.ndarray:

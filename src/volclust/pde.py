@@ -10,7 +10,7 @@ time-to-maturity under
 and the put price is P = u_tilde - u.  The model combinations in it are
 ``ModelSpec``'s: ``risk_prefactor`` = rho + eta sqrt(1 - rho^2), shared
 with the constants A~ and B; ``lam`` = gamma (1 - rho^2), which also
-scales G and the oracle below; and ``h`` = b^2 / (2 gamma s1^2), the
+scales the oracle below; and ``h`` = b^2 / (2 gamma s1^2), the
 first corrector's right-hand side.  Discretization: central second
 differences for the diffusions and the mixed term, first-order upwind
 for every first-order term.  Upwinding keeps every off-diagonal weight
@@ -26,31 +26,52 @@ place the drift differencing is written; the implicit systems and the
 tests' consistency check both take their weights from it.
 
 Time stepping is IMEX-BDF2 (Ascher, Ruuth & Wetton 1995, SIAM J.
-Numer. Anal. 32); the start-up step is the same step with an empty
-history and its implicit passes at dt, which makes it IMEX Euler.  The
-diffusions and drifts are implicit, as one tridiagonal pass in x and one
-in y at beta dt, beta = 2/3; the implicit y-pass is an M-matrix, so
-the stiff drift costs nothing.  Q, the quadratic gradient term plus the
-source, is extrapolated to 2 Q^n - Q^{n-1}.  M, the mixed term, is taken
-at level n only: extrapolating it too lifts the frozen-coefficient max
-|xi| above 1 from |rho| about 0.9 up, while the lagged M keeps every
-|rho| <= 1 stable, at a time error that grows with |rho|.  The bound: at
-wave numbers (thx, thy), with X = beta dt (s1^2 / 2) 4 sin^2(thx / 2) / dx^2
-and Y = beta dt (s2^2 / (2 eps)) 4 sin^2(thy / 2) / dy^2, the lagged
-mixed term's symbol beta m satisfies |beta m| <= 2 |rho| sqrt(X Y)
-<= X + Y (In 't Hout & Welfert 2007).  A step amplifies a mode by a
-root xi of (1 + X)(1 + Y) xi^2 - (4/3 + beta m) xi + 1/3 = 0, and as
-(1 + X)(1 + Y) - 1 >= X + Y >= |beta m|, the Schur-Cohn conditions put
-both roots in |xi| <= 1.  Upwinding adds a non-negative real part to
-each implicit symbol; the tests check both roots with the scheme's own
-upwind stencils.  So the whole dt policy is the least of three candidates:
-the quadratic term's G over an estimate of max|u_y|, resolving the fast
-relaxation (dt <= eps/4), and a baseline of ``MIN_STEPS`` steps.  The
-explicit quadratic step is contractive while dt max|u_y| <= G =
-eps dy / (lambda sup sigma2^2), and the march caps max|u_y| at G / dt.
-The solver monitors that cap, the amplitude bound and the price band
-at every step, each with one comparison that a NaN fails too, and
-halves dt when a monitor trips.
+Numer. Anal. 32) with the Douglas correction of its factored left side
+(Hundsdorfer & Verwer 2003, ch. IV); the start-up step is the same step
+with an empty history and its implicit passes at dt, which makes it
+IMEX Euler.  The diffusions and drifts are implicit, as one tridiagonal
+pass in x and one in y at beta dt, beta = 2/3; the implicit y-pass is an
+M-matrix, so the stiff drift costs nothing.  Q, the quadratic gradient
+term plus the source, and M, the mixed term, are extrapolated to
+2 Q^n - Q^{n-1} and 2 M^n - M^{n-1}, and the right side gains the Douglas
+term beta^2 dt^2 Lx Ly W^n, which cancels the factored left side's
+beta^2 dt^2 Lx Ly W^{n+1} to second order: P converges at second order
+in dt.  At wave numbers (thx, thy), with X = beta dt (s1^2 / 2)
+4 sin^2(thx / 2) / dx^2 and Y = beta dt (s2^2 / (2 eps)) 4 sin^2(thy / 2)
+/ dy^2, the mixed term's symbol beta m satisfies |beta m| <= 2 |rho|
+sqrt(X Y) <= X + Y (In 't Hout & Welfert 2007), and a linear step
+amplifies a mode by a root xi of
+
+    (1 + X)(1 + Y) xi^2 - (4/3 + X Y + 2 beta m) xi + (1/3 + beta m) = 0.
+
+The Schur-Cohn conditions put both roots in |xi| <= 1 for every |rho| <= 1:
+(1 + X)(1 + Y) exceeds |1/3 + beta m|; (1 + X)(1 + Y) + 1/3 + beta m minus
+the middle coefficient is X + Y - beta m >= 0; and the sum of all three
+is at least 8/3 - 4 s + 2 s^2 > 0, s = sqrt(X Y).  Without the X Y that the
+Douglas term brings, the last fails near |rho| = 1.  Upwinding adds
+imaginary parts to the implicit symbols; the tests check both roots with
+the scheme's own upwind stencils.
+
+The quadratic term is the one explicit term whose stability depends on
+the solution.  Linearised at a gradient g it is an explicit y-advection
+at speed a = lambda s2^2 g / eps, which only the implicit y-diffusion
+D = s2^2 / (2 eps) damps, and near |rho| = 1 only the (1 - rho^2) D that
+the mixed term leaves of it.  The march caps max|u_y| at
+g* = sqrt(eps / dt) / (2 gamma sup s2), where a^2 dt <= (1 - rho^2)^2 D / 2
+at every y-node; the tests' symbol check, with the linearised term's
+symbol e = beta dt 2 q g i sin(thy) / dy added to beta m in both places,
+finds both roots in |xi| <= 1 at g* at rho = +-0.999 on four models, and
+at rho = -0.2 and -0.7 on skew3's grid.  With lambda in
+place of gamma, a stays fixed as |rho| -> 1 and that check fails.  So
+stability asks nothing of dt, and dt = min(eps, tau / ``MIN_STEPS``) is
+set for accuracy: eps resolves the fast relaxation, and ``MIN_STEPS`` = 80
+is the least step count of a sweep (63, 72, 80, 90, 100 steps) at which
+the benchmark's skew3 surfaces keep their time error at or below that of
+the first-order march at 250 steps.  The solver monitors the cap, the
+amplitude bound and the price band at every step, each with one
+comparison that a NaN fails too, and halves dt when a monitor trips; a
+band or amplitude trip that the halved attempt repeats within one step's
+tau is raised at once, as halving dt does not move a spatial overshoot.
 
 Both value functions march in one Fortran-ordered (ny, nx + 1) array W:
 columns ``:nx`` hold u and the last holds u-tilde, which does not depend
@@ -60,7 +81,7 @@ the mixed term, the x-solve and the x-boundary fold act on u's columns.
 
 Everything fixed during a solve is set up once per attempt, so a step
 only subtracts, multiplies and adds; the coefficient ranges behind the
-dy cap and G are evaluated once per ``make_grid`` and once per attempt.
+dy cap and g* are evaluated once per ``make_grid`` and once per attempt.
 ``_explicit_weights`` folds dt and the spacings into the explicit step's
 weights.  Each implicit system is factored twice per attempt, at dt for
 the start-up step and at beta dt for the rest.  The x-system is
@@ -110,10 +131,11 @@ DEFAULT_NX = 601
 DEFAULT_X_SPAN = (-3.0, 3.0)
 MIN_NODES = 5  # per direction, on any Grid2D
 MIN_NY = 201
-MIN_STEPS = 200
+MIN_STEPS = 80
 BDF2_BETA = 2.0 / 3.0  # the implicit weight of an IMEX-BDF2 step, in units of dt
 BAND_SLACK = 1e-6  # relative to strike; explicit mixed term is not exactly monotone
 MAX_DT_RETRIES = 6  # dt halvings price_surface tries before it gives up
+SPATIAL_MONITORS = ("u", "u_tilde", "band")  # trips that halving dt may not move
 
 logger = logging.getLogger(__name__)
 
@@ -180,9 +202,12 @@ def _max_dy(spec: ModelSpec, s2_min: float) -> float:
     return math.sqrt(spec.epsilon) * s2_min / 4.0
 
 
-def _gradient_constant(spec: ModelSpec, s2_max: float, dy: float) -> float:
-    """G: the explicit quadratic-gradient step is contractive while dt max|u_y| <= G."""
-    return spec.epsilon * dy / (spec.lam * s2_max ** 2)
+def _gradient_cap(spec: ModelSpec, s2_max: float, dt: float) -> float:
+    """g*(dt) = sqrt(eps / dt) / (2 gamma sup sigma2): the gradient monitor's cap on max|u_y|.
+
+    The module docstring says why it suffices.
+    """
+    return 0.5 * math.sqrt(spec.epsilon / dt) / (spec.gamma * s2_max)
 
 
 def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
@@ -194,9 +219,10 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     mean level (stretched below when epsilon > 1) and the y-spacing
     resolves the boundary layer: dy <= sqrt(eps) * inf(sigma2) / 4, with
     at least ``MIN_NY`` nodes; a given ``ny`` below either is a ``BadGrid``
-    naming the one that binds.  Without a ``dt``, dt is the least of the
-    module docstring's three candidates, whatever rho: the BDF2 step's
-    stability needs no margin below them.
+    naming the one that binds.  Without a ``dt``, dt = min(eps, tau /
+    ``MIN_STEPS``), whatever rho: the step's stability asks nothing of dt
+    below the gradient cap, so both candidates are for accuracy (module
+    docstring).
     A given ``dt`` must be finite and positive; it is shrunk to divide tau.
     ``tau`` must be finite and >= 0; tau = 0 gives the payoff grid (no steps).
     """
@@ -211,7 +237,7 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     std = measure.std()
     y_lo = spec.m - 6.0 * std * max(1.0, math.sqrt(eps))
     y_hi = spec.m + 6.0 * std
-    s2_min, s2_max = _coefficient_bounds(spec)
+    s2_min, _ = _coefficient_bounds(spec)
     ny_cap = int(math.ceil((y_hi - y_lo) / _max_dy(spec, s2_min))) + 1
     ny_required, bound = max((MIN_NY, "the MIN_NY floor"), (ny_cap, "the boundary-layer dy cap"))
     if ny is None:
@@ -226,10 +252,7 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     if tau == 0.0:
         return grid
     if dt is None:
-        gmax0 = 0.05 * spec.strike * math.sqrt(eps)  # estimate of max |u_y|
-        dt = min(_gradient_constant(spec, s2_max, grid.dy) / gmax0,
-                 0.25 * eps,       # resolve the fast relaxation
-                 tau / MIN_STEPS)  # baseline time resolution
+        dt = min(eps, tau / MIN_STEPS)
     n_steps = max(1, int(math.ceil(tau / dt)))
     return replace(grid, dt=tau / n_steps, n_steps=n_steps)
 
@@ -469,28 +492,36 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     against the boundary-layer cap (a ``BadGrid``).  A grid of no steps
     returns W as it starts, before anything that depends on dt.  Otherwise
     come the monitors' caps; the explicit weights; the solution array and
-    the history array, which starts at zero; two work arrays; and a table
-    of the two step kinds, each with its mixed weight and its x- and
-    y-factors.
+    the history array, which starts at zero; two work arrays and the
+    Douglas array, which starts at zero too; and a table of the two step
+    kinds, each with its x- and y-factors and its y-solve scale.
 
-    Every step is one IMEX-BDF2 step (Ascher, Ruuth & Wetton 1995): with
-    E dt (quadratic term + source) and M dt times the mixed term, it solves
+    Every step is one IMEX-BDF2 step (Ascher, Ruuth & Wetton 1995) with the
+    Douglas term: with E dt (quadratic term + source), M dt times the mixed
+    term and k, c the kind's implicit step and scale, it solves
 
-        (I - k Lx)(I - k Ly) W^{n+1} = c [W^n + E^n + w M^n + H^{n-1}],
-        H^{n-1} = -(W^{n-1} + 2 E^{n-1}) / 4.
+        (I - k Lx)(I - k Ly) W^{n+1} = c [W^n + E^n + M^n + H^{n-1}] + k^2 Lx Ly W^n,
+        H^{n-1} = -(W^{n-1} + 2 E^{n-1} + 2 M^{n-1}) / 4.
 
-    After the start-up, (k, c, w) = (beta dt, 4/3, 1/2), beta = 2/3, and
-    the right side is 4/3 W^n - 1/3 W^{n-1} + beta dt [M^n + 2 Q^n - Q^{n-1}]:
-    Q extrapolated, M lagged (see the module docstring).  The start-up
-    step has H^{-1} = 0 and (k, c, w) = (dt, 1, 1), so it is IMEX Euler,
-    W^1 = W^0 + E^0 + M^0 solved at dt, and it leaves H^0 for step 2.
-    The bracket is formed in the array that held H^{n-1}, which then
-    holds the solution, and H^n is formed in place of W^n, so the two
-    arrays swap roles each step; w is folded into the kind's mixed weight
-    and c into its y-solve's scale column.  Each step checks max |u_y|
-    over W against G / dt, |u| and |u_tilde| against their caps, and
-    0 <= u_tilde - u <= K, each in one comparison that a NaN fails too.
-    It only subtracts, multiplies and adds, apart from dpttrs, in place
+    After the start-up, (k, c) = (beta dt, 4/3), beta = 2/3, and the right
+    side is 4/3 W^n - 1/3 W^{n-1} + beta dt [2 M^n - M^{n-1} + 2 Q^n - Q^{n-1}]
+    + beta^2 dt^2 Lx Ly W^n: Q and M extrapolated (see the module docstring).
+    The start-up step has H^{-1} = 0, no Douglas term and (k, c) = (dt, 1),
+    so it is IMEX Euler, W^1 = W^0 + E^0 + M^0 solved at dt, and it leaves
+    H^0 for step 2.  The bracket is formed in the array that held H^{n-1},
+    which then holds the solution, and H^n is formed in place of W^n, so
+    the two arrays swap roles each step; c goes into the y-solve's scale
+    column.  The Douglas term is applied in split form, without a stencil:
+    with G = k Ly W^n / c, the x-solve takes the bracket plus G and G is
+    taken off its result, which is (I - k Lx)^{-1} of the bracket plus
+    k Lx G.  The y-solve's own input X gives G: (I - k' Ly) W^n = c' X
+    leaves k' Ly W^n = W^n - c' X for the kind (k', c') that made W^n, so
+    each step keeps c X in the Douglas array and turns it into the next
+    step's G after the y-solve: three passes, and no stencil.  Each step
+    checks max |u_y| over W against the cap g*, |u| and |u_tilde| against
+    their caps, and 0 <= u_tilde - u <= K, each in one comparison that a NaN
+    fails too; each trip's ``Instability`` names its monitor and tau.  It
+    only subtracts, multiplies and adds, apart from dpttrs, in place
     between the two scalings.
     """
     coeffs = _Coefficients(spec, grid.y)
@@ -511,57 +542,67 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     mixed, quad, source = _explicit_weights(coeffs, dt, dx, dy)
     two_dy = 2.0 * dy
 
-    grad_cap = _gradient_constant(spec, s2_max, dy) / dt
+    grad_cap = _gradient_cap(spec, s2_max, dt)
     growth = grid.tau_final * np.abs(coeffs.source).max()
     u_cap = (np.abs(U0).max() + growth) * 1.5 + spec.strike
     tilde_cap = growth * 1.5 + spec.strike
     band_lo, band_hi = -BAND_SLACK * spec.strike, spec.strike + BAND_SLACK * spec.strike
-    D = np.empty_like(W)  # raw y-differences, then the explicit increment E
+    D = np.empty_like(W)  # raw y-differences, then the explicit increment E + M
     D_u = D[:, :nx]
     mixed_u = np.empty((ny, nx), order="F")
+    douglas = np.zeros((ny, nx), order="F")  # G = k Ly W^n / c on u; zero for the start-up
     x_tmp = np.empty(ny)
     # (W, u, u_tilde, u's interior y-columns) for the solution and the history, which
     # starts at zero; the views stay valid while the y-solve works in place
     sides = [(array, array[:, :nx], array[:, nx], list(array[:, 1:nx - 1].T))
              for array in (W, np.zeros_like(W))]
-    # the step kinds, start-up then BDF2: (mixed weight, x-factor on each side, y-factor);
-    # dt first: its fold has the larger a, so a failed dominance guard names it
+    # the step kinds, start-up then BDF2: (x-factor on each side, y-factor, y-solve scale c,
+    # next_share), where next_share = (beta dt / (4/3)) / k turns k Ly W^{n+1} into the next
+    # step's G; dt first: its fold has the larger a, so a failed dominance guard names it
     kinds = []
-    for step_dt, scale, weight in ((dt, 1.0, mixed), (BDF2_BETA * dt, 4.0 / 3.0, 0.5 * mixed)):
+    for step_dt, scale in ((dt, 1.0), (BDF2_BETA * dt, 4.0 / 3.0)):
         d_fact, e_fact, s, inv_s = _factor_y_system(*_build_y_system(coeffs, step_dt, dy))
         mult, recip, upper = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx - 2)
         x_factors = [(mult, upper, _pivot_runs(recip, u[:, 1:-1])) for _, u, _, _ in sides]
-        kinds.append((weight, x_factors, (d_fact, e_fact, s * scale, inv_s)))
+        kinds.append((x_factors, (d_fact, e_fact, s * scale, inv_s), scale,
+                      0.75 * BDF2_BETA * dt / step_dt))
 
     cur = 0  # the side that holds the solution
     for step in range(1, grid.n_steps + 1):
-        weight, x_factors, y_factor = kinds[step > 1]  # the start-up kind for step 1 only
+        x_factors, y_factor, scale, next_share = kinds[step > 1]  # start-up for step 1 only
         (W, *_), (H, H_u, *_) = sides[cur], sides[1 - cur]
         # rounding is monotone, so this is max |u_y| of the central u_y to the bit
         grad_max = _abs_max(_y_diff(W, D)) / two_dy
         if not grad_max <= grad_cap:
             raise Instability(f"dt {dt:.3e} exceeds the gradient bound at step {step} "
-                              f"(|u_y| = {grad_max:.3e})")
+                              f"(|u_y| = {grad_max:.3e} > {grad_cap:.3e})",
+                              monitor="gradient", tau=step * dt)
         # the weights fold in dt and the differences' spacings; u_tilde does not
         # depend on x and takes no mixed term
-        np.multiply(_x_diff(D_u, mixed_u), weight, out=mixed_u)
+        np.multiply(_x_diff(D_u, mixed_u), mixed, out=mixed_u)
         np.square(D, out=D)
         np.multiply(D, quad, out=D)
         np.add(D, source, out=D)
-        # H^{n-1} += W^n + E^n + w M^n, then W^n becomes H^n
+        np.add(D_u, mixed_u, out=D_u)
+        # H^{n-1} += W^n + E^n + M^n + G, then W^n becomes H^n
         np.add(W, D, out=W)
         np.add(H, W, out=H)
-        np.add(H_u, mixed_u, out=H_u)
+        np.add(H_u, douglas, out=H_u)
         np.add(W, D, out=W)
         np.multiply(W, -0.25, out=W)
         cur = 1 - cur
         W, u, u_tilde, x_cols = sides[cur]
 
+        # the x-solve took the bracket plus G, and G comes off its result
         _solve_x_system(*x_factors[cur], x_cols, x_tmp)
+        np.subtract(u, douglas, out=u)
         u[:, 0] = 2.0 * u[:, 1] - u[:, 2]
         u[:, -1] = 2.0 * u[:, -2] - u[:, -3]
-
+        # (I - k Ly) W^{n+1} = c X leaves k Ly W^{n+1} = W^{n+1} - c X: the next step's G
+        np.multiply(u, scale, out=douglas)
         _solve_y_system(W, *y_factor)
+        np.subtract(u, douglas, out=douglas)
+        np.multiply(douglas, next_share, out=douglas)
 
         # one row-wise pass serves both monitors of u: |u| <= cap and, as rounding
         # is monotone, min/max of u_tilde - u come from the row extremes
@@ -570,13 +611,13 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
                                 ("u_tilde", _abs_max(u_tilde), tilde_cap)):
             if not peak <= cap:
                 raise Instability(f"{name} left the amplitude bound at step {step} "
-                                  f"(|{name}| = {peak:.3e})")
+                                  f"(|{name}| = {peak:.3e})", monitor=name, tau=step * dt)
         price_min, price_max = (u_tilde - row_max).min(), (u_tilde - row_min).max()
         if not (band_lo <= price_min and price_max <= band_hi):
             raise Instability(
                 f"price band violated at step {step}: "
-                f"[{price_min:.3e}, {price_max:.3e}] vs [0, {spec.strike}]"
-            )
+                f"[{price_min:.3e}, {price_max:.3e}] vs [0, {spec.strike}]",
+                monitor="band", tau=step * dt)
         if step in wanted:
             snapshots[step] = _price(W)
     return W, snapshots
@@ -590,8 +631,12 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *,
     logged at INFO level with the tripped monitor's message and the new
     step count.  After ``MAX_DT_RETRIES`` halvings, the last monitor's
     message is raised again with that monitor's ``Instability`` as the
-    cause.  P at each of ``snapshot_steps``, integer steps of ``grid`` in
-    0..n_steps, lands in ``snapshots``; any other step is a ``BadGrid``.
+    cause.  A band or amplitude trip (``SPATIAL_MONITORS``) gets one halved
+    attempt: if that trips the same monitor within one of the earlier
+    attempt's steps of its tau, halving dt did not move the trip, and that
+    is raised at once, with the later trip as the cause.  P at each of
+    ``snapshot_steps``, integer steps of ``grid`` in 0..n_steps, lands in
+    ``snapshots``; any other step is a ``BadGrid``.
     """
     steps = tuple(snapshot_steps)
     for s in steps:
@@ -599,6 +644,7 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *,
             raise BadGrid(f"snapshot step {s} is not one of the grid's steps 0..{grid.n_steps}")
     attempt_grid = grid
     U0 = payoff_initial(spec, grid)  # halving dt leaves the x-grid as it is
+    last = None  # the last attempt's band or amplitude trip
     for attempt in range(MAX_DT_RETRIES + 1):
         factor = 2 ** attempt  # attempt_grid's steps per step of grid
         try:
@@ -606,6 +652,12 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *,
         except Instability as exc:
             if attempt == MAX_DT_RETRIES:
                 raise Instability(f"{exc} (still, after {attempt} dt halvings)") from exc
+            last_dt = 2.0 * attempt_grid.dt
+            if (last is not None and exc.monitor == last.monitor
+                    and abs(exc.tau - last.tau) <= last_dt):
+                raise Instability(f"{exc}: halving dt did not move the trip from "
+                                  f"tau = {last.tau:.4g} at dt {last_dt:.3e}") from exc
+            last = exc if exc.monitor in SPATIAL_MONITORS else None
             attempt_grid = attempt_grid.with_halved_dt()
             logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue

@@ -77,43 +77,48 @@ def test_price_surface_rejects_a_hand_built_grid_above_the_dy_cap(fast_spec, mon
 
 @pytest.mark.parametrize("rho", [-0.95, -0.96, -0.99, 0.99, -0.999])
 def test_near_degenerate_correlation_keeps_the_relaxation_step(rho):
-    """No dt candidate depends on rho: the demo takes eps/4's 250 steps up to |rho| -> 1."""
-    assert make_grid(arctangent_model().with_(rho=rho), 0.25, nx=201).n_steps == 250
+    """No dt candidate depends on rho: the demo takes the dt rule's 80 steps up to |rho| -> 1."""
+    assert make_grid(arctangent_model().with_(rho=rho), 0.25, nx=201).n_steps == 80
 
 
 def test_near_degenerate_correlation_solves_at_the_relaxation_step(caplog):
-    """At rho = +-0.99 the demo takes 250 steps with no halving, stays in the band, and
-    its dt against dt/4 gap is at most 2.5e-4 (K = 100), 1.2e-4 at the demo's own rho.
+    """At rho = +-0.99 the demo takes 80 steps with no halving, stays in the band, and
+    its dt against dt/4 gap is at most 2e-4 (K = 100), 7e-5 at the demo's own rho.
 
-    The lagged mixed term's time error grows with |rho|, so the bounds are absolute."""
+    The mixed term's time error grows with |rho|, so the bounds are absolute."""
     def time_gap(spec):
         grid = make_grid(spec, 0.25, nx=201)
         with caplog.at_level(logging.INFO, logger="volclust.pde"):
             surface = price_surface(spec, grid)
         assert [r for r in caplog.records if r.name == "volclust.pde"] == []
-        assert surface.grid.n_steps == 250
+        assert surface.grid.n_steps == 80
         assert -1e-6 * spec.strike <= surface.P.min() <= surface.P.max() <= spec.strike
         finer = price_surface(spec, make_grid(spec, 0.25, nx=201, dt=grid.dt / 4))
         return np.abs(surface.P - finer.P).max()
 
     demo = arctangent_model()
-    assert time_gap(demo) <= 1.2e-4
+    assert time_gap(demo) <= 7e-5
     for rho in (-0.99, 0.99):
-        assert time_gap(demo.with_(rho=rho)) <= 2.5e-4
+        assert time_gap(demo.with_(rho=rho)) <= 2e-4
 
 
-def _max_amplification(spec: ModelSpec, grid: Grid2D) -> float:
-    """max |xi| of a linear BDF2 step, frozen at each y-node, over 65 x 65 wave numbers.
+def _max_amplification(spec: ModelSpec, grid: Grid2D, g: float) -> float:
+    """max |xi| of a linear BDF2 step at frozen gradient ``g``, at each y-node, over 65 x 65 wave numbers.
 
-    For the mode exp(i (k thx + j thy)) the lagged mixed term is
-    m = mixed (2i sin thx)(2i sin thy), from the raw differences its weight
-    multiplies, and each implicit pass at beta dt is a = 1 - beta dt (sub e^-i th
-    + diag + sup e^i th), from its ``_stencil``.  A step amplifies by a root xi of
-    ax ay xi^2 - (4/3 + beta m) xi + 1/3 = 0; both roots are taken, the larger
-    in magnitude from the quadratic formula and the other as their product over it.
+    For the mode exp(i (k thx + j thy)) the mixed term is m = mixed (2i sin thx)(2i sin thy),
+    from the raw differences its weight multiplies; the quadratic term linearised about
+    u_y = g is e = beta dt 2 q g i sin thy / dy, from the central u_y; and each implicit
+    pass at beta dt is a = 1 - beta dt (sub e^-i th + diag + sup e^i th), from its
+    ``_stencil``.  With M and Q extrapolated and the Douglas term c = (1 - ax)(1 - ay), a
+    step amplifies by a root xi of
+
+        ax ay xi^2 - (4/3 + c + 2 beta m + 2 e) xi + (1/3 + beta m + e) = 0;
+
+    both roots are taken, the larger in magnitude from the quadratic formula and the other
+    as their product over it.
     """
     coeffs = pde._Coefficients(spec, grid.y)
-    beta_dt = pde.BDF2_BETA * grid.dt
+    beta, beta_dt = pde.BDF2_BETA, pde.BDF2_BETA * grid.dt
     mixed = pde._explicit_weights(coeffs, grid.dt, grid.dx, grid.dy)[0][:, 0]
     theta = np.linspace(-np.pi, np.pi, 65)
     shift = np.exp(1j * theta)
@@ -125,19 +130,26 @@ def _max_amplification(spec: ModelSpec, grid: Grid2D) -> float:
     ix = implicit(coeffs.x_diffusion, coeffs.x_drift, grid.dx)
     iy = implicit(coeffs.y_diffusion, coeffs.y_drift, grid.dy)
     diff = 2j * np.sin(theta)
+    e = beta_dt * 2.0 * coeffs.quad * g / (2.0 * grid.dy)  # times the raw difference diff
     worst = 0.0
-    for m, gx, gy in zip(mixed, ix, iy):
+    for m, ej, gx, gy in zip(mixed, e, ix, iy):
         a = np.outer(gx, gy)
-        b = 4.0 / 3.0 + pde.BDF2_BETA * m * np.outer(diff, diff)
-        root = np.sqrt(b * b - 4.0 / 3.0 * a)
+        bm_e = beta * m * np.outer(diff, diff) + ej * diff[None, :]
+        b = 4.0 / 3.0 + (1.0 - gx)[:, None] * (1.0 - gy)[None, :] + 2.0 * bm_e
+        const = 1.0 / 3.0 + bm_e
+        root = np.sqrt(b * b - 4.0 * a * const)
         big = np.where(np.abs(b + root) >= np.abs(b - root), b + root, b - root)
         worst = max(worst, float(np.abs(big / (2.0 * a)).max()),
-                    float(np.abs(2.0 / (3.0 * big)).max()))
+                    float(np.abs(2.0 * const / big).max()))
     return worst
 
 
+def _gradient_cap(spec: ModelSpec, grid: Grid2D) -> float:
+    return pde._gradient_cap(spec, pde._coefficient_bounds(spec)[1], grid.dt)
+
+
 def test_implicit_passes_dominate_the_explicit_mixed_term_up_to_rho_one():
-    """Both roots of the lagged-mixed-term BDF2 step have |xi| <= 1 for every |rho| <= 1: the
+    """Both roots of the BDF2 step have |xi| <= 1 up to |rho| = 0.999 at the gradient cap: the
     bound that lets make_grid's dt ignore rho, checked at 1x and 64x its dt on two x-spacings."""
     rng = np.random.default_rng(18)
     models = [arctangent_model()] + [random_valid_spec(rng) for _ in range(3)]
@@ -145,22 +157,30 @@ def test_implicit_passes_dominate_the_explicit_mixed_term_up_to_rho_one():
         for nx in (41, 601):
             grid = make_grid(spec, 0.25, nx=nx)
             for scale in (1, 64):
-                assert _max_amplification(spec, replace(grid, dt=grid.dt * scale)) <= 1 + 1e-10
+                scaled = replace(grid, dt=grid.dt * scale)
+                assert _max_amplification(spec, scaled, _gradient_cap(spec, scaled)) <= 1 + 1e-10
+
+
+@pytest.mark.parametrize("eps, rho, unstable", [(0.004, -0.2, 3.0), (0.004, -0.7, 5.0),
+                                                 (0.04, -0.2, 2.0)])
+def test_gradient_cap_lies_below_the_symbol_limit(eps, rho, unstable):
+    """On skew3's grid at the dt rule's step, the largest frozen gradient with both roots in
+    |xi| <= 1 lies between the cap and ``unstable`` times it: 2.5, 4.8 and 1.5 times the cap
+    here, so at eps = 0.04 the cap's factor 1/2 is needed."""
+    spec = arctangent_model(epsilon=eps).with_(rho=rho)
+    grid = make_grid(spec, 0.25, nx=201, x_span=(-1.0, 1.0))
+    cap = _gradient_cap(spec, grid)
+    assert _max_amplification(spec, grid, cap) <= 1 + 1e-10 < _max_amplification(
+        spec, grid, unstable * cap)
 
 
 @pytest.mark.parametrize("eps, tau, binding, n_steps", [
-    (0.004, 0.25, "relaxation", 250), (0.04, 0.25, "baseline", 200), (1.0, 10.0, "gradient", 227)])
+    (0.0025, 0.25, "relaxation", 100), (0.04, 0.25, "baseline", 80)])
 def test_each_dt_candidate_binds_somewhere(eps, tau, binding, n_steps):
-    """dt is the least of three candidates, and each is the least somewhere."""
+    """dt is the lesser of two candidates, and each is the lesser somewhere."""
     spec = arctangent_model(epsilon=eps)
     grid = make_grid(spec, tau, nx=41)
-    _, s2_max = pde._coefficient_bounds(spec)
-    gmax0 = 0.05 * spec.strike * math.sqrt(eps)  # make_grid's estimate of max |u_y|
-    candidates = {
-        "gradient": pde._gradient_constant(spec, s2_max, grid.dy) / gmax0,
-        "relaxation": eps / 4,
-        "baseline": tau / pde.MIN_STEPS,
-    }
+    candidates = {"relaxation": eps, "baseline": tau / pde.MIN_STEPS}
     assert min(candidates, key=candidates.get) == binding
     assert grid.n_steps == math.ceil(tau / candidates[binding]) == n_steps
 
@@ -265,14 +285,16 @@ def test_self_convergence_under_halving(fast_spec):
         assert diff < 1e-3 * fast_spec.strike
 
 
-def test_first_order_convergence_in_time(fast_spec):
+@pytest.mark.parametrize("rho", [-0.2, -0.7])
+def test_second_order_convergence_in_time(fast_spec, rho):
+    spec = fast_spec.with_(rho=rho)
     surfaces = {}
     for n_steps in (50, 100, 200):
-        grid = make_grid(fast_spec, 0.25, nx=121, dt=0.25 / n_steps)
-        surfaces[n_steps] = price_surface(fast_spec, grid).P
+        grid = make_grid(spec, 0.25, nx=121, dt=0.25 / n_steps)
+        surfaces[n_steps] = price_surface(spec, grid).P
     d1 = np.abs(surfaces[50] - surfaces[100]).max()
     d2 = np.abs(surfaces[100] - surfaces[200]).max()
-    assert math.log2(d1 / d2) > 0.9
+    assert math.log2(d1 / d2) >= 1.9
 
 
 def _dense_step(spec, grid, step_dt, rhs):
@@ -293,14 +315,33 @@ def _dense_step(spec, grid, step_dt, rhs):
     return np.linalg.solve(np.diag(d) + np.diag(dl, -1) + np.diag(du, 1), W)
 
 
+def _douglas(spec, grid, step_dt, W):
+    """step_dt^2 Lx Ly W on u's interior x-nodes and zero elsewhere, from the dense systems:
+    step_dt Ly W = (I - A_y) W with the zero-flux ends, then step_dt Lx the same way with
+    the zero-curvature fold that the x-system's first and last rows hold."""
+    nx = grid.x.size
+    coeffs = pde._Coefficients(spec, grid.y)
+    dl, d, du = pde._build_y_system(coeffs, step_dt, grid.dy)
+    Y = (W - (np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)) @ W)[:, 1:nx - 1].T
+    sub, diag, sup = _tiled_x_system(coeffs, replace(grid, dt=step_dt))
+    AY = diag * Y
+    AY[1:] += sub[1:] * Y[:-1]
+    AY[:-1] += sup[:-1] * Y[1:]
+    out = np.zeros_like(W)
+    out[:, 1:nx - 1] = (Y - AY).T
+    return out
+
+
 def test_first_three_steps_follow_the_scheme():
-    """Step 1 is IMEX Euler, later steps IMEX-BDF2 with Q extrapolated and M lagged:
+    """Step 1 is IMEX Euler, later steps IMEX-BDF2 with Q and M extrapolated and the Douglas term:
 
         (I - dt Lx)(I - dt Ly) W^1 = W^0 + dt (Q^0 + M^0),
         (I - b dt Lx)(I - b dt Ly) W^{n+1}
-            = 4/3 W^n - 1/3 W^{n-1} + b dt (M^n + 2 Q^n - Q^{n-1}),  b = 2/3,
+            = 4/3 W^n - 1/3 W^{n-1} + b dt (2 M^n - M^{n-1} + 2 Q^n - Q^{n-1})
+              + (b dt)^2 Lx Ly W^n,  b = 2/3,
 
-    with central u_y, u_xy one-sided at the x-ends, and a start that depends on y, so M^0 != 0.
+    with central u_y, u_xy one-sided at the x-ends, and a start that depends on y, so M^0 != 0
+    and Lx Ly W^n != 0.
     """
     spec = arctangent_model(epsilon=0.25).with_(rho=-0.7)
     x, y = np.linspace(-1.0, 1.0, 9), 0.02 * np.arange(-5, 6)  # dy under the cap 0.025
@@ -327,9 +368,12 @@ def test_first_three_steps_follow_the_scheme():
     levels = [W0, _dense_step(spec, grid, dt, W0 + dt * (Q(W0) + M(W0)))]
     for _ in range(2):
         prev, now = levels[-2:]
-        rhs = 4.0 / 3.0 * now - prev / 3.0 + beta_dt * (M(now) + 2.0 * Q(now) - Q(prev))
+        rhs = (4.0 / 3.0 * now - prev / 3.0
+               + beta_dt * (2.0 * M(now) - M(prev) + 2.0 * Q(now) - Q(prev))
+               + _douglas(spec, grid, beta_dt, now))
         levels.append(_dense_step(spec, grid, beta_dt, rhs))
     assert np.abs(M(W0)).max() > 1.0
+    assert np.abs(_douglas(spec, grid, beta_dt, levels[1])).max() > 1e-6
     for n in (1, 2, 3):
         W, _ = _march(spec, replace(grid, n_steps=n), W0[:, :nx])
         np.testing.assert_allclose(W, levels[n], rtol=1e-12)
@@ -583,10 +627,11 @@ def test_x_sweep_matches_lapack():
     rng = np.random.default_rng(5)
     demo = arctangent_model()
     default = make_grid(demo, demo.maturity)
-    cases = [(demo, default, False), (demo, make_grid(demo, 0.25, nx=201, x_span=(-1.0, 1.0)), False)]
+    cases = [(demo, replace(default, dt=0.001), False),
+             (demo, make_grid(demo, 0.25, nx=201, x_span=(-1.0, 1.0), dt=0.001), False)]
     cases += [(spec, make_grid(spec, spec.maturity), None)  # either way
               for spec in (random_valid_spec(rng) for _ in range(3))]
-    cases += [(demo, replace(default, dt=dt), True) for dt in (0.002, 0.01, 0.05)]
+    cases += [(demo, replace(default, dt=dt), True) for dt in (default.dt, 0.002, 0.01, 0.05)]
     for spec, grid, pivots in cases:
         rhs = rng.standard_normal((grid.x.size - 2, grid.y.size))
         expected, pivoted = _lapack_x_solve(spec, grid, rhs)
@@ -643,27 +688,32 @@ def test_x_system_without_dominance_halves_dt(caplog):
 
 
 def test_instability_raised_for_reckless_dt():
-    # fast enough mean reversion that the quadratic gradient term bites
-    spec = arctangent_model(epsilon=0.01)
-    grid = make_grid(spec, 0.25, nx=61)
-    reckless = Grid2D(x=grid.x, y=grid.y, dt=grid.dt * 100,
-                      n_steps=max(1, grid.n_steps // 100))
+    # at eps = 1 the gradient grows large enough for the cap to bite at 40 times the rule's dt
+    spec = arctangent_model(epsilon=1.0)
+    grid = make_grid(spec, 1.0, nx=41)
+    reckless = replace(grid, dt=0.5, n_steps=2)
     U0 = payoff_initial(spec, reckless)
     with pytest.raises(Instability) as info:
         _march(spec, reckless, U0)
     # step 1 starts from a y-independent payoff and a zero u_tilde, so |u_y| = 0 there;
-    # the monitor reports the largest |u_y| over u and u_tilde after it
+    # the monitor reports the largest |u_y| over u and u_tilde after it, against
+    # sqrt(eps / dt) / (2 gamma sup sigma2)
     first, _ = _march(spec, replace(reckless, n_steps=1), U0)
     grad = np.abs((first[2:] - first[:-2]) / (2.0 * grid.dy)).max()
-    assert str(info.value) == (f"dt {reckless.dt:.3e} exceeds the gradient bound at step 2 "
-                               f"(|u_y| = {grad:.3e})")
+    cap = math.sqrt(1.0 / 0.5) / (2.0 * 1.0 * 0.2)
+    assert str(info.value) == (f"dt 5.000e-01 exceeds the gradient bound at step 2 "
+                               f"(|u_y| = {grad:.3e} > {cap:.3e})")
+    assert (info.value.monitor, info.value.tau) == ("gradient", 1.0)
+
+
+def _too_big_dt():
+    """The demo at eps = 1 on 4 steps to tau = 1: the gradient monitor trips once."""
+    spec = arctangent_model(epsilon=1.0)
+    return spec, make_grid(spec, 1.0, nx=41, dt=0.25)
 
 
 def test_price_surface_recovers_by_halving_dt():
-    spec = arctangent_model(epsilon=0.01)
-    grid = make_grid(spec, 0.25, nx=61)
-    too_big = Grid2D(x=grid.x, y=grid.y, dt=grid.dt * 16,
-                     n_steps=int(math.ceil(grid.n_steps / 16)))
+    spec, too_big = _too_big_dt()
     surface = price_surface(spec, too_big)
     assert surface.grid.dt < too_big.dt  # at least one halving happened
     assert surface.P.min() >= -1e-6 * spec.strike
@@ -671,10 +721,7 @@ def test_price_surface_recovers_by_halving_dt():
 
 
 def test_snapshots_map_caller_steps_onto_the_halved_grid():
-    spec = arctangent_model(epsilon=0.01)
-    grid = make_grid(spec, 0.25, nx=61)
-    too_big = Grid2D(x=grid.x, y=grid.y, dt=grid.dt * 16,
-                     n_steps=int(math.ceil(grid.n_steps / 16)))
+    spec, too_big = _too_big_dt()
     steps = [too_big.n_steps, 1, too_big.n_steps // 2]
     surface = price_surface(spec, too_big, snapshot_steps=steps)
     factor = surface.grid.n_steps // too_big.n_steps
@@ -780,30 +827,52 @@ def test_nan_in_initial_data_raises_instability(fast_spec):
 
 
 def test_coarse_demo_logs_one_halving(caplog):
-    """The demo asked for 125 steps trips the gradient monitor once."""
-    spec = arctangent_model()
-    grid = make_grid(spec, 0.25, nx=201, dt=0.002)
-    assert grid.n_steps == 125
+    """The demo at eps = 1 asked for 4 steps trips the gradient monitor once."""
+    spec, grid = _too_big_dt()
+    assert grid.n_steps == 4
     with caplog.at_level(logging.INFO, logger="volclust.pde"):
         surface = price_surface(spec, grid)
-    assert surface.grid.n_steps == 250
+    assert surface.grid.n_steps == 8
     records = [r for r in caplog.records if r.name == "volclust.pde"]
     assert len(records) == 1
     message = records[0].getMessage()
-    assert message.startswith("dt 2.000e-03 exceeds the gradient bound at step 3 ")
-    assert message.endswith("halving dt to 250 steps")
+    assert message.startswith("dt 2.500e-01 exceeds the gradient bound at step 4 ")
+    assert message.endswith("halving dt to 8 steps")
 
 
 def test_out_of_retries_names_the_monitor_that_tripped(monkeypatch):
     """With no retries left the final error carries the last monitor's cause."""
     monkeypatch.setattr(pde, "MAX_DT_RETRIES", 0)
-    spec = arctangent_model()
-    grid = make_grid(spec, 0.25, nx=201, dt=0.002)
-    with pytest.raises(Instability, match="gradient bound at step 3") as info:
+    spec, grid = _too_big_dt()
+    with pytest.raises(Instability, match="gradient bound at step 4") as info:
         price_surface(spec, grid)
     assert "price band" not in str(info.value)
     assert isinstance(info.value.__cause__, Instability)
     assert str(info.value.__cause__) in str(info.value)
+
+
+def test_a_band_trip_that_halving_does_not_move_fails_fast(caplog):
+    """At eps = 1, tau = 10 the zero-curvature fold undershoots at x = +3, which no dt cures:
+    the band monitor trips at tau ~ 2.2 at 160 steps and again at 320, and the solve gives up
+    there instead of halving four more times.  At the dt rule's 80 steps the gradient monitor
+    trips first, at step 16, and halving cures that trip."""
+    spec = arctangent_model(epsilon=1.0)
+    for grid, gradient_trips in ((make_grid(spec, 10.0, nx=41, dt=10.0 / 160), 0),
+                                 (make_grid(spec, 10.0, nx=41), 1)):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="volclust.pde"), \
+                pytest.raises(Instability) as info:
+            price_surface(spec, grid)
+        records = [r.getMessage() for r in caplog.records if r.name == "volclust.pde"]
+        assert len(records) == gradient_trips + 1  # one halved attempt after the band trip
+        assert all("gradient bound" in r for r in records[:gradient_trips])
+        band = records[-1]
+        assert band.startswith("price band violated at step 35: ") and band.endswith(
+            "halving dt to 320 steps")
+        first, second = 35 * 10.0 / 160, info.value.__cause__
+        assert second.monitor == "band" and abs(second.tau - first) <= 10.0 / 160
+        assert str(info.value) == (f"{second}: halving dt did not move the trip from "
+                                   f"tau = {first:.4g} at dt 6.250e-02")
 
 
 def test_amplitude_monitor_trips_when_u_and_u_tilde_move_together(monkeypatch, caplog):
@@ -817,7 +886,7 @@ def test_amplitude_monitor_trips_when_u_and_u_tilde_move_together(monkeypatch, c
     monkeypatch.setattr(pde, "_explicit_weights", loud_source)
     spec = arctangent_model(epsilon=0.25, maturity=0.05)
     grid = make_grid(spec, spec.maturity, nx=21)
-    first = "u left the amplitude bound at step 1 (|u| = 3.618e+03)"
+    first = "u left the amplitude bound at step 1 (|u| = 8.869e+03)"
     with pytest.raises(Instability) as info:
         _march(spec, grid, payoff_initial(spec, grid))
     assert str(info.value) == first
@@ -827,8 +896,8 @@ def test_amplitude_monitor_trips_when_u_and_u_tilde_move_together(monkeypatch, c
             pytest.raises(Instability) as info:
         price_surface(spec, grid)
     records = [r.getMessage() for r in caplog.records if r.name == "volclust.pde"]
-    assert records == [f"{first}; halving dt to 400 steps"]
-    assert str(info.value) == ("u left the amplitude bound at step 1 (|u| = 1.860e+03) "
+    assert records == [f"{first}; halving dt to 160 steps"]
+    assert str(info.value) == ("u left the amplitude bound at step 1 (|u| = 4.495e+03) "
                                "(still, after 1 dt halvings)")
 
 
