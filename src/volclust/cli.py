@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import asymptotics, bs, calibrate, measure, model, pde, poisson
-from .errors import ConfigError, VolclustError
+from .errors import ConfigError, NumericalError, OutOfBand, VolclustError
 
 FIGURE2_ETAS = (-0.25, 0.0, 0.25)
 FIGURE2_LM_SPAN = (-0.3, 0.3)
@@ -197,14 +197,24 @@ def _cmd_figure1(args) -> None:
 
 
 def _figure2_curve(task) -> list[float]:
-    """One eta member of the skew plot: implied vols on the log-moneyness grid."""
+    """One eta member of the skew plot: implied vols on the log-moneyness grid.
+
+    A PDE price outside the no-arbitrage band comes from the grid's x
+    error, not from the input, so it is a ``NumericalError``.
+    """
     spec, lm_grid, nx = task
     grid = pde.make_grid(spec, spec.maturity, nx=nx)
     surface = pde.price_surface(spec, grid)
     jy = int(np.argmin(np.abs(grid.y - spec.m)))
-    nearest = np.argmin(np.abs(grid.x[None, :] - (-lm_grid)[:, None]), axis=1)
-    return [bs.implied_vol(float(surface.P[ix, jy]), surface.tau, float(grid.x[ix]), spec.strike)
-            for ix in nearest]
+    vols = []
+    for ix in np.argmin(np.abs(grid.x[None, :] - (-lm_grid)[:, None]), axis=1):
+        x = float(grid.x[ix])
+        try:
+            vols.append(bs.implied_vol(float(surface.P[ix, jy]), surface.tau, x, spec.strike))
+        except OutOfBand as exc:
+            raise NumericalError(f"eta = {spec.eta:g}, log-moneyness {-x:g}, tau = {surface.tau:g}: "
+                                 f"the PDE {exc}; a finer --nx lowers its x error") from exc
+    return vols
 
 
 def _cmd_figure2(args) -> None:

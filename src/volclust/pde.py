@@ -104,9 +104,9 @@ solve_banded (dgtsv) for its y-solves, so it shares no solver with the
 march.
 
 ``price_surface`` is the one entry point and always returns a
-``PriceSurface``; P at the caller's grid steps named in ``snapshot_steps``
-comes back in its ``snapshots`` dict, as in
-``price_surface(spec, grid, snapshot_steps=[50]).snapshots[50]``.
+``PriceSurface`` at the grid's last step.  P at an earlier step k is the
+solve of the prefix grid, ``price_surface(spec, replace(grid, n_steps=k)).P``:
+when neither solve halves dt, it is bit for bit the whole march's P at step k.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -189,7 +189,6 @@ class PriceSurface:
     u_tilde: np.ndarray  # shape (ny,)
     P: np.ndarray        # shape (nx, ny)
     tau: float
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # requested step -> P
 
 
 def _coefficient_bounds(spec: ModelSpec) -> tuple[float, float]:
@@ -470,11 +469,6 @@ def _abs_max(a: np.ndarray) -> float:
     return float(np.maximum(a.max(), -a.min()))
 
 
-def _price(W: np.ndarray) -> np.ndarray:
-    """P = u_tilde - u, shape (nx, ny), from the march's (ny, nx + 1) array ``W``."""
-    return W[:, -1] - W[:, :-1].T
-
-
 def payoff_initial(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     """Negative put payoff on the grid, shape (ny, nx), by np.exp: for some x that
     differs in the last bit from the math.exp of ``bs``'s scalar payoff."""
@@ -482,9 +476,8 @@ def payoff_initial(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     return np.tile(-pay, (grid.y.size, 1))
 
 
-def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
-           snapshot_steps: Iterable[int] = ()) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The IMEX march of both value functions; returns the terminal W and P at ``snapshot_steps``.
+def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
+    """The IMEX march of both value functions; returns W at the grid's last step.
 
     W is (ny, nx + 1) and Fortran-ordered: columns ``:nx`` hold u, started
     from ``U0`` (ny, nx), and column ``nx`` holds u_tilde, started from
@@ -531,14 +524,10 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
     dy_cap = _max_dy(spec, s2_min)
     if dy > dy_cap * (1.0 + 1e-9):
         raise BadGrid(f"y spacing {dy:.3e} exceeds the boundary-layer cap {dy_cap:.3e}")
-    wanted = set(snapshot_steps)
-    snapshots: dict[int, np.ndarray] = {}
     W = np.zeros((ny, nx + 1), order="F")  # y-columns contiguous: the y-solve works in place
     W[:, :nx] = U0
-    if 0 in wanted:
-        snapshots[0] = _price(W)
     if grid.n_steps == 0:  # no step is taken, so nothing that depends on dt is set up
-        return W, snapshots
+        return W
     mixed, quad, source = _explicit_weights(coeffs, dt, dx, dy)
     two_dy = 2.0 * dy
 
@@ -618,14 +607,11 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray,
                 f"price band violated at step {step}: "
                 f"[{price_min:.3e}, {price_max:.3e}] vs [0, {spec.strike}]",
                 monitor="band", tau=step * dt)
-        if step in wanted:
-            snapshots[step] = _price(W)
-    return W, snapshots
+    return W
 
 
-def price_surface(spec: ModelSpec, grid: Grid2D, *,
-                  snapshot_steps: Iterable[int] = ()) -> PriceSurface:
-    """Solve both value functions and form P = u_tilde - u on the grid.
+def price_surface(spec: ModelSpec, grid: Grid2D) -> PriceSurface:
+    """Solve both value functions and form P = u_tilde - u at the grid's last step.
 
     Any monitor trip halves dt and restarts the march.  Each halving is
     logged at INFO level with the tripped monitor's message and the new
@@ -634,21 +620,16 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *,
     cause.  A band or amplitude trip (``SPATIAL_MONITORS``) gets one halved
     attempt: if that trips the same monitor within one of the earlier
     attempt's steps of its tau, halving dt did not move the trip, and that
-    is raised at once, with the later trip as the cause.  P at each of
-    ``snapshot_steps``, integer steps of ``grid`` in 0..n_steps, lands in
-    ``snapshots``; any other step is a ``BadGrid``.
+    is raised at once, with the later trip as the cause.  P at an earlier
+    step k is the solve of ``replace(grid, n_steps=k)``, which halves dt
+    on its own.
     """
-    steps = tuple(snapshot_steps)
-    for s in steps:
-        if not isinstance(s, numbers.Integral) or not 0 <= s <= grid.n_steps:
-            raise BadGrid(f"snapshot step {s} is not one of the grid's steps 0..{grid.n_steps}")
     attempt_grid = grid
     U0 = payoff_initial(spec, grid)  # halving dt leaves the x-grid as it is
     last = None  # the last attempt's band or amplitude trip
     for attempt in range(MAX_DT_RETRIES + 1):
-        factor = 2 ** attempt  # attempt_grid's steps per step of grid
         try:
-            W, snapshots = _march(spec, attempt_grid, U0, snapshot_steps=[s * factor for s in steps])
+            W = _march(spec, attempt_grid, U0)
         except Instability as exc:
             if attempt == MAX_DT_RETRIES:
                 raise Instability(f"{exc} (still, after {attempt} dt halvings)") from exc
@@ -662,8 +643,7 @@ def price_surface(spec: ModelSpec, grid: Grid2D, *,
             logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue
         return PriceSurface(grid=attempt_grid, u=W[:, :-1].T.copy(), u_tilde=W[:, -1].copy(),
-                            P=_price(W), tau=attempt_grid.tau_final,
-                            snapshots={s: snapshots[s * factor] for s in steps})
+                            P=W[:, -1] - W[:, :-1].T, tau=attempt_grid.tau_final)
 
 
 def solve_u_tilde_cole_hopf(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
@@ -701,20 +681,20 @@ def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
 
     Probes are snapped to each epsilon's grid by ``snap_probes``, before
     any march; the asymptotic side is evaluated at the snapped coordinates
-    so the comparison is node-exact.
+    so the comparison is node-exact.  P at a snapped step is the solve of
+    the grid's prefix to that step, one solve per distinct step.
     """
     specs = [spec.with_(epsilon=float(eps)) for eps in eps_list]
     snapped = snap_probes(specs, probe_points, grid_factory=grid_factory)
     gc = group_constants_for(spec)  # epsilon-independent
     rows = []
     for eps, spec_eps, (grid, nodes) in zip(eps_list, specs, snapped):
-        snapshots = price_surface(spec_eps, grid,
-                                  snapshot_steps=sorted({step for step, _, _ in nodes})).snapshots
+        prices = {step: price_surface(spec_eps, replace(grid, n_steps=step)).P
+                  for step in {step for step, _, _ in nodes}}
         worst = 0.0
         for step, ix, jy in nodes:
-            p_num = float(snapshots[step][ix, jy])
             corrected = asymptotic_price(gc, spec_eps, step * grid.dt, float(grid.x[ix])).corrected
-            worst = max(worst, abs(p_num - corrected))
+            worst = max(worst, abs(float(prices[step][ix, jy]) - corrected))
         denom = -eps * math.log(eps)
         rows.append(SweepRow(eps=float(eps), max_abs_error=worst,
                              normalized=worst / denom if denom > 0 else math.nan))

@@ -402,6 +402,20 @@ def test_figure2_cheap_epsilon(tmp_path):
     assert (tmp_path / "fig2.gp").exists()
 
 
+def test_figure2_price_outside_the_band_on_a_coarse_grid_is_a_numerical_failure(tmp_path, capsys,
+                                                                              monkeypatch):
+    """At nx = 15 the x error puts a PDE price below the put's intrinsic value.  The price
+    came from the solve, not from the input, so it exits 3 and names where it was."""
+    monkeypatch.setenv("VOLCLUST_THREADS", "1")
+    out = tmp_path / "fig2.csv"
+    assert main(["figure2", "--nx", "15", "--epsilon", "0.25", "--tau", "0.05",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: eta = -0.25, log-moneyness 0.428571, tau = 0.05: the PDE price 34.82963031422532 "
+        "outside the attainable band (34.85609424689446, 100.0); a finer --nx lowers its x error\n")
+    assert not out.exists()
+
+
 def test_worker_cap_env(monkeypatch):
     from volclust.cli import _worker_count
     from volclust.errors import ConfigError

@@ -9,11 +9,13 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 
 from conftest import random_valid_spec
 from volclust import pde
+from volclust.asymptotics import asymptotic_price
 from volclust.bs import bs_put
 from volclust.errors import BadGrid, ConfigError, Instability, NumericalError
 from volclust.model import Constant, ModelSpec, arctangent_model
 from volclust.pde import (Grid2D, _march, accuracy_sweep, make_grid, payoff_initial,
                           price_surface, solve_u_tilde_cole_hopf)
+from volclust.poisson import group_constants_for
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = ("P", "u_tilde")  # fields of the nx=41 surface pinned under DATA
@@ -210,7 +212,7 @@ def test_degenerate_black_scholes(bs_degenerate_spec):
 def test_zero_initial_is_fixed_point_without_drift(fast_spec):
     spec = fast_spec.with_(b=Constant(0.0))
     grid = make_grid(spec, 0.25, nx=61)
-    W, _ = _march(spec, grid, payoff_initial(spec, grid))
+    W = _march(spec, grid, payoff_initial(spec, grid))
     assert np.abs(W[:, -1]).max() == 0.0  # u_tilde, the zero start
 
 
@@ -227,11 +229,11 @@ def test_tau_zero_on_the_demo_is_the_payoff_without_a_halving(nx, caplog):
     spec = arctangent_model()
     grid = make_grid(spec, 0.0, nx=nx)
     with caplog.at_level(logging.INFO, logger="volclust.pde"):
-        surface = price_surface(spec, grid, snapshot_steps=[0])
+        surface = price_surface(spec, grid)
     assert [r for r in caplog.records if r.name == "volclust.pde"] == []
     assert surface.grid is grid
     payoff = np.tile(np.maximum(100 - 100 * np.exp(grid.x), 0.0)[:, None], (1, grid.y.size))
-    assert surface.P.tobytes() == surface.snapshots[0].tobytes() == payoff.tobytes()
+    assert surface.P.tobytes() == payoff.tobytes()
 
 
 def test_price_band(fast_spec):
@@ -244,21 +246,21 @@ def test_price_band(fast_spec):
 def test_u_tilde_is_x_independent_on_full_grid(fast_spec):
     """u from a zero start marches on the full grid; every x-column equals u_tilde's column."""
     grid = make_grid(fast_spec, 0.25, nx=61)
-    W, _ = _march(fast_spec, grid, np.zeros((grid.y.size, grid.x.size)))
+    W = _march(fast_spec, grid, np.zeros((grid.y.size, grid.x.size)))
     assert np.abs(W[:, -1]).max() > 0.1  # b != 0: u_tilde moves off zero
     assert np.abs(W[:, :-1] - W[:, -1:]).max() < 1e-12
 
 
 def test_ordered_initial_data_stay_ordered(fast_spec):
+    """Checked at every tenth step, each the last step of a prefix of the grid."""
     grid = make_grid(fast_spec, 0.25, nx=101, dt=0.25 / 100)
-    every_tenth = range(0, grid.n_steps + 1, 10)
-    _, hist_pay = _march(fast_spec, grid, payoff_initial(fast_spec, grid),
-                         snapshot_steps=every_tenth)
-    _, hist_zero = _march(fast_spec, grid, np.zeros((grid.y.size, grid.x.size)),
-                          snapshot_steps=every_tenth)
-    assert sorted(hist_pay) == sorted(hist_zero) == list(every_tenth)
-    # the snapshots hold P = u_tilde - u with one u_tilde, so P_pay - P_zero = u_zero - u_pay
-    worst = min(float((hist_pay[k] - hist_zero[k]).min()) for k in every_tenth)
+    starts = payoff_initial(fast_spec, grid), np.zeros((grid.y.size, grid.x.size))
+    worst = math.inf
+    for k in range(0, grid.n_steps + 1, 10):
+        marched = (_march(fast_spec, replace(grid, n_steps=k), U0) for U0 in starts)
+        # P = u_tilde - u with one u_tilde, so P_pay - P_zero = u_zero - u_pay
+        P_pay, P_zero = (W[:, -1:] - W[:, :-1] for W in marched)
+        worst = min(worst, float((P_pay - P_zero).min()))
     assert worst > -1e-9 * fast_spec.strike
 
 
@@ -267,7 +269,7 @@ def test_cole_hopf_oracle_for_u_tilde(fast_spec):
     gaps = []
     for n_steps in (100, 400):
         grid = make_grid(spec, 0.25, nx=61, dt=0.25 / n_steps)
-        u_tilde = _march(spec, grid, payoff_initial(spec, grid))[0][:, -1]
+        u_tilde = _march(spec, grid, payoff_initial(spec, grid))[:, -1]
         gaps.append(np.abs(u_tilde - solve_u_tilde_cole_hopf(spec, grid)).max())
     assert gaps[1] < 5e-3              # both converge to the same function
     assert gaps[0] / gaps[1] > 2.5     # gap shrinks ~first order in dt
@@ -375,7 +377,7 @@ def test_first_three_steps_follow_the_scheme():
     assert np.abs(M(W0)).max() > 1.0
     assert np.abs(_douglas(spec, grid, beta_dt, levels[1])).max() > 1e-6
     for n in (1, 2, 3):
-        W, _ = _march(spec, replace(grid, n_steps=n), W0[:, :nx])
+        W = _march(spec, replace(grid, n_steps=n), W0[:, :nx])
         np.testing.assert_allclose(W, levels[n], rtol=1e-12)
 
 
@@ -698,7 +700,7 @@ def test_instability_raised_for_reckless_dt():
     # step 1 starts from a y-independent payoff and a zero u_tilde, so |u_y| = 0 there;
     # the monitor reports the largest |u_y| over u and u_tilde after it, against
     # sqrt(eps / dt) / (2 gamma sup sigma2)
-    first, _ = _march(spec, replace(reckless, n_steps=1), U0)
+    first = _march(spec, replace(reckless, n_steps=1), U0)
     grad = np.abs((first[2:] - first[:-2]) / (2.0 * grid.dy)).max()
     cap = math.sqrt(1.0 / 0.5) / (2.0 * 1.0 * 0.2)
     assert str(info.value) == (f"dt 5.000e-01 exceeds the gradient bound at step 2 "
@@ -717,33 +719,6 @@ def test_price_surface_recovers_by_halving_dt():
     surface = price_surface(spec, too_big)
     assert surface.grid.dt < too_big.dt  # at least one halving happened
     assert surface.P.min() >= -1e-6 * spec.strike
-    assert surface.snapshots == {}
-
-
-def test_snapshots_map_caller_steps_onto_the_halved_grid():
-    spec, too_big = _too_big_dt()
-    steps = [too_big.n_steps, 1, too_big.n_steps // 2]
-    surface = price_surface(spec, too_big, snapshot_steps=steps)
-    factor = surface.grid.n_steps // too_big.n_steps
-    assert factor > 1
-    assert sorted(surface.snapshots) == sorted(steps)
-    assert np.array_equal(surface.snapshots[too_big.n_steps], surface.P)
-    for k in steps:
-        prefix = price_surface(spec, replace(surface.grid, n_steps=k * factor))
-        assert prefix.grid.n_steps == k * factor  # no halving of its own
-        assert np.array_equal(surface.snapshots[k], prefix.P)
-
-
-def test_snapshot_steps_off_the_grid_are_rejected_before_any_march(monkeypatch):
-    def no_march(*args, **kwargs):
-        raise AssertionError("price_surface marched before checking snapshot_steps")
-
-    monkeypatch.setattr(pde, "_march", no_march)
-    spec = arctangent_model(epsilon=0.25, maturity=0.05)
-    grid = make_grid(spec, spec.maturity, nx=21)
-    for step in (grid.n_steps + 1, -1, 2.5):
-        with pytest.raises(BadGrid, match=rf"snapshot step {step} .* 0\.\.{grid.n_steps}$"):
-            price_surface(spec, grid, snapshot_steps=[0, step])
 
 
 def test_accuracy_sweep_single_member(fast_spec):
@@ -754,6 +729,36 @@ def test_accuracy_sweep_single_member(fast_spec):
     assert 0.0 < rows[0].max_abs_error < 1.0
     assert rows[0].normalized == pytest.approx(
         rows[0].max_abs_error / (-0.04 * math.log(0.04)))
+
+
+def test_accuracy_sweep_compares_a_probe_between_steps_at_its_snapped_step(fast_spec):
+    """A probe 0.4 dt short of the last step is compared at that step on both sides: the
+    PDE's P there and the asymptotics at step * dt, not at the probe's own tau."""
+    factory = lambda spec_eps, tau: make_grid(spec_eps, tau, nx=61)
+    grid = factory(fast_spec, 0.25)
+    probes = [(0.25 - 0.4 * grid.dt, 0.0, 0.0), (0.25, -0.5, 0.1)]
+    assert round(probes[0][0] / grid.dt) == grid.n_steps
+    (row,) = accuracy_sweep(fast_spec, [0.04], probes, grid_factory=factory)
+    P = price_surface(fast_spec, grid).P
+    gc = group_constants_for(fast_spec)
+
+    def gap(tau, x, y):
+        ix, jy = (int(np.argmin(np.abs(nodes - v))) for nodes, v in ((grid.x, x), (grid.y, y)))
+        return abs(float(P[ix, jy]) - asymptotic_price(gc, fast_spec, tau, float(grid.x[ix])).corrected)
+
+    snapped = [gap(grid.n_steps * grid.dt, x, y) for _, x, y in probes]
+    assert snapped[0] > snapped[1]  # the probe between steps sets the row
+    assert row.max_abs_error == max(snapped)
+    assert row.max_abs_error != gap(*probes[0])
+
+
+def test_accuracy_sweep_on_two_probe_taus_is_pinned(fast_spec):
+    """Probes at two taus are compared at two steps of each epsilon's grid.  The earlier
+    probe's gap is the larger, so the pin covers a solve that stops before the last step."""
+    rows = accuracy_sweep(fast_spec, [0.04, 0.01], [(0.125, 0.0, 0.0), (0.25, -0.5, 0.1)],
+                          grid_factory=lambda spec_eps, tau: make_grid(spec_eps, tau, nx=61))
+    assert [(r.max_abs_error, r.normalized) for r in rows] == [
+        (0.5053704519645317, 3.925053958746797), (0.4804706898765043, 10.433288466480722)]
 
 
 def test_accuracy_sweep_rejects_a_negative_probe_tau_before_any_grid():
@@ -909,7 +914,7 @@ def test_price_band_monitor_trips_on_either_side(fast_spec, monkeypatch):
         U0 = payoff_initial(fast_spec, grid) + shift
         with monkeypatch.context() as unbanded:  # the step the tripping march takes, unchecked
             unbanded.setattr(pde, "BAND_SLACK", math.inf)
-            W1, _ = _march(fast_spec, one_step, U0)
+            W1 = _march(fast_spec, one_step, U0)
         price = W1[:, -1:] - W1[:, :-1]
         with pytest.raises(Instability) as info:
             _march(fast_spec, grid, U0)
