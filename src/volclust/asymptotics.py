@@ -22,11 +22,11 @@ shift, a line in LMMR:
     a = -sqrt(epsilon) A / sigma_bar^3,
     d = sigma_bar + sqrt(epsilon) (B - A/2) / sigma_bar.
 
-Neither A, B nor the correction depends on the risk aversion gamma; the
-value functions below the price do (through the constant risk source and
-the a_tilde term), and are kept only as diagnostics.  Prices are quoted
-option-holder positive; the underlying value functions carry a negative
-payoff, so their signs are flipped here in one place.
+Neither A, B nor the correction depends on the risk aversion gamma.
+The derivation's value functions u0, u1 and u1-tilde do, through the
+constant risk source and the a_tilde term, but those parts cancel in the
+price P = u-tilde - u, so no value function is computed here.  Prices are
+quoted option-holder positive.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class AsymptoticPrice:
     P0: float
     P1: float
     corrected: float  # P0 + sqrt(epsilon) P1
-    u0: float         # diagnostic value function (negative payoff branch)
-    u1: float
-    u1_tilde: float
 
 
 def _smile_shift(gc: GroupConstants) -> tuple[float, float]:
@@ -60,7 +57,7 @@ def _smile_shift(gc: GroupConstants) -> tuple[float, float]:
 
 
 def asymptotic_price(gc: GroupConstants, spec: ModelSpec, tau: float, x: float) -> AsymptoticPrice:
-    """Evaluate P0, P1 and the diagnostics at one (tau, x)."""
+    """Evaluate P0, P1 and the corrected price at one (tau, x)."""
     sigma_bar = gc.sigma_bar
     p0 = bs_put(tau, x, spec.strike, sigma_bar)
     if tau > 0.0:
@@ -71,14 +68,10 @@ def asymptotic_price(gc: GroupConstants, spec: ModelSpec, tau: float, x: float) 
         p1 = vega * intercept - vega / tau * slope * x
     else:
         p1 = 0.0
-    shift = gc.avg_b2_over_s2 * tau / (2.0 * spec.gamma)
     return AsymptoticPrice(
         P0=p0,
         P1=p1,
         corrected=p0 + math.sqrt(spec.epsilon) * p1,
-        u0=-p0 - shift,
-        u1=-p1 - gc.a_tilde * tau,
-        u1_tilde=-gc.a_tilde * tau,
     )
 
 

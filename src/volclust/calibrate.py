@@ -111,8 +111,6 @@ class SurfaceCalibration:
     fit: AffineFit
     eta: float
     rho_residual: float  # |A_recovered - rho * J_sigma|
-    j_sigma: float
-    j_b: float
 
 
 def calibrate_from_surface(quotes: Sequence[IVQuote], spec: ModelSpec,
@@ -134,8 +132,7 @@ def calibrate_from_surface(quotes: Sequence[IVQuote], spec: ModelSpec,
                              "eta has no effect on B")
     eta = (fit.b_recovered / j_b - spec.rho) / math.sqrt(1.0 - spec.rho ** 2)
     rho_residual = abs(fit.a_recovered - spec.rho * j_sigma)
-    return SurfaceCalibration(fit=fit, eta=eta, rho_residual=rho_residual,
-                              j_sigma=j_sigma, j_b=j_b)
+    return SurfaceCalibration(fit=fit, eta=eta, rho_residual=rho_residual)
 
 
 def _j_b_scale(spec: ModelSpec, measure: InvariantMeasure) -> float:

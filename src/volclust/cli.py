@@ -196,34 +196,37 @@ def _cmd_figure1(args) -> None:
     ])
 
 
-def _figure2_curve(task) -> list[float]:
-    """One eta member of the skew plot: implied vols on the log-moneyness grid.
+def _figure2_curve(task) -> tuple[np.ndarray, list[float]]:
+    """One eta member of the skew plot: (log-moneyness, implied vols) at the nearest x-nodes.
 
-    A PDE price outside the no-arbitrage band comes from the grid's x
-    error, not from the input, so it is a ``NumericalError``.
+    Each vol inverts the price at the x-node nearest a point of the
+    log-moneyness grid, and its log-moneyness is -x of that node, not the
+    point asked for.  A PDE price outside the no-arbitrage band comes from
+    the grid's x error, not from the input, so it is a ``NumericalError``.
     """
     spec, lm_grid, nx = task
     grid = pde.make_grid(spec, spec.maturity, nx=nx)
     surface = pde.price_surface(spec, grid)
     jy = int(np.argmin(np.abs(grid.y - spec.m)))
+    nodes = np.argmin(np.abs(grid.x[None, :] - (-lm_grid)[:, None]), axis=1)
     vols = []
-    for ix in np.argmin(np.abs(grid.x[None, :] - (-lm_grid)[:, None]), axis=1):
+    for ix in nodes:
         x = float(grid.x[ix])
         try:
             vols.append(bs.implied_vol(float(surface.P[ix, jy]), surface.tau, x, spec.strike))
         except OutOfBand as exc:
             raise NumericalError(f"eta = {spec.eta:g}, log-moneyness {-x:g}, tau = {surface.tau:g}: "
                                  f"the PDE {exc}; a finer --nx lowers its x error") from exc
-    return vols
+    return 0.0 - grid.x[nodes], vols  # 0.0 - x, so that the node x = 0 reads 0 and not -0
 
 
 def _cmd_figure2(args) -> None:
     lm_grid = np.linspace(FIGURE2_LM_SPAN[0], FIGURE2_LM_SPAN[1], FIGURE2_POINTS)
     tasks = [(_load_spec(args.config, epsilon=args.epsilon, maturity=args.tau, eta=eta),
               lm_grid, args.nx) for eta in FIGURE2_ETAS]
-    curves = _parallel_map(_figure2_curve, tasks)
+    curves = _parallel_map(_figure2_curve, tasks)  # one grid for every eta: make_grid reads no eta
     _write_csv(args.out, ["log_moneyness", "iv_eta_m025", "iv_eta_0", "iv_eta_p025"],
-               [lm_grid, *curves])
+               [curves[0][0], *(vols for _, vols in curves)])
     name = os.path.basename(args.out)
     _write_gnuplot(args.out, [
         "set datafile separator ','",

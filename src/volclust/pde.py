@@ -70,8 +70,9 @@ the benchmark's skew3 surfaces keep their time error at or below that of
 the first-order march at 250 steps.  The solver monitors the cap, the
 amplitude bound and the price band at every step, each with one
 comparison that a NaN fails too, and halves dt when a monitor trips; a
-band or amplitude trip that the halved attempt repeats within one step's
-tau is raised at once, as halving dt does not move a spatial overshoot.
+band or amplitude trip before an attempt's last step that the halved
+attempt repeats less than one step's tau away is raised at once, as
+halving dt does not move a spatial overshoot.
 
 Both value functions march in one Fortran-ordered (ny, nx + 1) array W:
 columns ``:nx`` hold u and the last holds u-tilde, which does not depend
@@ -441,23 +442,15 @@ def _y_diff(W: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _x_diff(D: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Raw x-difference of ``D`` into ``out``: central inside, twice the one-sided at the x-ends.
-
-    So every column is 2 dx times the x-derivative's estimate.
-    """
-    np.subtract(D[:, 2:], D[:, :-2], out=out[:, 1:-1])
-    out[:, 0] = 2.0 * (D[:, 1] - D[:, 0])
-    out[:, -1] = 2.0 * (D[:, -1] - D[:, -2])
-    return out
-
-
 def _explicit_weights(coeffs: _Coefficients, dt: float, dx: float, dy: float) -> tuple:
     """The explicit step's constants folded into (ny, 1) columns (mixed, quad, source).
 
-    With D = ``_y_diff(W)``, the explicit step adds
-    mixed * ``_x_diff(D)`` + quad * D^2 + source, which is
-    dt (mixed u_xy + quad u_y^2 + source) with central differences.
+    With D = ``_y_diff(W)`` and D_x its raw central x-difference
+    D[:, i + 1] - D[:, i - 1], the explicit step adds
+    mixed * D_x + quad * D^2 + source, which is
+    dt (mixed u_xy + quad u_y^2 + source) with central differences, on
+    u's interior x-nodes; ``_march`` leaves the mixed term zero at the
+    x-ends, whose values the zero-curvature fold rewrites after the x-solve.
     """
     return ((dt * coeffs.mixed / (4.0 * dx * dy))[:, None],
             (dt * coeffs.quad / (4.0 * dy ** 2))[:, None],
@@ -538,7 +531,7 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     band_lo, band_hi = -BAND_SLACK * spec.strike, spec.strike + BAND_SLACK * spec.strike
     D = np.empty_like(W)  # raw y-differences, then the explicit increment E + M
     D_u = D[:, :nx]
-    mixed_u = np.empty((ny, nx), order="F")
+    mixed_u = np.zeros((ny, nx), order="F")  # its x-end columns stay zero (_explicit_weights)
     douglas = np.zeros((ny, nx), order="F")  # G = k Ly W^n / c on u; zero for the start-up
     x_tmp = np.empty(ny)
     # (W, u, u_tilde, u's interior y-columns) for the solution and the history, which
@@ -568,7 +561,8 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
                               monitor="gradient", tau=step * dt)
         # the weights fold in dt and the differences' spacings; u_tilde does not
         # depend on x and takes no mixed term
-        np.multiply(_x_diff(D_u, mixed_u), mixed, out=mixed_u)
+        np.subtract(D_u[:, 2:], D_u[:, :-2], out=mixed_u[:, 1:-1])
+        np.multiply(mixed_u, mixed, out=mixed_u)
         np.square(D, out=D)
         np.multiply(D, quad, out=D)
         np.add(D, source, out=D)
@@ -617,12 +611,14 @@ def price_surface(spec: ModelSpec, grid: Grid2D) -> PriceSurface:
     logged at INFO level with the tripped monitor's message and the new
     step count.  After ``MAX_DT_RETRIES`` halvings, the last monitor's
     message is raised again with that monitor's ``Instability`` as the
-    cause.  A band or amplitude trip (``SPATIAL_MONITORS``) gets one halved
-    attempt: if that trips the same monitor within one of the earlier
-    attempt's steps of its tau, halving dt did not move the trip, and that
-    is raised at once, with the later trip as the cause.  P at an earlier
-    step k is the solve of ``replace(grid, n_steps=k)``, which halves dt
-    on its own.
+    cause.  A band or amplitude trip (``SPATIAL_MONITORS``) before the
+    attempt's last step gets one halved attempt: if that trips the same
+    monitor less than one of the earlier attempt's steps from its tau,
+    halving dt did not move the trip, and that is raised at once, with the
+    later trip as the cause.  A trip at the last step sets up no such test,
+    as its tau is the grid's final tau at every dt; nor does a trip exactly
+    one earlier step away, which halving did move.  P at an earlier step k
+    is the solve of ``replace(grid, n_steps=k)``, which halves dt on its own.
     """
     attempt_grid = grid
     U0 = payoff_initial(spec, grid)  # halving dt leaves the x-grid as it is
@@ -635,10 +631,11 @@ def price_surface(spec: ModelSpec, grid: Grid2D) -> PriceSurface:
                 raise Instability(f"{exc} (still, after {attempt} dt halvings)") from exc
             last_dt = 2.0 * attempt_grid.dt
             if (last is not None and exc.monitor == last.monitor
-                    and abs(exc.tau - last.tau) <= last_dt):
+                    and abs(exc.tau - last.tau) < last_dt):
                 raise Instability(f"{exc}: halving dt did not move the trip from "
                                   f"tau = {last.tau:.4g} at dt {last_dt:.3e}") from exc
-            last = exc if exc.monitor in SPATIAL_MONITORS else None
+            # a trip at the attempt's last step is at tau_final whatever dt is: it says nothing
+            last = exc if exc.monitor in SPATIAL_MONITORS and exc.tau < attempt_grid.tau_final else None
             attempt_grid = attempt_grid.with_halved_dt()
             logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue

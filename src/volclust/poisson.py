@@ -45,8 +45,9 @@ class GroupConstants:
     """Stationary averages that fully determine the price correction.
 
     ``a`` multiplies the third x-derivative of the leading price, ``b``
-    the first; ``a_tilde`` only enters the diagnostic value-function
-    pieces and carries the 1/gamma dependence.  ``a_alt``/``b_alt`` are
+    the first.  ``a_tilde``, which carries the 1/gamma dependence, and
+    ``avg_b2_over_s2`` enter the value functions but not the price, and
+    only the ``constants`` command prints them.  ``a_alt``/``b_alt`` are
     the same constants evaluated through the double-integral route of
     ``model_integrals`` and are recorded for cross-checking.
     """

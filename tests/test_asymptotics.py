@@ -50,17 +50,6 @@ def test_demo_corrected_price_regression(demo_gc, demo_spec):
     assert ap.corrected == ap.P0 + math.sqrt(demo_spec.epsilon) * ap.P1
 
 
-def test_value_function_diagnostics(demo_gc, demo_spec):
-    tau, x = 0.25, 0.1
-    ap = asymptotic_price(demo_gc, demo_spec, tau, x)
-    shift = demo_gc.avg_b2_over_s2 * tau / (2 * demo_spec.gamma)
-    u0_tilde = -shift
-    assert ap.u0 == pytest.approx(-ap.P0 - shift, rel=1e-14)
-    assert u0_tilde - ap.u0 == pytest.approx(ap.P0, rel=1e-14)
-    assert ap.u1_tilde == -demo_gc.a_tilde * tau
-    assert ap.u1_tilde - ap.u1 == pytest.approx(ap.P1, rel=1e-12)
-
-
 def test_demo_smile_slopes_down(demo_gc, demo_spec):
     civ = corrected_iv(demo_gc, demo_spec)
     assert civ.a < 0  # A > 0 forces a negative LMMR slope: skew decreasing in log moneyness

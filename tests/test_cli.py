@@ -1,5 +1,6 @@
 import argparse
 import csv
+import logging
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 import volclust
 from volclust.cli import build_parser, main
 from volclust.model import arctangent_model, write_config
+from volclust.pde import make_grid
 
 
 @pytest.fixture()
@@ -159,6 +161,24 @@ def test_pde_solve_command(cheap_config, tmp_path):
     rows = read_rows(str(out))
     assert set(rows[0]) == {"tau", "x", "y", "u", "u_tilde", "P"}
     ps = np.array([float(r["P"]) for r in rows])
+    assert ps.min() >= -1e-6 * 100 and ps.max() <= 100 * (1 + 1e-6)
+
+
+def test_pde_solve_halves_past_band_trips_at_the_last_step(tmp_path, caplog):
+    """The demo at eps = 0.25 asked for 2 steps trips the band monitor at step 2, then at
+    step 4 of 4.  Both trips are at tau = 0.25 because each is its attempt's last step, not
+    because halving dt cannot move them: the solve halves again and succeeds at 8 steps."""
+    config, out = tmp_path / "model.cfg", tmp_path / "pde.csv"
+    write_config(arctangent_model(epsilon=0.25), str(config))
+    with caplog.at_level(logging.INFO, logger="volclust.pde"):
+        assert main(["pde-solve", "--config", str(config), "--tau", "0.25", "--nx", "11",
+                     "--dt", "0.125", "--out", str(out)]) == 0
+    records = [r.getMessage() for r in caplog.records if r.name == "volclust.pde"]
+    assert len(records) == 2
+    assert records[0].startswith("price band violated at step 2: ")
+    assert records[1].startswith("price band violated at step 4: ")
+    assert records[1].endswith("halving dt to 8 steps")
+    ps = np.array([float(r["P"]) for r in read_rows(str(out))])
     assert ps.min() >= -1e-6 * 100 and ps.max() <= 100 * (1 + 1e-6)
 
 
@@ -400,6 +420,20 @@ def test_figure2_cheap_epsilon(tmp_path):
     for row in rows:
         assert float(row["iv_eta_m025"]) > float(row["iv_eta_0"]) > float(row["iv_eta_p025"])
     assert (tmp_path / "fig2.gp").exists()
+
+
+def test_figure2_labels_each_row_with_the_node_its_vols_came_from(tmp_path, monkeypatch):
+    """Each log-moneyness is -x of the x-node nearest the point asked for, where the three
+    vols inverted; at nx = 41 (dx = 0.15) several rows share a node and so a label."""
+    monkeypatch.setenv("VOLCLUST_THREADS", "1")
+    out = tmp_path / "fig2.csv"
+    assert main(["figure2", "--epsilon", "0.25", "--nx", "41", "--out", str(out)]) == 0
+    labels = np.array([float(row["log_moneyness"]) for row in read_rows(str(out))])
+    grid = make_grid(arctangent_model(epsilon=0.25), 0.25, nx=41)
+    assert set(labels.tolist()) <= set((-grid.x).tolist())
+    asked = np.linspace(-0.3, 0.3, 61)
+    assert np.all(np.abs(labels - asked) <= 0.5 * grid.dx + 1e-12)
+    assert "\n-0," not in out.read_text()  # the node x = 0 reads 0
 
 
 def test_figure2_price_outside_the_band_on_a_coarse_grid_is_a_numerical_failure(tmp_path, capsys,

@@ -342,8 +342,10 @@ def test_first_three_steps_follow_the_scheme():
             = 4/3 W^n - 1/3 W^{n-1} + b dt (2 M^n - M^{n-1} + 2 Q^n - Q^{n-1})
               + (b dt)^2 Lx Ly W^n,  b = 2/3,
 
-    with central u_y, u_xy one-sided at the x-ends, and a start that depends on y, so M^0 != 0
-    and Lx Ly W^n != 0.
+    with central u_y and u_xy, and a start that depends on y, so M^0 != 0 and Lx Ly W^n != 0.
+    M at the x-ends reaches nothing: the x-solve reads only u's interior x-nodes and the
+    zero-curvature fold rewrites the x-ends after it.  So the march matches both an oracle
+    whose M there is one-sided and one whose M there is zero.
     """
     spec = arctangent_model(epsilon=0.25).with_(rho=-0.7)
     x, y = np.linspace(-1.0, 1.0, 9), 0.02 * np.arange(-5, 6)  # dy under the cap 0.025
@@ -361,24 +363,31 @@ def test_first_three_steps_follow_the_scheme():
     def Q(W):
         return c.quad[:, None] * u_y(W) ** 2 + c.source[:, None]
 
-    def M(W):
+    def M_one_sided(W):
         out = np.zeros_like(W)
         out[:, :nx] = c.mixed[:, None] * np.gradient(u_y(W)[:, :nx], grid.dx, axis=1, edge_order=1)
         return out
 
+    def M_zero_ends(W):
+        out = M_one_sided(W)
+        out[:, [0, nx - 1]] = 0.0
+        return out
+
     dt, beta_dt = grid.dt, pde.BDF2_BETA * grid.dt
-    levels = [W0, _dense_step(spec, grid, dt, W0 + dt * (Q(W0) + M(W0)))]
-    for _ in range(2):
-        prev, now = levels[-2:]
-        rhs = (4.0 / 3.0 * now - prev / 3.0
-               + beta_dt * (2.0 * M(now) - M(prev) + 2.0 * Q(now) - Q(prev))
-               + _douglas(spec, grid, beta_dt, now))
-        levels.append(_dense_step(spec, grid, beta_dt, rhs))
-    assert np.abs(M(W0)).max() > 1.0
-    assert np.abs(_douglas(spec, grid, beta_dt, levels[1])).max() > 1e-6
-    for n in (1, 2, 3):
-        W = _march(spec, replace(grid, n_steps=n), W0[:, :nx])
-        np.testing.assert_allclose(W, levels[n], rtol=1e-12)
+    for M in (M_one_sided, M_zero_ends):
+        levels = [W0, _dense_step(spec, grid, dt, W0 + dt * (Q(W0) + M(W0)))]
+        for _ in range(2):
+            prev, now = levels[-2:]
+            rhs = (4.0 / 3.0 * now - prev / 3.0
+                   + beta_dt * (2.0 * M(now) - M(prev) + 2.0 * Q(now) - Q(prev))
+                   + _douglas(spec, grid, beta_dt, now))
+            levels.append(_dense_step(spec, grid, beta_dt, rhs))
+        assert np.abs(M(W0)).max() > 1.0
+        assert np.abs(_douglas(spec, grid, beta_dt, levels[1])).max() > 1e-6
+        for n in (1, 2, 3):
+            W = _march(spec, replace(grid, n_steps=n), W0[:, :nx])
+            np.testing.assert_allclose(W, levels[n], rtol=1e-12)
+    assert np.abs(M_one_sided(W0)[:, [0, nx - 1]]).max() > 0.5  # the two oracles differ
 
 
 def _march_operator(spec, x, y, U, drift_scale):
@@ -392,8 +401,8 @@ def _march_operator(spec, x, y, U, drift_scale):
     F = np.asfortranarray(U)  # the march's layout, which the flat y-differences need
     D = pde._y_diff(F, np.empty_like(F))
     mixed, quad, source = pde._explicit_weights(c, 1.0, dx, dy)  # dt = 1: the rates
-    explicit = mixed * pde._x_diff(D, np.empty_like(F)) + quad * D ** 2 + source
-    return lx[1:-1] + ly[:, 1:-1] + explicit[1:-1, 1:-1]
+    explicit = mixed[1:-1] * (D[1:-1, 2:] - D[1:-1, :-2]) + (quad * D ** 2 + source)[1:-1, 1:-1]
+    return lx[1:-1] + ly[:, 1:-1] + explicit
 
 
 def test_spatial_consistency_orders():
@@ -430,25 +439,15 @@ def test_spatial_consistency_orders():
 
 @pytest.mark.parametrize("shape", [(5, 5), (201, 41), (539, 201)])
 def test_flat_stencils_match_per_axis_expressions(shape):
-    """The raw differences give the bits of the per-axis expressions, and 0 at the y-ends."""
+    """The flat raw y-difference gives the bits of the per-axis expression, and 0 at the y-ends."""
     rng = np.random.default_rng(shape[0])
     U = np.asfortranarray(rng.standard_normal(shape))
-
-    def fresh():
-        return np.full(shape, np.nan, order="F")  # every cell must be written
-
     d_y = np.zeros(shape)
     d_y[1:-1] = U[2:] - U[:-2]
-    d_xy = np.empty(shape)
-    d_xy[:, 1:-1] = d_y[:, 2:] - d_y[:, :-2]
-    d_xy[:, 0] = (d_y[:, 1] - d_y[:, 0]) * 2.0
-    d_xy[:, -1] = (d_y[:, -1] - d_y[:, -2]) * 2.0
 
-    got_y = pde._y_diff(U, fresh())
-    got_xy = pde._x_diff(got_y, fresh())
-    for got, want in ((got_y, d_y), (got_xy, d_xy)):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert not got[[0, -1]].view(np.uint64).any()  # +0.0 exactly
+    got = pde._y_diff(U, np.full(shape, np.nan, order="F"))  # every cell must be written
+    assert np.array_equal(got.view(np.uint64), d_y.view(np.uint64))
+    assert not got[[0, -1]].view(np.uint64).any()  # +0.0 exactly
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (201, 42), (539, 202)])
@@ -878,6 +877,24 @@ def test_a_band_trip_that_halving_does_not_move_fails_fast(caplog):
         assert second.monitor == "band" and abs(second.tau - first) <= 10.0 / 160
         assert str(info.value) == (f"{second}: halving dt did not move the trip from "
                                    f"tau = {first:.4g} at dt 6.250e-02")
+
+
+def test_a_band_trip_one_earlier_step_away_was_moved_by_halving(caplog):
+    """Asked for one step, this random model's band monitor trips at T, then at T/2 of 2 steps
+    and at T of 4 steps.  A trip at the last step is at T whatever dt is, so it sets up no
+    not-moved test; and T is one step of the 2-step attempt from T/2, which halving moved.
+    So the solve goes on halving and succeeds at 8 steps."""
+    rng = np.random.default_rng(123)
+    spec = [random_valid_spec(rng) for _ in range(22)][-1]
+    grid = make_grid(spec, spec.maturity, nx=21, dt=spec.maturity)
+    assert grid.n_steps == 1
+    with caplog.at_level(logging.INFO, logger="volclust.pde"):
+        surface = price_surface(spec, grid)
+    assert surface.grid.n_steps == 8
+    records = [r.getMessage() for r in caplog.records if r.name == "volclust.pde"]
+    assert [r.split(":")[0] for r in records] == [
+        f"price band violated at step {step}" for step in (1, 1, 4)]
+    assert [r.rsplit(" ", 2)[1] for r in records] == ["2", "4", "8"]
 
 
 def test_amplitude_monitor_trips_when_u_and_u_tilde_move_together(monkeypatch, caplog):
