@@ -38,10 +38,12 @@ class IVQuote:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError(f"quote needs tau > 0, got {self.tau}")
-        if self.weight < 0:
-            raise ConfigError(f"quote weight must be >= 0, got {self.weight}")
+        for name, ok, requirement in (("tau", self.tau > 0, "finite and > 0"),
+                                      ("x", True, "finite"), ("iv", True, "finite"),
+                                      ("weight", self.weight >= 0, "finite and >= 0")):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ConfigError(f"quote {name} must be {requirement}, got {value}")
 
     @property
     def lmmr(self) -> float:

@@ -10,7 +10,9 @@ row.  Output paths are checked before any work.  Exit codes: 0 success,
 opened (naming its path), 3 numerical failure.
 CSVs have a header and 17 significant digits and rerun byte-identical.
 Independent PDE solves (figure2's etas, pde-sweep's epsilons) run in
-parallel workers; VOLCLUST_THREADS caps the worker count.
+worker processes, one per CPU in the process's affinity set (so
+``taskset`` or a cpuset caps them) and at most one per solve; with one
+CPU or one solve they run in this process.
 """
 
 from __future__ import annotations
@@ -104,19 +106,11 @@ def _write_csv(out: str | None, header: list[str], columns) -> None:
             fh.write(templates[block] % tuple(values.ravel().tolist()))
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("VOLCLUST_THREADS")
-    workers = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"VOLCLUST_THREADS must be an integer, got {cap!r}")
-    return max(1, min(workers, n_tasks))
-
-
 def _parallel_map(fn, tasks: list):
-    workers = _worker_count(len(tasks))
+    """``[fn(t) for t in tasks]`` over one worker process per CPU this process may run on,
+    at most one per task; in this process when that is one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -55,8 +55,9 @@ class InvariantMeasure:
     density: np.ndarray  # nonnegative, trapezoid-integrates to 1
 
     def __post_init__(self):
-        self.grid.setflags(write=False)
-        self.density.setflags(write=False)
+        for name in ("grid", "density"):  # frozen copies: the caller's arrays stay writeable
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).setflags(write=False)
 
     def mean(self) -> float:
         return float(trapezoid(self.grid * self.density, self.grid))

@@ -73,8 +73,8 @@ class Tabulated:
     base_dir: str = "."  # the directory a relative ``source`` is read from
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        grid = np.array(self.grid, dtype=float)  # copies: the caller's arrays stay writeable
+        values = np.array(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise ConfigError("tabulated coefficient needs matching 1-d grid/values with >= 2 nodes")
         if not np.all(np.diff(grid) > 0):

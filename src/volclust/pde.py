@@ -152,7 +152,7 @@ class Grid2D:
 
     def __post_init__(self):
         for name, nodes in (("x", self.x), ("y", self.y)):
-            nodes = np.asarray(nodes, dtype=float)
+            nodes = np.array(nodes, dtype=float)  # a copy: the caller's array stays writeable
             if nodes.ndim != 1 or nodes.size < MIN_NODES:
                 raise BadGrid(f"{name} grid needs at least {MIN_NODES} nodes")
             steps = np.diff(nodes)
@@ -219,10 +219,11 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     mean level (stretched below when epsilon > 1) and the y-spacing
     resolves the boundary layer: dy <= sqrt(eps) * inf(sigma2) / 4, with
     at least ``MIN_NY`` nodes; a given ``ny`` below either is a ``BadGrid``
-    naming the one that binds.  Without a ``dt``, dt = min(eps, tau /
-    ``MIN_STEPS``), whatever rho: the step's stability asks nothing of dt
-    below the gradient cap, so both candidates are for accuracy (module
-    docstring).
+    naming the one that binds.  An even ny, given or not, is raised by one,
+    which keeps the mean level on a node of a symmetric y-domain.  Without
+    a ``dt``, dt = min(eps, tau / ``MIN_STEPS``), whatever rho: the step's
+    stability asks nothing of dt below the gradient cap, so both candidates
+    are for accuracy (module docstring).
     A given ``dt`` must be finite and positive; it is shrunk to divide tau.
     ``tau`` must be finite and >= 0; tau = 0 gives the payoff grid (no steps).
     """
@@ -463,19 +464,20 @@ def _abs_max(a: np.ndarray) -> float:
 
 
 def payoff_initial(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
-    """Negative put payoff on the grid, shape (ny, nx), by np.exp: for some x that
-    differs in the last bit from the math.exp of ``bs``'s scalar payoff."""
-    pay = np.maximum(spec.strike - spec.strike * np.exp(grid.x), 0.0)
-    return np.tile(-pay, (grid.y.size, 1))
+    """Negative put payoff on the x-grid, shape (nx,): one row, the same at every y, that
+    broadcasts into u's start.  By np.exp: for some x that differs in the last bit from
+    the math.exp of ``bs``'s scalar payoff."""
+    return -np.maximum(spec.strike - spec.strike * np.exp(grid.x), 0.0)
 
 
 def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     """The IMEX march of both value functions; returns W at the grid's last step.
 
     W is (ny, nx + 1) and Fortran-ordered: columns ``:nx`` hold u, started
-    from ``U0`` (ny, nx), and column ``nx`` holds u_tilde, started from
-    zero.  Set up once per attempt: one ``_coefficient_bounds``, then dy
-    against the boundary-layer cap (a ``BadGrid``).  A grid of no steps
+    from ``U0``, an (ny, nx) array or an (nx,) row broadcast to every y,
+    and column ``nx`` holds u_tilde, started from zero.  Set up once per
+    attempt: one ``_coefficient_bounds``, then dy against the
+    boundary-layer cap (a ``BadGrid``).  A grid of no steps
     returns W as it starts, before anything that depends on dt.  Otherwise
     come the monitors' caps; the explicit weights; the solution array and
     the history array, which starts at zero; two work arrays and the

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,17 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if here in item.path.parents:
             item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"), append=False)
+
+
+def pin_cpus(monkeypatch, count: int) -> None:
+    """Make ``count`` CPUs the process's affinity set, as the CLI sizes its worker pool from it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture()
+def one_cpu(monkeypatch):
+    """One CPU in the affinity set: the CLI runs every solve in this process."""
+    pin_cpus(monkeypatch, 1)
 
 
 @pytest.fixture(scope="session")

@@ -59,6 +59,8 @@ def test_degenerate_design_rejected():
         fit_affine(quotes)  # both quotes share LMMR = 0.2
     with pytest.raises(DegenerateDesign):
         fit_affine([IVQuote(tau=0.5, x=0.0, iv=0.2)])
+    with pytest.raises(DegenerateDesign, match="all quote weights are zero"):
+        fit_affine([IVQuote(q.tau, q.x, q.iv, weight=0.0) for q in line_quotes(-0.154, 0.149)])
 
 
 def test_recover_constants_flat_smile():
@@ -143,8 +145,8 @@ def test_quote_headers_are_case_insensitive_and_blank_lines_skipped(tmp_path):
     ("tau,x,iv\n0.25,,0.3\n", "line 2, column 'x'"),
     ("tau,x,iv\n0.25,0.1\n", "line 2, column 'iv'"),
     ("tau,x,iv,weight\n0.25,0.1,0.3,-inf\n", "line 2, column 'weight'"),
-    ("tau,x,iv\n0.25,0.1,0.3\n\n0.0,0.1,0.3\n", "line 4: quote needs tau > 0, got 0.0"),
-    ("tau,x,iv,weight\n0.25,0.1,0.3,-1\n", "line 2: quote weight must be >= 0, got -1.0"),
+    ("tau,x,iv\n0.25,0.1,0.3\n\n0.0,0.1,0.3\n", "line 4: quote tau must be finite and > 0, got 0.0"),
+    ("tau,x,iv,weight\n0.25,0.1,0.3,-1\n", "line 2: quote weight must be finite and >= 0, got -1.0"),
 ], ids=["missing-column", "empty-file", "no-rows", "nan", "inf", "text", "blank", "short-row",
         "weight-inf", "tau-zero", "weight-negative"])
 def test_bad_quote_files_name_the_file_and_column(tmp_path, text, named):
@@ -153,6 +155,15 @@ def test_bad_quote_files_name_the_file_and_column(tmp_path, text, named):
     with pytest.raises(ConfigError) as info:
         read_quotes_csv(str(path))
     assert str(info.value).startswith(repr(str(path))) and named in str(info.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", math.inf), ("x", math.inf), ("iv", math.nan), ("weight", math.nan), ("weight", math.inf),
+], ids=["tau-inf", "x-inf", "iv-nan", "weight-nan", "weight-inf"])
+def test_a_quote_refuses_a_non_finite_field_naming_it(field, value):
+    """A non-finite field would turn the fit's sums to NaN, or put a quote at LMMR 0."""
+    with pytest.raises(ConfigError, match=f"quote {field} must be finite.*, got {value}"):
+        IVQuote(**{"tau": 0.25, "x": 0.0, "iv": 0.2, field: value})
 
 
 def test_quote_validation():

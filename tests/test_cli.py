@@ -216,10 +216,13 @@ def _input_files(tmp_path):
     (["figure1", "--a", "nan", "--d", "0.2"], "--a must be finite, got nan"),
     (["calibrate", "--sigma-bar", "0.2", "--epsilon", "inf"], "--epsilon must be finite and > 0, got inf"),
     (["calibrate", "--sigma-bar", "inf", "--epsilon", "0.004"], "--sigma-bar must be finite and > 0, got inf"),
+    (["iv-surface", "--tau", "0.5"], "need either --a and --d, or --config to derive them"),
+    (["pde-solve", "--nx", "4"], "nx = 4 too coarse: the x grid needs at least 5 nodes"),
+    (["figure2", "--nx", "4"], "nx = 4 too coarse: the x grid needs at least 5 nodes"),
 ], ids=["price", "measure-dump", "iv-surface", "pde-solve", "figure2-eps-neg", "figure2-eps-0",
         "figure2-eps-nan", "figure2-tau-0", "pde-sweep-eps-neg", "pde-sweep-eps-0", "pde-sweep-eps-nan",
         "pde-sweep-eps-empty", "iv-surface-x-min-nan", "figure1-a-nan", "calibrate-eps-inf",
-        "calibrate-sigma-bar-inf"])
+        "calibrate-sigma-bar-inf", "iv-surface-no-line", "pde-solve-nx-4", "figure2-nx-4"])
 def test_bad_numbers_exit_with_2_naming_the_flag(cheap_config, tmp_path, capsys, command, message):
     out = tmp_path / "out.csv"
     probes, quotes = _input_files(tmp_path)
@@ -257,13 +260,12 @@ def test_pde_sweep_rejects_a_negative_probe_tau_naming_the_file_and_line(cheap_c
 
 
 def test_pde_sweep_rejects_a_probe_outside_a_grid_before_any_march(cheap_config, tmp_path, capsys,
-                                                                   monkeypatch):
+                                                                   monkeypatch, one_cpu):
     """y = -1.2 lies inside the eps = 4 grid, whose y-domain is stretched below, and
     outside the eps = 0.25 one; every member is checked before the first one marches."""
     def no_march(*args, **kwargs):
         raise AssertionError("a member marched before every probe was checked")
 
-    monkeypatch.setenv("VOLCLUST_THREADS", "1")  # members run in this process
     monkeypatch.setattr(volclust.pde, "price_surface", no_march)
     probes, out = tmp_path / "probes.csv", tmp_path / "out.csv"
     probes.write_text("tau,x,y\n0.05,0.0,0.0\n0.05,0.0,-1.2\n")
@@ -285,12 +287,11 @@ def test_an_output_that_cannot_be_opened_exits_2_naming_it(tmp_path, capsys):
 
 
 @pytest.fixture()
-def no_solve(monkeypatch):
-    """Make any PDE solve fail; one worker keeps every solve in this process."""
+def no_solve(monkeypatch, one_cpu):
+    """Make any PDE solve fail; one CPU keeps every solve in this process."""
     def solve(*args, **kwargs):
         raise AssertionError("solved before the output was checked")
     monkeypatch.setattr("volclust.pde.price_surface", solve)
-    monkeypatch.setenv("VOLCLUST_THREADS", "1")
 
 
 @pytest.mark.parametrize("command", [
@@ -366,7 +367,7 @@ def test_no_numeric_flag_is_a_bare_float():
 def test_console_entry_exits_2_without_a_traceback(tmp_path):
     """``python -m volclust.cli`` is the path the ``volclust`` script takes."""
     src = str(Path(volclust.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "VOLCLUST_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-m", "volclust.cli", "figure2", "--epsilon", "-1"],
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 2
@@ -422,10 +423,9 @@ def test_figure2_cheap_epsilon(tmp_path):
     assert (tmp_path / "fig2.gp").exists()
 
 
-def test_figure2_labels_each_row_with_the_node_its_vols_came_from(tmp_path, monkeypatch):
+def test_figure2_labels_each_row_with_the_node_its_vols_came_from(tmp_path, one_cpu):
     """Each log-moneyness is -x of the x-node nearest the point asked for, where the three
     vols inverted; at nx = 41 (dx = 0.15) several rows share a node and so a label."""
-    monkeypatch.setenv("VOLCLUST_THREADS", "1")
     out = tmp_path / "fig2.csv"
     assert main(["figure2", "--epsilon", "0.25", "--nx", "41", "--out", str(out)]) == 0
     labels = np.array([float(row["log_moneyness"]) for row in read_rows(str(out))])
@@ -437,10 +437,9 @@ def test_figure2_labels_each_row_with_the_node_its_vols_came_from(tmp_path, monk
 
 
 def test_figure2_price_outside_the_band_on_a_coarse_grid_is_a_numerical_failure(tmp_path, capsys,
-                                                                              monkeypatch):
+                                                                              one_cpu):
     """At nx = 15 the x error puts a PDE price below the put's intrinsic value.  The price
     came from the solve, not from the input, so it exits 3 and names where it was."""
-    monkeypatch.setenv("VOLCLUST_THREADS", "1")
     out = tmp_path / "fig2.csv"
     assert main(["figure2", "--nx", "15", "--epsilon", "0.25", "--tau", "0.05",
                  "--out", str(out)]) == 3
@@ -448,19 +447,6 @@ def test_figure2_price_outside_the_band_on_a_coarse_grid_is_a_numerical_failure(
         "error: eta = -0.25, log-moneyness 0.428571, tau = 0.05: the PDE price 34.82963031422532 "
         "outside the attainable band (34.85609424689446, 100.0); a finer --nx lowers its x error\n")
     assert not out.exists()
-
-
-def test_worker_cap_env(monkeypatch):
-    from volclust.cli import _worker_count
-    from volclust.errors import ConfigError
-
-    monkeypatch.setenv("VOLCLUST_THREADS", "1")
-    assert _worker_count(8) == 1
-    monkeypatch.setenv("VOLCLUST_THREADS", "64")
-    assert _worker_count(3) <= 3  # never more workers than tasks
-    monkeypatch.setenv("VOLCLUST_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        _worker_count(2)
 
 
 def test_exit_codes(tmp_path):

@@ -7,12 +7,13 @@ purpose, run ``PYTHONPATH=src python tests/test_cli_golden.py`` and say
 why in CHANGES.md.
 """
 
-import os
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import pin_cpus
+from volclust import cli
 from volclust.asymptotics import corrected_iv
 from volclust.cli import main
 from volclust.model import arctangent_model, write_config
@@ -84,20 +85,22 @@ def _run(name: str, tmp: Path) -> dict[str, bytes]:
     return files
 
 
-@pytest.fixture(autouse=True)
-def _one_worker(monkeypatch):
-    monkeypatch.setenv("VOLCLUST_THREADS", "1")
-
-
-# the subcommands that fan out over worker processes also run with 2 workers
-# (fewer on a 1-CPU machine), and must write the same bytes
+# the subcommands that fan out over worker processes also run on 2 CPUs, and so
+# 2 workers, and must write the same bytes
 WORKER_CASES = [pytest.param(name, 1, id=name) for name in sorted(CASES)] + [
     pytest.param(name, 2, id=f"{name}-2workers") for name in ("figure2", "pde_sweep")]
 
 
-@pytest.mark.parametrize("name, workers", WORKER_CASES)
-def test_subcommand_output_matches_golden(name, workers, tmp_path, monkeypatch):
-    monkeypatch.setenv("VOLCLUST_THREADS", str(workers))
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool started on one CPU")
+
+
+@pytest.mark.parametrize("name, cpus", WORKER_CASES)
+def test_subcommand_output_matches_golden(name, cpus, tmp_path, monkeypatch):
+    """On an affinity set of one CPU every solve runs in this process: no pool starts."""
+    pin_cpus(monkeypatch, cpus)
+    if cpus == 1:
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
     for filename, data in _run(name, tmp_path).items():
         assert data == (GOLDEN_DIR / filename).read_bytes(), filename
 
@@ -111,7 +114,6 @@ if __name__ == "__main__":
     import subprocess
     import tempfile
 
-    os.environ["VOLCLUST_THREADS"] = "1"
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:

@@ -42,6 +42,13 @@ def test_eta_must_be_finite(demo_spec, eta):
     assert validate(demo_spec.with_(eta=eta)).violations == (f"eta must be finite, got {eta}",)
 
 
+@pytest.mark.parametrize("name", ["sigma1", "b"])
+def test_a_table_holding_a_nan_is_not_finite_on_the_probe_grid(demo_spec, name):
+    table = Tabulated(np.linspace(-8.0, 8.0, 5), np.array([0.3, 0.3, math.nan, 0.3, 0.3]))
+    report = validate(demo_spec.with_(**{name: table}))
+    assert report.violations == (f"{name} is not finite on the probe grid",)
+
+
 def test_demo_coefficients_arctangent(demo_spec):
     assert demo_spec.sigma1(0.0) == pytest.approx(0.3, abs=1e-15)
     assert demo_spec.sigma2(0.0) == 0.2
@@ -179,16 +186,19 @@ def test_config_round_trip(tmp_path, demo_spec):
     assert loaded == demo_spec
 
 
-@pytest.mark.parametrize("out_dir", [".", "elsewhere/nested"],
-                         ids=["same-directory", "other-directory"])
-def test_config_round_trip_with_table(tmp_path, out_dir):
+@pytest.mark.parametrize("out_dir, absolute", [(".", False), ("elsewhere/nested", False),
+                                               ("elsewhere/nested", True)],
+                         ids=["same-directory", "other-directory", "absolute-path"])
+def test_config_round_trip_with_table(tmp_path, out_dir, absolute):
     table = tmp_path / "sigma2.csv"
     table.write_text("y,value\n-5.0,0.15\n0.0,0.2\n5.0,0.3\n")
+    source = str(table) if absolute else "sigma2.csv"
     spec = arctangent_model().with_(
-        sigma2=coefficient_from_string("table:sigma2.csv", str(tmp_path)))
+        sigma2=coefficient_from_string(f"table:{source}", str(tmp_path)))
     path = tmp_path / out_dir / "model.cfg"
     path.parent.mkdir(parents=True, exist_ok=True)
     write_config(spec, str(path))
+    assert (f"table:{table}" in path.read_text()) == absolute  # an absolute path is kept as is
     loaded = read_config(str(path))
     assert loaded.sigma2(1.0) == spec.sigma2(1.0)
     assert math.isclose(loaded.sigma2(-7.0), 0.15)

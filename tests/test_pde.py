@@ -12,7 +12,8 @@ from volclust import pde
 from volclust.asymptotics import asymptotic_price
 from volclust.bs import bs_put
 from volclust.errors import BadGrid, ConfigError, Instability, NumericalError
-from volclust.model import Constant, ModelSpec, arctangent_model
+from volclust.measure import InvariantMeasure
+from volclust.model import Constant, ModelSpec, Tabulated, arctangent_model
 from volclust.pde import (Grid2D, _march, accuracy_sweep, make_grid, payoff_initial,
                           price_surface, solve_u_tilde_cole_hopf)
 from volclust.poisson import group_constants_for
@@ -187,10 +188,37 @@ def test_each_dt_candidate_binds_somewhere(eps, tau, binding, n_steps):
     assert grid.n_steps == math.ceil(tau / candidates[binding]) == n_steps
 
 
+@pytest.mark.parametrize("tau, dt, named", [
+    (math.nan, None, "tau"), (-1.0, None, "tau"), (0.25, 0.0, "dt"), (0.25, math.inf, "dt"),
+], ids=["tau-nan", "tau-negative", "dt-zero", "dt-inf"])
+def test_make_grid_refuses_a_bad_tau_or_dt(fast_spec, tau, dt, named):
+    with pytest.raises(BadGrid, match=f"{named} must be finite"):
+        make_grid(fast_spec, tau, nx=41, dt=dt)
+
+
+@pytest.mark.parametrize("make, names", [
+    (lambda a, b: Grid2D(x=a, y=b, dt=0.1, n_steps=1), ("x", "y")),
+    (Tabulated, ("grid", "values")),
+    (InvariantMeasure, ("grid", "density")),
+], ids=["Grid2D", "Tabulated", "InvariantMeasure"])
+def test_a_frozen_object_freezes_a_copy_of_the_callers_arrays(make, names):
+    """The object's arrays are read-only; the caller's stay writeable, and writing to them
+    leaves the object as it was."""
+    a, b = np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 1.5, 5)
+    made = make(a, b)
+    held = [getattr(made, name) for name in names]
+    assert not any(array.flags.writeable for array in held)
+    a[:], b[:] = 7.0, 9.0  # raises if the caller's arrays were frozen
+    np.testing.assert_array_equal(held[0], np.linspace(-1.0, 1.0, 5))
+    np.testing.assert_array_equal(held[1], np.linspace(0.5, 1.5, 5))
+
+
 def test_grid_validation():
     nodes = np.linspace(0, 1, 5)
     with pytest.raises(BadGrid):
         Grid2D(x=np.array([0.0, 1.0, 3.0, 4.0, 5.0]), y=nodes, dt=0.1, n_steps=1)
+    with pytest.raises(BadGrid, match="x grid needs at least 5 nodes"):
+        Grid2D(x=np.linspace(0, 1, 4), y=nodes, dt=0.1, n_steps=1)
     for dt, n_steps in ((-0.1, 1), (math.inf, 1), (math.nan, 1), (0.1, 2.5), (0.0, 0), (-0.1, 0)):
         with pytest.raises(BadGrid):  # a ConfigError: exit code 2, not a march's 3
             Grid2D(x=nodes, y=nodes, dt=dt, n_steps=n_steps)
@@ -802,7 +830,7 @@ def test_accuracy_sweep_rejects_a_probe_outside_a_grid_before_any_march(probe, m
 def test_payoff_initial_matches_contract(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=61)
     u0 = payoff_initial(fast_spec, grid)
-    assert u0.shape == (grid.y.size, grid.x.size)
+    assert u0.shape == (grid.x.size,)  # one row: the payoff does not depend on y
     assert u0.max() == 0.0
     assert u0.min() == pytest.approx(-(100 - 100 * math.exp(grid.x[0])))
 
@@ -823,7 +851,7 @@ def test_surface_matches_golden_output(fast_spec):
 
 def test_nan_in_initial_data_raises_instability(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=41)
-    U0 = payoff_initial(fast_spec, grid)
+    U0 = np.tile(payoff_initial(fast_spec, grid), (grid.y.size, 1))
     U0[grid.y.size // 2, grid.x.size // 2] = np.nan
     with pytest.raises(Instability, match="gradient bound at step 1"):
         _march(fast_spec, grid, U0)
