@@ -14,10 +14,8 @@ scales the oracle below; and ``h`` = b^2 / (2 gamma s1^2), the
 first corrector's right-hand side.  Discretization: central second
 differences for the diffusions and the mixed term, first-order upwind
 for every first-order term.  Upwinding keeps every off-diagonal weight
-of ``_stencil`` >= 0 whatever the cell Peclet number, so the implicit
-y-system is an M-matrix; the x-system is one except in the first interior
-row per y-row, which the zero-curvature fold makes [1 - a, +a] with
-a = dt |x-drift| / dx.  On the grids ``make_grid`` builds for the demo
+of ``_stencil`` >= 0 whatever the cell Peclet number, so both implicit
+systems are M-matrices.  On the grids ``make_grid`` builds for the demo
 model that number peaks at the y-edges, at 0.14 for eps = 0.004 and
 0.45 for eps = 1: well below 2, where central differencing is monotone
 too.  So the upwind drift is a safety margin paid for with first-order
@@ -69,16 +67,13 @@ is the least step count of a sweep (63, 72, 80, 90, 100 steps) at which
 the benchmark's skew3 surfaces keep their time error at or below that of
 the first-order march at 250 steps.  The solver monitors the cap, the
 amplitude bound and the price band at every step, each with one
-comparison that a NaN fails too, and halves dt when a monitor trips; a
-band or amplitude trip before an attempt's last step that the halved
-attempt repeats less than one step's tau away is raised at once, as
-halving dt does not move a spatial overshoot.
+comparison that a NaN fails too, and halves dt when a monitor trips.
 
 Both value functions march in one Fortran-ordered (ny, nx + 1) array W:
 columns ``:nx`` hold u and the last holds u-tilde, which does not depend
 on x and so takes only the y-parts of a step.  Those (the y-differences,
 the quadratic term and source, the y-solve) are one pass over all of W;
-the mixed term, the x-solve and the x-boundary fold act on u's columns.
+the mixed term and the x-solve act on u's columns.
 
 Everything fixed during a solve is set up once per attempt, so a step
 only subtracts, multiplies and adds; the coefficient ranges behind the
@@ -86,18 +81,21 @@ dy cap and g* are evaluated once per ``make_grid`` and once per attempt.
 ``_explicit_weights`` folds dt and the spacings into the explicit step's
 weights.  Each implicit system is factored twice per attempt, at dt for
 the start-up step and at beta dt for the rest.  The x-system is
-eliminated without row interchanges (``_factor_x_system``, which needs
-a <= 1/2) and solved in place as a sweep along x (``_solve_x_system``);
+eliminated without row interchanges (``_factor_x_system``) and solved
+in place as a sweep along x (``_solve_x_system``);
 the y-system is symmetrised and factored as L D L^T (``_factor_y_system``)
 and solved in place on W by dpttrs (``_solve_y_system``).  Each says how;
 the README has why and the timings.  A y-system that cannot be
 symmetrised or factored, or a y-solve that returns a copy, is a fault,
 raised as RuntimeError and not retried.
 
-Boundary conditions (the continuum problem lives on the whole plane):
-zero second x-derivative at the x-ends, which reproduces both payoff
-branches, and zero flux in y, far enough out (6 stationary standard
-deviations) that the boundary influence is negligible.
+Boundary conditions (the continuum problem lives on the whole plane,
+where the put tends to its payoff deep in and out of the money): the
+payoff at the x-ends, and zero flux in y, far enough out (6 stationary
+standard deviations) that the boundary influence is negligible.  The
+x-ends are identity rows of the x-system and take no mixed term, so they
+take only the y-parts of a step, as u_tilde does: each evolves as
+u_tilde minus the payoff there, and P stays at the payoff to rounding.
 
 An exponential substitution linearizes u-tilde's equation exactly and is
 kept as an independent oracle for the quadratic term.  It keeps scipy's
@@ -136,7 +134,6 @@ MIN_STEPS = 80
 BDF2_BETA = 2.0 / 3.0  # the implicit weight of an IMEX-BDF2 step, in units of dt
 BAND_SLACK = 1e-6  # relative to strike; explicit mixed term is not exactly monotone
 MAX_DT_RETRIES = 6  # dt halvings price_surface tries before it gives up
-SPATIAL_MONITORS = ("u", "u_tilde", "band")  # trips that halving dt may not move
 
 logger = logging.getLogger(__name__)
 
@@ -299,19 +296,18 @@ class _Coefficients:
 
 
 def _build_x_system(coeffs: _Coefficients, dt: float, dx: float) -> tuple:
-    """(I - dt Lx) on the interior x-nodes as its three distinct rows: first, interior, last.
+    """(I - dt Lx) on every x-node as its three distinct rows: first, interior, last.
 
     Each row is (sub, diag, sup), each (ny,): x-row i of the system holds
-    x-node i + 1 of every y-row, so each y-row is its own tridiagonal system
-    in x, and every x-row between the first and the last is the same row.
-    The zero-curvature boundary condition (u_0 = 2u_1 - u_2 and its mirror)
-    is folded into the first and the last row, which leaves the first's sub
-    and the last's sup zero.
+    x-node i of every y-row, so each y-row is its own tridiagonal system in
+    x, and every x-row between the first and the last is the same row.  The
+    first and the last are identity rows: the x-ends take no x-part of a
+    step, so P stays at the payoff there (module docstring).
     """
     sub, diag, sup = _stencil(coeffs.x_diffusion, coeffs.x_drift, dx)
-    sub, diag, sup = -dt * sub, 1.0 - dt * diag, -dt * sup
     zero = np.zeros_like(diag)
-    return (zero, diag + 2.0 * sub, sup - sub), (sub, diag, sup), (sub - sup, diag + 2.0 * sup, zero)
+    end = (zero, np.ones_like(diag), zero)
+    return end, (-dt * sub, 1.0 - dt * diag, -dt * sup), end
 
 
 def _factor_x_system(first, interior, last, n_rows: int) -> tuple[list, list, list]:
@@ -324,14 +320,9 @@ def _factor_x_system(first, interior, last, n_rows: int) -> tuple[list, list, li
     pivots reach a fixed point: once an interior row's (multiplier, pivot)
     pair repeats the previous row's exactly, so does every later interior
     row's, and those rows share one set of arrays.  Without pivoting,
-    elimination is stable for a row diagonally dominant matrix.  Every
-    interior row is; the folded first row [1 - a, +a], a = dt |x_drift| / dx,
-    is only while a <= 1/2, so a larger a raises ``Instability`` and
-    ``price_surface`` halves dt.
+    elimination is stable for a row diagonally dominant matrix, and every
+    row is, at any dt: an interior row's diag - |sub| - |sup| is 1.
     """
-    if not all(np.all(np.abs(d) >= np.abs(l) + np.abs(u)) for l, d, u in (first, interior, last)):
-        raise Instability(f"x-system is not diagonally dominant: the x-boundary fold has "
-                          f"a = dt |x_drift| / dx up to {first[2].max():.3f} > 1/2")
     mult, pivot, sup = first
     rows = [(mult, 1.0 / pivot, sup / pivot)]
     for i in range(1, n_rows):
@@ -349,8 +340,8 @@ def _factor_x_system(first, interior, last, n_rows: int) -> tuple[list, list, li
 def _pivot_runs(recip: list, block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """One (view, 1/pivot column) pair per run of ``block``'s x-rows that share their 1/pivot.
 
-    ``block`` is (ny, n_rows), x-row i being its column i, as u's interior
-    columns are in the march.
+    ``block`` is (ny, n_rows), x-row i being its column i, as u's columns
+    are in the march.
     """
     starts = [i for i in range(len(recip)) if i == 0 or recip[i] is not recip[i - 1]]
     return [(block[:, lo:hi], recip[lo][:, None])
@@ -451,7 +442,7 @@ def _explicit_weights(coeffs: _Coefficients, dt: float, dx: float, dy: float) ->
     mixed * D_x + quad * D^2 + source, which is
     dt (mixed u_xy + quad u_y^2 + source) with central differences, on
     u's interior x-nodes; ``_march`` leaves the mixed term zero at the
-    x-ends, whose values the zero-curvature fold rewrites after the x-solve.
+    x-ends, which take only the y-parts of a step.
     """
     return ((dt * coeffs.mixed / (4.0 * dx * dy))[:, None],
             (dt * coeffs.quad / (4.0 * dy ** 2))[:, None],
@@ -499,13 +490,15 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     H^0 for step 2.  The bracket is formed in the array that held H^{n-1},
     which then holds the solution, and H^n is formed in place of W^n, so
     the two arrays swap roles each step; c goes into the y-solve's scale
-    column.  The Douglas term is applied in split form, without a stencil:
-    with G = k Ly W^n / c, the x-solve takes the bracket plus G and G is
-    taken off its result, which is (I - k Lx)^{-1} of the bracket plus
-    k Lx G.  The y-solve's own input X gives G: (I - k' Ly) W^n = c' X
-    leaves k' Ly W^n = W^n - c' X for the kind (k', c') that made W^n, so
-    each step keeps c X in the Douglas array and turns it into the next
-    step's G after the y-solve: three passes, and no stencil.  Each step
+    column.  The x-solve runs over all of u's columns, and its identity end
+    rows leave the x-ends with the y-parts of the step alone.  The Douglas
+    term is applied in split form, without a stencil: with G = k Ly W^n / c,
+    the x-solve takes the bracket plus G and G is taken off its result,
+    which is (I - k Lx)^{-1} of the bracket plus k Lx G.  The y-solve's own
+    input X gives G: (I - k' Ly) W^n = c' X leaves k' Ly W^n = W^n - c' X
+    for the kind (k', c') that made W^n, so each step keeps c X in the
+    Douglas array and turns it into the next step's G after the y-solve:
+    three passes, and no stencil.  Each step
     checks max |u_y| over W against the cap g*, |u| and |u_tilde| against
     their caps, and 0 <= u_tilde - u <= K, each in one comparison that a NaN
     fails too; each trip's ``Instability`` names its monitor and tau.  It
@@ -536,18 +529,18 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     mixed_u = np.zeros((ny, nx), order="F")  # its x-end columns stay zero (_explicit_weights)
     douglas = np.zeros((ny, nx), order="F")  # G = k Ly W^n / c on u; zero for the start-up
     x_tmp = np.empty(ny)
-    # (W, u, u_tilde, u's interior y-columns) for the solution and the history, which
-    # starts at zero; the views stay valid while the y-solve works in place
-    sides = [(array, array[:, :nx], array[:, nx], list(array[:, 1:nx - 1].T))
+    # (W, u, u_tilde, u's y-columns) for the solution and the history, which starts at
+    # zero; the views stay valid while the y-solve works in place
+    sides = [(array, array[:, :nx], array[:, nx], list(array[:, :nx].T))
              for array in (W, np.zeros_like(W))]
     # the step kinds, start-up then BDF2: (x-factor on each side, y-factor, y-solve scale c,
     # next_share), where next_share = (beta dt / (4/3)) / k turns k Ly W^{n+1} into the next
-    # step's G; dt first: its fold has the larger a, so a failed dominance guard names it
+    # step's G
     kinds = []
     for step_dt, scale in ((dt, 1.0), (BDF2_BETA * dt, 4.0 / 3.0)):
         d_fact, e_fact, s, inv_s = _factor_y_system(*_build_y_system(coeffs, step_dt, dy))
-        mult, recip, upper = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx - 2)
-        x_factors = [(mult, upper, _pivot_runs(recip, u[:, 1:-1])) for _, u, _, _ in sides]
+        mult, recip, upper = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx)
+        x_factors = [(mult, upper, _pivot_runs(recip, u)) for _, u, _, _ in sides]
         kinds.append((x_factors, (d_fact, e_fact, s * scale, inv_s), scale,
                       0.75 * BDF2_BETA * dt / step_dt))
 
@@ -581,8 +574,6 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
         # the x-solve took the bracket plus G, and G comes off its result
         _solve_x_system(*x_factors[cur], x_cols, x_tmp)
         np.subtract(u, douglas, out=u)
-        u[:, 0] = 2.0 * u[:, 1] - u[:, 2]
-        u[:, -1] = 2.0 * u[:, -2] - u[:, -3]
         # (I - k Ly) W^{n+1} = c X leaves k Ly W^{n+1} = W^{n+1} - c X: the next step's G
         np.multiply(u, scale, out=douglas)
         _solve_y_system(W, *y_factor)
@@ -612,36 +603,25 @@ def price_surface(spec: ModelSpec, grid: Grid2D) -> PriceSurface:
     Any monitor trip halves dt and restarts the march.  Each halving is
     logged at INFO level with the tripped monitor's message and the new
     step count.  After ``MAX_DT_RETRIES`` halvings, the last monitor's
-    message is raised again with that monitor's ``Instability`` as the
-    cause.  A band or amplitude trip (``SPATIAL_MONITORS``) before the
-    attempt's last step gets one halved attempt: if that trips the same
-    monitor less than one of the earlier attempt's steps from its tau,
-    halving dt did not move the trip, and that is raised at once, with the
-    later trip as the cause.  A trip at the last step sets up no such test,
-    as its tau is the grid's final tau at every dt; nor does a trip exactly
-    one earlier step away, which halving did move.  P at an earlier step k
-    is the solve of ``replace(grid, n_steps=k)``, which halves dt on its own.
+    message, monitor and tau are raised again with that monitor's
+    ``Instability`` as the cause.  The surface's u and u_tilde are views of
+    the march's own array.  P at an earlier step k is the solve of
+    ``replace(grid, n_steps=k)``, which halves dt on its own.
     """
     attempt_grid = grid
     U0 = payoff_initial(spec, grid)  # halving dt leaves the x-grid as it is
-    last = None  # the last attempt's band or amplitude trip
     for attempt in range(MAX_DT_RETRIES + 1):
         try:
             W = _march(spec, attempt_grid, U0)
         except Instability as exc:
             if attempt == MAX_DT_RETRIES:
-                raise Instability(f"{exc} (still, after {attempt} dt halvings)") from exc
-            last_dt = 2.0 * attempt_grid.dt
-            if (last is not None and exc.monitor == last.monitor
-                    and abs(exc.tau - last.tau) < last_dt):
-                raise Instability(f"{exc}: halving dt did not move the trip from "
-                                  f"tau = {last.tau:.4g} at dt {last_dt:.3e}") from exc
-            # a trip at the attempt's last step is at tau_final whatever dt is: it says nothing
-            last = exc if exc.monitor in SPATIAL_MONITORS and exc.tau < attempt_grid.tau_final else None
+                raise Instability(f"{exc} (still, after {attempt} dt halvings)",
+                                  monitor=exc.monitor, tau=exc.tau) from exc
             attempt_grid = attempt_grid.with_halved_dt()
             logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue
-        return PriceSurface(grid=attempt_grid, u=W[:, :-1].T.copy(), u_tilde=W[:, -1].copy(),
+        # views: W is this solve's own, and W[:, :-1].T is C-contiguous
+        return PriceSurface(grid=attempt_grid, u=W[:, :-1].T, u_tilde=W[:, -1],
                             P=W[:, -1] - W[:, :-1].T, tau=attempt_grid.tau_final)
 
 

@@ -330,35 +330,33 @@ def test_second_order_convergence_in_time(fast_spec, rho):
 def _dense_step(spec, grid, step_dt, rhs):
     """W with (I - step_dt Lx)(I - step_dt Ly) W = ``rhs``, by dense solves, in the march's layout.
 
-    Lx and Ly are assembled from ``_build_x_system``'s and ``_build_y_system``'s rows; the
-    x-end extrapolation comes between the two solves and u_tilde's column has no x-part.
+    Lx and Ly are assembled from ``_build_x_system``'s and ``_build_y_system``'s rows, so
+    the x-ends are identity rows of the x-solve; u_tilde's column has no x-part.
     """
     nx = grid.x.size
     sub, diag, sup = _tiled_x_system(pde._Coefficients(spec, grid.y), replace(grid, dt=step_dt))
     W = rhs.copy()
     for j in range(grid.y.size):
         A = np.diag(diag[:, j]) + np.diag(sub[1:, j], -1) + np.diag(sup[:-1, j], 1)
-        W[j, 1:nx - 1] = np.linalg.solve(A, rhs[j, 1:nx - 1])
-    W[:, 0] = 2.0 * W[:, 1] - W[:, 2]
-    W[:, nx - 1] = 2.0 * W[:, nx - 2] - W[:, nx - 3]
+        W[j, :nx] = np.linalg.solve(A, rhs[j, :nx])
     dl, d, du = pde._build_y_system(pde._Coefficients(spec, grid.y), step_dt, grid.dy)
     return np.linalg.solve(np.diag(d) + np.diag(dl, -1) + np.diag(du, 1), W)
 
 
 def _douglas(spec, grid, step_dt, W):
-    """step_dt^2 Lx Ly W on u's interior x-nodes and zero elsewhere, from the dense systems:
+    """step_dt^2 Lx Ly W on u's x-nodes and zero on u_tilde's column, from the dense systems:
     step_dt Ly W = (I - A_y) W with the zero-flux ends, then step_dt Lx the same way with
-    the zero-curvature fold that the x-system's first and last rows hold."""
+    the x-system's identity end rows, which leave it zero at the x-ends."""
     nx = grid.x.size
     coeffs = pde._Coefficients(spec, grid.y)
     dl, d, du = pde._build_y_system(coeffs, step_dt, grid.dy)
-    Y = (W - (np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)) @ W)[:, 1:nx - 1].T
+    Y = (W - (np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)) @ W)[:, :nx].T
     sub, diag, sup = _tiled_x_system(coeffs, replace(grid, dt=step_dt))
     AY = diag * Y
     AY[1:] += sub[1:] * Y[:-1]
     AY[:-1] += sup[:-1] * Y[1:]
     out = np.zeros_like(W)
-    out[:, 1:nx - 1] = (Y - AY).T
+    out[:, :nx] = (Y - AY).T
     return out
 
 
@@ -371,9 +369,8 @@ def test_first_three_steps_follow_the_scheme():
               + (b dt)^2 Lx Ly W^n,  b = 2/3,
 
     with central u_y and u_xy, and a start that depends on y, so M^0 != 0 and Lx Ly W^n != 0.
-    M at the x-ends reaches nothing: the x-solve reads only u's interior x-nodes and the
-    zero-curvature fold rewrites the x-ends after it.  So the march matches both an oracle
-    whose M there is one-sided and one whose M there is zero.
+    The x-ends take no mixed term: their x-rows are identity rows, and they take only the
+    y-parts of a step, as u_tilde does.
     """
     spec = arctangent_model(epsilon=0.25).with_(rho=-0.7)
     x, y = np.linspace(-1.0, 1.0, 9), 0.02 * np.arange(-5, 6)  # dy under the cap 0.025
@@ -391,31 +388,25 @@ def test_first_three_steps_follow_the_scheme():
     def Q(W):
         return c.quad[:, None] * u_y(W) ** 2 + c.source[:, None]
 
-    def M_one_sided(W):
+    def M(W):
         out = np.zeros_like(W)
-        out[:, :nx] = c.mixed[:, None] * np.gradient(u_y(W)[:, :nx], grid.dx, axis=1, edge_order=1)
-        return out
-
-    def M_zero_ends(W):
-        out = M_one_sided(W)
-        out[:, [0, nx - 1]] = 0.0
+        out[:, :nx] = c.mixed[:, None] * np.gradient(u_y(W)[:, :nx], grid.dx, axis=1)
+        out[:, [0, nx - 1]] = 0.0  # the x-ends take no mixed term
         return out
 
     dt, beta_dt = grid.dt, pde.BDF2_BETA * grid.dt
-    for M in (M_one_sided, M_zero_ends):
-        levels = [W0, _dense_step(spec, grid, dt, W0 + dt * (Q(W0) + M(W0)))]
-        for _ in range(2):
-            prev, now = levels[-2:]
-            rhs = (4.0 / 3.0 * now - prev / 3.0
-                   + beta_dt * (2.0 * M(now) - M(prev) + 2.0 * Q(now) - Q(prev))
-                   + _douglas(spec, grid, beta_dt, now))
-            levels.append(_dense_step(spec, grid, beta_dt, rhs))
-        assert np.abs(M(W0)).max() > 1.0
-        assert np.abs(_douglas(spec, grid, beta_dt, levels[1])).max() > 1e-6
-        for n in (1, 2, 3):
-            W = _march(spec, replace(grid, n_steps=n), W0[:, :nx])
-            np.testing.assert_allclose(W, levels[n], rtol=1e-12)
-    assert np.abs(M_one_sided(W0)[:, [0, nx - 1]]).max() > 0.5  # the two oracles differ
+    levels = [W0, _dense_step(spec, grid, dt, W0 + dt * (Q(W0) + M(W0)))]
+    for _ in range(2):
+        prev, now = levels[-2:]
+        rhs = (4.0 / 3.0 * now - prev / 3.0
+               + beta_dt * (2.0 * M(now) - M(prev) + 2.0 * Q(now) - Q(prev))
+               + _douglas(spec, grid, beta_dt, now))
+        levels.append(_dense_step(spec, grid, beta_dt, rhs))
+    assert np.abs(M(W0)).max() > 1.0
+    assert np.abs(_douglas(spec, grid, beta_dt, levels[1])).max() > 1e-6
+    for n in (1, 2, 3):
+        W = _march(spec, replace(grid, n_steps=n), W0[:, :nx])
+        np.testing.assert_allclose(W, levels[n], rtol=1e-12)
 
 
 def _march_operator(spec, x, y, U, drift_scale):
@@ -574,13 +565,13 @@ def test_y_system_that_cannot_be_factored_is_a_fault():
 
 
 def test_implicit_systems_sign_pattern():
-    """Where the implicit systems are M-matrices, and the one place the x-system is not.
+    """Both implicit systems are M-matrices.
 
     Upwinding keeps every off-diagonal weight of ``_stencil`` >= 0 for either
     sign of drift at any cell Peclet number, so I - dt L has off-diagonals
-    <= 0 and a dominant diagonal.  The exception is the first interior x-row
-    of each y-row: folding u_0 = 2 u_1 - u_2 into it leaves [1 - a, +a] with
-    a = dt |x_drift| / dx, and the inverse of an x-block has negative entries.
+    <= 0 and a dominant diagonal.  The x-system's end rows are identity rows
+    and every other x-row has diag - |sub| - |sup| = 1, at any dt, so every
+    x-block's inverse is >= 0.
     """
     rng = np.random.default_rng(11)
     specs = [arctangent_model()] + [random_valid_spec(rng) for _ in range(3)]
@@ -600,34 +591,34 @@ def test_implicit_systems_sign_pattern():
         assert dl.max() <= 0.0 and du.max() <= 0.0
         assert np.all(d > np.abs(np.r_[0.0, dl]) + np.abs(np.r_[du, 0.0]))
 
-        first, interior, last = pde._build_x_system(c, grid.dt, grid.dx)
-        assert all(w.shape == (grid.y.size,) for w in first + interior + last)
-        assert np.all(first[0] == 0.0) and np.all(last[2] == 0.0)  # the y-rows decouple
-        for sub, diag, sup in (interior, last):
-            assert sub.max() <= 0.0 and sup.max() <= 0.0
-            assert np.all(diag > np.abs(sub) + np.abs(sup))
-        a = grid.dt * np.abs(c.x_drift) / grid.dx
-        assert a.min() > 0.0
-        np.testing.assert_allclose(first[2], a, rtol=1e-12)
-        np.testing.assert_allclose(first[1], 1.0 - a, rtol=1e-12)
+        for dt in (grid.dt, 100.0 * grid.dt):
+            first, (sub, diag, sup), last = pde._build_x_system(c, dt, grid.dx)
+            assert all(w.shape == (grid.y.size,) for w in first + (sub, diag, sup) + last)
+            for end in (first, last):
+                assert [w.tolist() for w in end] == [[0.0] * grid.y.size, [1.0] * grid.y.size,
+                                                     [0.0] * grid.y.size]
+            assert sub.max() < 0.0 and sup.max() < 0.0
+            np.testing.assert_allclose(diag - np.abs(sub) - np.abs(sup), 1.0, rtol=1e-12)
 
-        j = int(np.argmax(a))
-        sub, diag, sup = (w[:, j] for w in _tiled_x_system(c, grid))
-        block = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-        assert np.linalg.inv(block).min() < 0.0
+        a = np.abs(c.x_drift)
+        sub, diag, sup = _tiled_x_system(c, grid)
+        for j in {0, int(np.argmin(a)), int(np.argmax(a)), grid.y.size - 1}:
+            block = np.diag(diag[:, j]) + np.diag(sub[1:, j], -1) + np.diag(sup[:-1, j], 1)
+            inverse = np.linalg.inv(block)
+            assert inverse.min() >= -1e-15 * inverse.max()  # >= 0 to rounding
 
 
 def _tiled_x_system(coeffs, grid):
-    """``_build_x_system``'s three rows as the full (nx - 2, ny) sub, diag and sup."""
+    """``_build_x_system``'s three rows as the full (nx, ny) sub, diag and sup."""
     first, interior, last = pde._build_x_system(coeffs, grid.dt, grid.dx)
-    return tuple(np.vstack([f, np.tile(i, (grid.x.size - 4, 1)), l])
+    return tuple(np.vstack([f, np.tile(i, (grid.x.size - 2, 1)), l])
                  for f, i, l in zip(first, interior, last))
 
 
 def _lapack_x_solve(spec, grid, rhs):
     """The x-system stacked into one chain of y-row blocks, solved by dgttrf and dgttrs.
 
-    Returns the solution in ``rhs``'s (nx - 2, ny) layout and whether dgttrf pivoted.
+    Returns the solution in ``rhs``'s (nx, ny) layout and whether dgttrf pivoted.
     """
     sub, diag, sup = _tiled_x_system(pde._Coefficients(spec, grid.y), grid)
     dl, d, du, du2, ipiv, info = dgttrf(sub.T.ravel()[1:], diag.T.ravel(), sup.T.ravel()[:-1])
@@ -639,13 +630,13 @@ def _lapack_x_solve(spec, grid, rhs):
 
 def _x_factor(spec, grid):
     rows = pde._build_x_system(pde._Coefficients(spec, grid.y), grid.dt, grid.dx)
-    return pde._factor_x_system(*rows, grid.x.size - 2)
+    return pde._factor_x_system(*rows, grid.x.size)
 
 
 def _sweep_x_solve(spec, grid, rhs):
     """``_march``'s x-solve: factor once, then the column sweep on a copy of ``rhs``."""
     mult, recip, upper = _x_factor(spec, grid)
-    cols = rhs.copy()  # (nx - 2, ny): x-row i is cols[i], and cols.T is the march's block
+    cols = rhs.copy()  # (nx, ny): x-row i is cols[i], and cols.T is the march's block
     pde._solve_x_system(mult, upper, pde._pivot_runs(recip, cols.T), list(cols),
                         np.empty(grid.y.size))
     return cols
@@ -662,7 +653,7 @@ def test_x_sweep_matches_lapack():
               for spec in (random_valid_spec(rng) for _ in range(3))]
     cases += [(demo, replace(default, dt=dt), True) for dt in (default.dt, 0.002, 0.01, 0.05)]
     for spec, grid, pivots in cases:
-        rhs = rng.standard_normal((grid.x.size - 2, grid.y.size))
+        rhs = rng.standard_normal((grid.x.size, grid.y.size))
         expected, pivoted = _lapack_x_solve(spec, grid, rhs)
         assert pivots in (None, pivoted), grid.dt
         swept = _sweep_x_solve(spec, grid, rhs)
@@ -688,32 +679,13 @@ def test_x_factor_shares_the_fixed_point_rows_bit_for_bit():
             pivot = diag[i] - mult * sup[i - 1]
             plain.append((mult, 1.0 / pivot, sup[i] / pivot))
         for got, want in zip(factor, zip(*plain)):
-            assert len(got) == len(want) == grid.x.size - 2
+            assert len(got) == len(want) == grid.x.size
             assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
     mult, recip, upper = _x_factor(demo, skew3)
     distinct = {id(r) for r in recip}
-    assert len(distinct) < 40  # 17 of 199 rows
+    assert len(distinct) < 40  # 34 of 201 rows
     assert len({id(m) for m in mult}) == len({id(u) for u in upper}) == len(distinct)
     assert len(pde._pivot_runs(recip, np.empty((skew3.y.size, len(recip))))) == len(distinct)
-
-
-def test_x_system_without_dominance_halves_dt(caplog):
-    """The fold's row [1 - a, +a] needs a <= 1/2 for elimination without pivoting."""
-    spec = arctangent_model(epsilon=1.0)
-    default = make_grid(spec, 0.25)
-    grid = replace(default, dt=0.0625, n_steps=4)
-    a = grid.dt * np.abs(pde._Coefficients(spec, grid.y).x_drift).max() / grid.dx
-    assert a == pytest.approx(0.53, abs=0.005)
-    with pytest.raises(Instability) as info:
-        _march(spec, grid, payoff_initial(spec, grid))
-    assert str(info.value) == ("x-system is not diagonally dominant: the x-boundary fold "
-                               f"has a = dt |x_drift| / dx up to {a:.3f} > 1/2")  # before step 1
-
-    with caplog.at_level(logging.INFO, logger="volclust.pde"):
-        surface = price_surface(spec, grid)
-    assert surface.grid.n_steps == 8
-    records = [r.getMessage() for r in caplog.records if r.name == "volclust.pde"]
-    assert records == [f"{info.value}; halving dt to 8 steps"]
 
 
 def test_instability_raised_for_reckless_dt():
@@ -881,48 +853,52 @@ def test_out_of_retries_names_the_monitor_that_tripped(monkeypatch):
     assert "price band" not in str(info.value)
     assert isinstance(info.value.__cause__, Instability)
     assert str(info.value.__cause__) in str(info.value)
+    assert (info.value.monitor, info.value.tau) == ("gradient", 1.0)
 
 
-def test_a_band_trip_that_halving_does_not_move_fails_fast(caplog):
-    """At eps = 1, tau = 10 the zero-curvature fold undershoots at x = +3, which no dt cures:
-    the band monitor trips at tau ~ 2.2 at 160 steps and again at 320, and the solve gives up
-    there instead of halving four more times.  At the dt rule's 80 steps the gradient monitor
-    trips first, at step 16, and halving cures that trip."""
+def test_the_demo_at_eps_one_and_tau_ten_solves_in_band(caplog):
+    """At eps = 1, tau = 10 on the +-3 span the deep in-the-money end holds the payoff, so
+    the solve stays in the band: at 160 steps no monitor trips, and at the dt rule's 80 the
+    gradient monitor trips once, at step 16, and the solve halves to 160."""
     spec = arctangent_model(epsilon=1.0)
-    for grid, gradient_trips in ((make_grid(spec, 10.0, nx=41, dt=10.0 / 160), 0),
-                                 (make_grid(spec, 10.0, nx=41), 1)):
+    for grid, halvings in ((make_grid(spec, 10.0, nx=41, dt=10.0 / 160), 0),
+                           (make_grid(spec, 10.0, nx=41), 1)):
         caplog.clear()
-        with caplog.at_level(logging.INFO, logger="volclust.pde"), \
-                pytest.raises(Instability) as info:
-            price_surface(spec, grid)
+        with caplog.at_level(logging.INFO, logger="volclust.pde"):
+            surface = price_surface(spec, grid)
+        assert surface.grid.n_steps == 160
         records = [r.getMessage() for r in caplog.records if r.name == "volclust.pde"]
-        assert len(records) == gradient_trips + 1  # one halved attempt after the band trip
-        assert all("gradient bound" in r for r in records[:gradient_trips])
-        band = records[-1]
-        assert band.startswith("price band violated at step 35: ") and band.endswith(
-            "halving dt to 320 steps")
-        first, second = 35 * 10.0 / 160, info.value.__cause__
-        assert second.monitor == "band" and abs(second.tau - first) <= 10.0 / 160
-        assert str(info.value) == (f"{second}: halving dt did not move the trip from "
-                                   f"tau = {first:.4g} at dt 6.250e-02")
+        assert len(records) == halvings
+        assert all(r.startswith("dt 1.250e-01 exceeds the gradient bound at step 16 ")
+                   for r in records)
+        assert -pde.BAND_SLACK * spec.strike <= surface.P.min() <= surface.P.max() <= spec.strike
 
 
-def test_a_band_trip_one_earlier_step_away_was_moved_by_halving(caplog):
-    """Asked for one step, this random model's band monitor trips at T, then at T/2 of 2 steps
-    and at T of 4 steps.  A trip at the last step is at T whatever dt is, so it sets up no
-    not-moved test; and T is one step of the 2-step attempt from T/2, which halving moved.
-    So the solve goes on halving and succeeds at 8 steps."""
+def test_a_random_model_asked_for_one_step_solves_in_it(caplog):
+    """A random model asked for one step to maturity at nx = 21 takes that one step, in
+    band, with no monitor trip."""
     rng = np.random.default_rng(123)
     spec = [random_valid_spec(rng) for _ in range(22)][-1]
     grid = make_grid(spec, spec.maturity, nx=21, dt=spec.maturity)
     assert grid.n_steps == 1
     with caplog.at_level(logging.INFO, logger="volclust.pde"):
         surface = price_surface(spec, grid)
-    assert surface.grid.n_steps == 8
-    records = [r.getMessage() for r in caplog.records if r.name == "volclust.pde"]
-    assert [r.split(":")[0] for r in records] == [
-        f"price band violated at step {step}" for step in (1, 1, 4)]
-    assert [r.rsplit(" ", 2)[1] for r in records] == ["2", "4", "8"]
+    assert surface.grid.n_steps == 1
+    assert [r for r in caplog.records if r.name == "volclust.pde"] == []
+    assert -pde.BAND_SLACK * spec.strike <= surface.P.min() <= surface.P.max() <= spec.strike
+
+
+@pytest.mark.parametrize("nx, x_span", [(pde.DEFAULT_NX, pde.DEFAULT_X_SPAN), (201, (-1.0, 1.0))],
+                         ids=["default", "skew3"])
+def test_price_is_the_payoff_at_both_x_ends(nx, x_span):
+    """The x-ends' identity rows give them only the y-parts of a step, which u_tilde takes
+    too, so P = u_tilde - u stays at the put's payoff there, to rounding."""
+    spec = arctangent_model()
+    grid = make_grid(spec, spec.maturity, nx=nx, x_span=x_span)
+    surface = price_surface(spec, grid)
+    payoff = -payoff_initial(spec, grid)
+    for end in (0, -1):
+        assert np.abs(surface.P[end] - payoff[end]).max() <= 1e-10 * spec.strike
 
 
 def test_amplitude_monitor_trips_when_u_and_u_tilde_move_together(monkeypatch, caplog):
@@ -936,7 +912,7 @@ def test_amplitude_monitor_trips_when_u_and_u_tilde_move_together(monkeypatch, c
     monkeypatch.setattr(pde, "_explicit_weights", loud_source)
     spec = arctangent_model(epsilon=0.25, maturity=0.05)
     grid = make_grid(spec, spec.maturity, nx=21)
-    first = "u left the amplitude bound at step 1 (|u| = 8.869e+03)"
+    first = "u left the amplitude bound at step 1 (|u| = 8.868e+03)"
     with pytest.raises(Instability) as info:
         _march(spec, grid, payoff_initial(spec, grid))
     assert str(info.value) == first

@@ -1,5 +1,6 @@
 """Invariants the paper implies, checked on random valid models as well as the demo."""
 
+import logging
 import math
 
 import numpy as np
@@ -29,6 +30,34 @@ def test_pde_price_stays_in_the_band_on_random_models(seed, tau):
     slack = BAND_SLACK * spec.strike
     assert P.min() >= -slack
     assert P.max() <= spec.strike + slack
+
+
+def test_pde_price_stays_in_the_band_at_long_maturities():
+    """Thirty random models, each at a tau in 1-10 and an eps in 0.05-1, on the +-3 span
+    at nx = 41: every solve returns, with -1e-6 K <= P <= K.  Over a long tau the put
+    spreads to the x-ends, which hold its payoff."""
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        spec = random_valid_spec(rng)
+        tau, eps = rng.uniform(1.0, 10.0), rng.uniform(0.05, 1.0)
+        spec = spec.with_(epsilon=eps)
+        P = price_surface(spec, make_grid(spec, tau, nx=41)).P
+        assert -BAND_SLACK * spec.strike <= P.min() and P.max() <= spec.strike, (tau, eps)
+
+
+@pytest.mark.parametrize("nx", [11, 21])
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_coarse_solves_trip_no_band_monitor(nx, steps, caplog):
+    """Ten random models on coarse grids, with 1, 2 or 4 steps to maturity: no halving
+    that the march logs is for the price band."""
+    rng = np.random.default_rng(123)
+    with caplog.at_level(logging.INFO, logger="volclust.pde"):
+        for _ in range(10):
+            spec = random_valid_spec(rng)
+            price_surface(spec, make_grid(spec, spec.maturity, nx=nx, dt=spec.maturity / steps))
+    band = [r.getMessage() for r in caplog.records
+            if r.name == "volclust.pde" and "price band" in r.getMessage()]
+    assert band == []
 
 
 @settings(max_examples=5, deadline=None, derandomize=True)
