@@ -49,8 +49,8 @@ class Instability(NumericalError):
     """Time-marching produced NaNs or violated a monitored bound.
 
     ``monitor`` names the bound that tripped and ``tau`` the time-to-maturity
-    of the step that tripped it; both are None only from the u_tilde oracle
-    ``pde.solve_u_tilde_cole_hopf``, which names no monitor.
+    of the step that tripped it; both are None only where the raiser names
+    no monitor, as the test suite's u_tilde oracle does.
     """
 
     def __init__(self, message: str, *, monitor: str | None = None, tau: float | None = None):

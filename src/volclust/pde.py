@@ -82,12 +82,18 @@ dy cap and g* are evaluated once per ``make_grid`` and once per attempt.
 weights.  Each implicit system is factored twice per attempt, at dt for
 the start-up step and at beta dt for the rest.  The x-system is
 eliminated without row interchanges (``_factor_x_system``) and solved
-in place as a sweep along x (``_solve_x_system``);
-the y-system is symmetrised and factored as L D L^T (``_factor_y_system``)
-and solved in place on W by dpttrs (``_solve_y_system``).  Each says how;
-the README has why and the timings.  A y-system that cannot be
-symmetrised or factored, or a y-solve that returns a copy, is a fault,
-raised as RuntimeError and not retried.
+in place as a sweep along x (``_solve_x_system``).  The y-system is cut
+into blocks of ``Y_BLOCK`` y-nodes, whose inverses, and that of the
+small system coupling the blocks' end values, are formed once
+(``_factor_y_system``); a step's y-solve is then four matrix products
+on each chunk of W's columns (``_solve_y_system``), a partition solve in
+the manner of Polizzi & Sameh's SPIKE (2006, Parallel Computing 32).
+The chunks keep every product small enough that OpenBLAS runs it on the
+calling thread: threaded, its idle threads spin, which slows the CLI's
+worker processes when they share the cores.  Each function says how;
+the README has why and the timings.  A y-system that is not an M-matrix
+or whose blocks cannot be inverted is a fault, raised as RuntimeError
+and not retried.
 
 Boundary conditions (the continuum problem lives on the whole plane,
 where the put tends to its payoff deep in and out of the money): the
@@ -97,10 +103,9 @@ x-ends are identity rows of the x-system and take no mixed term, so they
 take only the y-parts of a step, as u_tilde does: each evolves as
 u_tilde minus the payoff there, and P stays at the payoff to rounding.
 
-An exponential substitution linearizes u-tilde's equation exactly and is
-kept as an independent oracle for the quadratic term.  It keeps scipy's
-solve_banded (dgtsv) for its y-solves, so it shares no solver with the
-march.
+An exponential substitution linearizes u-tilde's equation exactly; the
+tests keep it as an independent oracle for the quadratic term, on a
+solver the march does not use.
 
 ``price_surface`` is the one entry point and always returns a
 ``PriceSurface`` at the grid's last step.  P at an earlier step k is the
@@ -117,8 +122,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .asymptotics import asymptotic_price
 from .errors import BadGrid, ConfigError, Instability
@@ -131,6 +134,8 @@ DEFAULT_X_SPAN = (-3.0, 3.0)
 MIN_NODES = 5  # per direction, on any Grid2D
 MIN_NY = 201
 MIN_STEPS = 80
+Y_BLOCK = 32  # y-nodes per block of the y-solve (``_factor_y_system``)
+SERIAL_GEMM = 2 ** 18  # OpenBLAS runs a product of m n k multiply-adds up to this on one thread
 BDF2_BETA = 2.0 / 3.0  # the implicit weight of an IMEX-BDF2 step, in units of dt
 BAND_SLACK = 1e-6  # relative to strike; explicit mixed term is not exactly monotone
 MAX_DT_RETRIES = 6  # dt halvings price_surface tries before it gives up
@@ -271,15 +276,6 @@ def _stencil(diffusion, drift, h):
     return sub, diag, sup
 
 
-def _banded(dl, d, du) -> np.ndarray:
-    """Pack the three diagonals (dl, d, du) into ``solve_banded``'s layout."""
-    ab = np.zeros((3, d.size))
-    ab[0, 1:] = du
-    ab[1, :] = d
-    ab[2, :-1] = dl
-    return ab
-
-
 class _Coefficients:
     """Nodal PDE coefficients on the y-grid, built from the coefficient functions' arrays."""
 
@@ -376,42 +372,92 @@ def _build_y_system(coeffs: _Coefficients, dt: float, dy: float) -> tuple:
     return sub[1:], diag, sup[:-1]
 
 
-def _factor_y_system(dl, d, du) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """LDL^T factor of the y-system (dl, d, du), symmetrised by a diagonal scaling s.
+def _factor_y_system(dl, d, du, scale: float) -> tuple:
+    """The y-system A = (dl, d, du) cut into blocks and inverted, for ``_solve_y_system``.
 
-    Upwinding makes dl * du > 0, so with s[i + 1] / s[i] = sqrt(dl[i] / du[i])
-    the similarity S^-1 A S, S = diag(s), is symmetric with off-diagonal
-    e = -sqrt(dl du).  It has A's eigenvalues, which are positive for this
-    M-matrix, so it is positive definite and LAPACK's dpttrf factors it
-    without pivoting.  log s is centred on the middle of its range.
-    Returns (d, e) as dpttrf leaves them, and s and 1 / s as (ny, 1)
-    columns: A x = b is x = s * dpttrs(d, e, b / s).  A system that cannot
-    be symmetrised or factored is a fault of the code, raised as
+    The ny y-nodes split into blocks of ``Y_BLOCK``.  The last block takes
+    the remainder, so it has ``Y_BLOCK`` to 2 ``Y_BLOCK`` - 1 nodes, or all
+    ny below 2 ``Y_BLOCK``: a block's first and last nodes differ.  With
+    G_k the inverse of A's diagonal block k, block k's values are G_k
+    applied to its right side less dl z and du z, its couplings to the end
+    values z of its neighbours.  The first and last of those values give
+    R z = g, 2 * blocks equations in z alone, where g is the first and
+    last rows of each G_k applied to the right side.
+
+    Returns (width, ends, last_ends, R^-1, dl_seam, du_seam, scaled,
+    last_scaled):
+    - ``width``, the most columns a product may take and stay within
+      ``SERIAL_GEMM`` multiply-adds;
+    - the first and last rows of each full block's G_k, (blocks - 1, 2,
+      ``Y_BLOCK``), and of the last block's;
+    - R^-1;
+    - dl and du where block k + 1 meets block k, as (blocks - 1, 1)
+      columns;
+    - ``scale`` G_k for the full blocks and for the last, so the solve of
+      A x = ``scale`` b takes the scale in its final products only.  Each
+      is column-major, as W's y-columns are, so BLAS multiplies without a
+      transposed copy.
+
+    Upwinding makes every off-diagonal negative and leaves every row
+    diag - |sub| - |sup| = 1 at any dt, so A and each block are nonsingular
+    M-matrices; det A is det R times the blocks' determinants, so R is
+    nonsingular too.  An off-diagonal that is not negative, or a block or
+    R that cannot be inverted, is a fault of the code, raised as
     RuntimeError.
     """
-    if not np.all(dl * du > 0.0):
-        raise RuntimeError("y-system cannot be symmetrised: dl * du <= 0 in some row")
-    log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(dl / du))))
-    log_s -= 0.5 * (log_s.max() + log_s.min())
-    d_fact, e_fact, info = dpttrf(d, -np.sqrt(dl * du))
-    if info != 0:
-        raise RuntimeError(f"y-system is not positive definite once symmetrised "
-                           f"(dpttrf info {info})")
-    s = np.exp(log_s)[:, None]
-    return d_fact, e_fact, s, 1.0 / s
+    if not (np.all(dl < 0.0) and np.all(du < 0.0)):
+        raise RuntimeError("y-system is not an M-matrix: an off-diagonal is >= 0 in some row")
+    ny = d.size
+    bounds = list(range(0, max(ny // Y_BLOCK - 1, 0) * Y_BLOCK + 1, Y_BLOCK)) + [ny]
+    try:
+        inverses = [np.linalg.inv(np.diag(d[lo:hi]) + np.diag(dl[lo:hi - 1], -1)
+                                  + np.diag(du[lo:hi - 1], 1))
+                    for lo, hi in zip(bounds, bounds[1:])]
+        interface = np.eye(2 * len(inverses))
+        for k, lo in enumerate(bounds[1:-1]):  # block k + 1 starts at lo
+            interface[2 * k:2 * k + 2, 2 * k + 2] = du[lo - 1] * inverses[k][[0, -1], -1]
+            interface[2 * k + 2:2 * k + 4, 2 * k + 1] = dl[lo - 1] * inverses[k + 1][[0, -1], 0]
+        interface_inv = np.linalg.inv(interface)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"y-system cannot be inverted block by block: {exc}") from exc
+    *full, last = inverses
+    n_full = len(full)
+    seams = np.array(bounds[1:-1], dtype=int) - 1  # dl, du index where block k + 1 meets k
+    ends = np.array([inv[[0, -1]] for inv in full]).reshape(n_full, 2, Y_BLOCK)
+    # c G_k column-major: the transposes stacked C-ordered, then viewed transposed
+    scaled = scale * np.array([inv.T for inv in full]).reshape(n_full, Y_BLOCK, Y_BLOCK)
+    width = max(1, SERIAL_GEMM // max(last.shape[0], interface.shape[0]) ** 2)
+    return (width, ends, last[[0, -1]], interface_inv, dl[seams, None], du[seams, None],
+            scaled.transpose(0, 2, 1), np.asfortranarray(scale * last))
 
 
-def _solve_y_system(W: np.ndarray, d, e, s, inv_s) -> None:
-    """Solve the y-system in place on ``W``'s y-columns with ``_factor_y_system``'s factor.
+def _solve_y_system(W: np.ndarray, work: np.ndarray, width, ends, last_ends, interface_inv,
+                    dl_seam, du_seam, scaled, last_scaled) -> None:
+    """Solve the y-system in place on ``W``'s y-columns, with ``_factor_y_system``'s factors.
 
-    ``W`` must be F-contiguous, so that dpttrs works on it in place; a
-    copy is a fault of the code, raised as RuntimeError and not as
-    ``Instability``, since halving dt would only hide it.
+    ``W`` and ``work`` are (ny, nc) of any layout; with both F-ordered, BLAS
+    runs every product without a copy.  The columns go ``width`` at a time;
+    on each, four steps: g, as (blocks - 1, 2, Y_BLOCK) @ (blocks - 1,
+    Y_BLOCK, width) on a view of ``W``, plus the last block on its own;
+    z = R^-1 g; dl z and du z off the first and last row of each block;
+    and the scaled block inverses, into ``work``.  ``work`` is then copied
+    back into ``W``.
     """
-    np.multiply(W, inv_s, out=W)
-    if dpttrs(d, e, W, overwrite_b=1)[0] is not W:
-        raise RuntimeError("dpttrs returned a copy: the y-solve must run in place on W")
-    np.multiply(W, s, out=W)
+    n_full = scaled.shape[0]
+    cut = n_full * Y_BLOCK
+    for lo in range(0, W.shape[1], width):
+        cols, out = W[:, lo:lo + width], work[:, lo:lo + width]
+        nc = cols.shape[1]
+        full, rest = cols[:cut].reshape(n_full, Y_BLOCK, nc), cols[cut:]  # views, for any strides
+        g = np.empty((n_full + 1, 2, nc))
+        np.matmul(ends, full, out=g[:-1])
+        np.matmul(last_ends, rest, out=g[-1])
+        z = (interface_inv @ g.reshape(-1, nc)).reshape(-1, 2, nc)
+        cols[Y_BLOCK:cut + 1:Y_BLOCK] -= dl_seam * z[:-1, 1]  # the first row of blocks 1, 2, ...
+        cols[Y_BLOCK - 1:cut:Y_BLOCK] -= du_seam * z[1:, 0]   # the last row of blocks 0, 1, ...
+        np.matmul(scaled, full, out=out[:cut].reshape(n_full, Y_BLOCK, nc))
+        np.matmul(last_scaled, rest, out=out[cut:])
+    np.copyto(W, work)
 
 
 def _y_diff(W: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -471,9 +517,9 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     boundary-layer cap (a ``BadGrid``).  A grid of no steps
     returns W as it starts, before anything that depends on dt.  Otherwise
     come the monitors' caps; the explicit weights; the solution array and
-    the history array, which starts at zero; two work arrays and the
+    the history array, which starts at zero; three work arrays and the
     Douglas array, which starts at zero too; and a table of the two step
-    kinds, each with its x- and y-factors and its y-solve scale.
+    kinds, each with its x-factors, its y-factors with c folded in, and c.
 
     Every step is one IMEX-BDF2 step (Ascher, Ruuth & Wetton 1995) with the
     Douglas term: with E dt (quadratic term + source), M dt times the mixed
@@ -489,8 +535,8 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     so it is IMEX Euler, W^1 = W^0 + E^0 + M^0 solved at dt, and it leaves
     H^0 for step 2.  The bracket is formed in the array that held H^{n-1},
     which then holds the solution, and H^n is formed in place of W^n, so
-    the two arrays swap roles each step; c goes into the y-solve's scale
-    column.  The x-solve runs over all of u's columns, and its identity end
+    the two arrays swap roles each step; c goes into the y-solve's block
+    inverses.  The x-solve runs over all of u's columns, and its identity end
     rows leave the x-ends with the y-parts of the step alone.  The Douglas
     term is applied in split form, without a stencil: with G = k Ly W^n / c,
     the x-solve takes the bracket plus G and G is taken off its result,
@@ -502,8 +548,7 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     checks max |u_y| over W against the cap g*, |u| and |u_tilde| against
     their caps, and 0 <= u_tilde - u <= K, each in one comparison that a NaN
     fails too; each trip's ``Instability`` names its monitor and tau.  It
-    only subtracts, multiplies and adds, apart from dpttrs, in place
-    between the two scalings.
+    only subtracts, multiplies and adds: the y-solve's products included.
     """
     coeffs = _Coefficients(spec, grid.y)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
@@ -529,20 +574,20 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     mixed_u = np.zeros((ny, nx), order="F")  # its x-end columns stay zero (_explicit_weights)
     douglas = np.zeros((ny, nx), order="F")  # G = k Ly W^n / c on u; zero for the start-up
     x_tmp = np.empty(ny)
+    y_work = np.empty_like(W)  # the y-solve's product, copied back into W
     # (W, u, u_tilde, u's y-columns) for the solution and the history, which starts at
     # zero; the views stay valid while the y-solve works in place
     sides = [(array, array[:, :nx], array[:, nx], list(array[:, :nx].T))
              for array in (W, np.zeros_like(W))]
-    # the step kinds, start-up then BDF2: (x-factor on each side, y-factor, y-solve scale c,
+    # the step kinds, start-up then BDF2: (x-factor on each side, y-factor scaled by c, c,
     # next_share), where next_share = (beta dt / (4/3)) / k turns k Ly W^{n+1} into the next
     # step's G
     kinds = []
     for step_dt, scale in ((dt, 1.0), (BDF2_BETA * dt, 4.0 / 3.0)):
-        d_fact, e_fact, s, inv_s = _factor_y_system(*_build_y_system(coeffs, step_dt, dy))
+        y_factor = _factor_y_system(*_build_y_system(coeffs, step_dt, dy), scale)
         mult, recip, upper = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx)
         x_factors = [(mult, upper, _pivot_runs(recip, u)) for _, u, _, _ in sides]
-        kinds.append((x_factors, (d_fact, e_fact, s * scale, inv_s), scale,
-                      0.75 * BDF2_BETA * dt / step_dt))
+        kinds.append((x_factors, y_factor, scale, 0.75 * BDF2_BETA * dt / step_dt))
 
     cur = 0  # the side that holds the solution
     for step in range(1, grid.n_steps + 1):
@@ -576,7 +621,7 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
         np.subtract(u, douglas, out=u)
         # (I - k Ly) W^{n+1} = c X leaves k Ly W^{n+1} = W^{n+1} - c X: the next step's G
         np.multiply(u, scale, out=douglas)
-        _solve_y_system(W, *y_factor)
+        _solve_y_system(W, y_work, *y_factor)
         np.subtract(u, douglas, out=douglas)
         np.multiply(douglas, next_share, out=douglas)
 
@@ -623,25 +668,6 @@ def price_surface(spec: ModelSpec, grid: Grid2D) -> PriceSurface:
         # views: W is this solve's own, and W[:, :-1].T is C-contiguous
         return PriceSurface(grid=attempt_grid, u=W[:, :-1].T, u_tilde=W[:, -1],
                             P=W[:, -1] - W[:, :-1].T, tau=attempt_grid.tau_final)
-
-
-def solve_u_tilde_cole_hopf(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
-    """Oracle for u_tilde: the exponential substitution linearizes its equation.
-
-    With w = exp(lambda u) and lambda = gamma (1 - rho^2), the quadratic
-    gradient term cancels exactly and w satisfies a linear PDE with
-    reaction lambda * source; marching w implicitly and taking log(w) /
-    lambda recovers u_tilde through entirely different nonlinear algebra.
-    """
-    coeffs = _Coefficients(spec, grid.y)
-    ab = _banded(*_build_y_system(coeffs, grid.dt, grid.dy))
-    ab[1] -= grid.dt * (spec.lam * coeffs.source)  # the reaction term
-    w = np.ones(grid.y.size)
-    for _ in range(grid.n_steps):
-        w = solve_banded((1, 1), ab, w)
-        if w.min() <= 0.0 or not np.all(np.isfinite(w)):
-            raise Instability("exponential-substitution march lost positivity")
-    return np.log(w) / spec.lam
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from volclust.bs import bs_put, bs_vega, implied_vol, no_arbitrage_band
+from volclust.bs import _cdf, _log_cdf, bs_put, bs_vega, implied_vol, no_arbitrage_band
 from volclust.errors import ConfigError, OutOfBand
 
 
@@ -49,13 +49,32 @@ def test_put_at_the_largest_x_is_zero():
 
 
 def test_put_keeps_the_plain_formula_where_e_to_the_x_is_finite():
+    """Bit for bit the formula with bs's own N: the overflow branch does not run here."""
     rng = np.random.default_rng(7)
     for x, tau, sigma in zip(rng.uniform(-5.0, 705.0, 200), rng.uniform(1e-4, 3.0, 200),
                              rng.uniform(0.01, 2.0, 200)):
         srt = sigma * math.sqrt(tau)
         d1 = x / srt + 0.5 * srt
-        plain = 100.0 * ndtr(-(d1 - srt)) - 100.0 * math.exp(x) * ndtr(-d1)
+        plain = 100.0 * _cdf(-(d1 - srt)) - 100.0 * math.exp(x) * _cdf(-d1)
         assert bs_put(tau, x, 100.0, sigma) == plain
+
+
+def test_normal_cdf_is_as_accurate_as_scipy_ndtr():
+    """Largest relative error against 50-digit mpmath over z in [-37, 8], where N is normal."""
+    zs = np.linspace(-37.0, 8.0, 901)
+    with mp.workdps(50):
+        exact = [mp.ncdf(mp.mpf(z)) for z in zs]
+        worst = [max(float(abs((cdf(z) - ref) / ref)) for z, ref in zip(zs, exact))
+                 for cdf in (_cdf, ndtr)]
+    assert worst[0] <= worst[1], worst
+
+
+@pytest.mark.parametrize("z", [-1e3, -37.67, -25.0, -20.0, -19.9, -5.0, 0.0, 3.0])
+def test_log_normal_cdf_against_mpmath(z):
+    """The asymptotic series below z = -20 and log N above it, each to a few ulps."""
+    with mp.workdps(50):
+        exact = float(mp.log(mp.ncdf(mp.mpf(z))))
+    assert _log_cdf(z) == pytest.approx(exact, rel=1e-15, abs=1e-15)
 
 
 @pytest.mark.parametrize("x", [709.7, 710.0, 800.0, 1e308])

@@ -5,17 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from conftest import random_valid_spec
+from oracles import solve_u_tilde_cole_hopf
 from volclust import pde
 from volclust.asymptotics import asymptotic_price
 from volclust.bs import bs_put
 from volclust.errors import BadGrid, ConfigError, Instability, NumericalError
 from volclust.measure import InvariantMeasure
 from volclust.model import Constant, ModelSpec, Tabulated, arctangent_model
-from volclust.pde import (Grid2D, _march, accuracy_sweep, make_grid, payoff_initial,
-                          price_surface, solve_u_tilde_cole_hopf)
+from volclust.pde import Grid2D, _march, accuracy_sweep, make_grid, payoff_initial, price_surface
 from volclust.poisson import group_constants_for
 
 DATA = Path(__file__).parent / "data"
@@ -495,21 +495,6 @@ def test_central_y_rejects_layouts_it_cannot_write_flat():
             pde._y_diff(arr, out)
 
 
-def test_y_solve_that_returns_a_copy_is_a_fault_not_an_instability(monkeypatch, caplog):
-    """The column views made before the loop need the y-solve in place; no dt halving hides it."""
-    def copying(*args, **kwargs):
-        x, info = dpttrs(*args, **kwargs)
-        return x.copy(), info
-
-    monkeypatch.setattr(pde, "dpttrs", copying)
-    spec = arctangent_model(epsilon=0.25, maturity=0.05)
-    grid = make_grid(spec, spec.maturity, nx=21)
-    with caplog.at_level(logging.INFO, logger="volclust.pde"):
-        with pytest.raises(RuntimeError, match="dpttrs returned a copy"):
-            price_surface(spec, grid)
-    assert [r for r in caplog.records if r.name == "volclust.pde"] == []
-
-
 def _thomas_longdouble(dl, d, du, rhs):
     """Tridiagonal solve without pivoting in extended precision, column by column of ``rhs``."""
     dl, d, du, x = (np.asarray(a, dtype=np.longdouble) for a in (dl, d, du, rhs))
@@ -525,10 +510,11 @@ def _thomas_longdouble(dl, d, du, rhs):
 
 
 def test_y_solve_matches_extended_precision_thomas():
-    """The symmetrised LDL^T solve is the y-system's solution to rounding.
+    """The blocked y-solve is the y-system's solution to rounding, scale included.
 
-    The diagonal scaling s that symmetrises the system spans 9.2 nats of
-    log s on skew3's grid and 524 at eps = 1000; centred, it stays finite.
+    The cases cover skew3's grid (ny = 539: 15 blocks of ``Y_BLOCK`` and a
+    last block of 59), eps up to 1000, random models, a system below one
+    block and one that leaves a last block of ``Y_BLOCK`` + 1 nodes.
     """
     rng = np.random.default_rng(5)
     demo = arctangent_model()
@@ -537,31 +523,36 @@ def test_y_solve_matches_extended_precision_thomas():
               for spec in (arctangent_model(epsilon=eps) for eps in (0.25, 1.0, 1000.0))]
     cases += [(spec, make_grid(spec, spec.maturity, nx=41))
               for spec in (random_valid_spec(rng) for _ in range(3))]
-    for spec, grid in cases:
-        dl, d, du = pde._build_y_system(pde._Coefficients(spec, grid.y), grid.dt, grid.dy)
-        y = (grid.y - grid.y[0]) / (grid.y[-1] - grid.y[0])
-        rhs = np.asfortranarray(np.column_stack(  # constant, smooth, random
-            [np.ones_like(y), np.cos(3.0 * y) + y, rng.standard_normal(y.size)]))
-        factor = pde._factor_y_system(dl, d, du)
-        log_s = np.log(factor[2])
-        assert log_s.shape == (y.size, 1) and np.all(np.isfinite(log_s))
-        assert log_s.max() + log_s.min() == pytest.approx(0.0, abs=1e-12 * np.ptp(log_s))
+    systems = [pde._build_y_system(pde._Coefficients(spec, grid.y), grid.dt, grid.dy)
+               for spec, grid in cases]
+    dl, d, du = systems[0]
+    systems += [(dl[:ny - 1], d[:ny], du[:ny - 1]) for ny in (pde.Y_BLOCK - 5, 3 * pde.Y_BLOCK + 1)]
+    for dl, d, du in systems:
+        factors = pde._factor_y_system(dl, d, du, 0.75)
+        width, interface_inv, last_scaled = factors[0], factors[3], factors[-1]
+        # every product of a chunk stays small enough to run on one BLAS thread
+        assert width * max(last_scaled.shape[0], interface_inv.shape[0]) ** 2 <= pde.SERIAL_GEMM
+        y = np.linspace(0.0, 1.0, d.size)
+        rhs = np.asfortranarray(np.column_stack(  # constant, smooth, random: two column chunks
+            [np.ones_like(y), np.cos(3.0 * y) + y, rng.standard_normal((y.size, factors[0]))]))
         solved = rhs.copy(order="F")
-        pde._solve_y_system(solved, *factor)
-        expected = _thomas_longdouble(dl, d, du, rhs)
+        pde._solve_y_system(solved, np.empty_like(solved), *factors)
+        expected = 0.75 * _thomas_longdouble(dl, d, du, rhs)
         err = np.abs(solved - expected).max(axis=0) / np.abs(expected).max(axis=0)
-        assert err.max() <= 5e-14, (spec.epsilon, err)
+        assert err.max() <= 5e-14, (d.size, err)
 
 
-def test_y_system_that_cannot_be_factored_is_a_fault():
-    """Off-diagonals of opposite sign, or a symmetrised form that is not positive definite."""
+def test_y_system_with_a_wrong_signed_off_diagonal_or_a_singular_block_is_a_fault():
+    """An off-diagonal >= 0 breaks the M-matrix pattern; a singular block cannot be inverted."""
     d = np.full(3, 2.0)
-    with pytest.raises(RuntimeError, match="y-system cannot be symmetrised"):
-        pde._factor_y_system(np.array([-1.0, 0.5]), d, np.array([-1.0, -1.0]))
-    with pytest.raises(RuntimeError, match="y-system cannot be symmetrised"):
-        pde._factor_y_system(np.array([-1.0, 0.0]), d, np.array([-1.0, -1.0]))
-    with pytest.raises(RuntimeError, match="y-system is not positive definite"):
-        pde._factor_y_system(np.array([-3.0, -3.0]), np.ones(3), np.array([-3.0, -3.0]))
+    with pytest.raises(RuntimeError, match="not an M-matrix"):
+        pde._factor_y_system(np.array([-1.0, 0.5]), d, np.array([-1.0, -1.0]), 1.0)
+    with pytest.raises(RuntimeError, match="not an M-matrix"):
+        pde._factor_y_system(np.array([-1.0, -1.0]), d, np.array([0.0, -1.0]), 1.0)
+    d = np.full(2 * pde.Y_BLOCK, 2.0)
+    d[[0, pde.Y_BLOCK - 1]] = 1.0  # every row of the first block sums to zero
+    with pytest.raises(RuntimeError, match="cannot be inverted"):
+        pde._factor_y_system(-np.ones(d.size - 1), d, -np.ones(d.size - 1), 1.0)
 
 
 def test_implicit_systems_sign_pattern():
@@ -757,7 +748,7 @@ def test_accuracy_sweep_on_two_probe_taus_is_pinned(fast_spec):
     rows = accuracy_sweep(fast_spec, [0.04, 0.01], [(0.125, 0.0, 0.0), (0.25, -0.5, 0.1)],
                           grid_factory=lambda spec_eps, tau: make_grid(spec_eps, tau, nx=61))
     assert [(r.max_abs_error, r.normalized) for r in rows] == [
-        (0.5053704519645317, 3.925053958746797), (0.4804706898765043, 10.433288466480722)]
+        (0.5053704519645827, 3.9250539587471938), (0.48047068987622943, 10.433288466474753)]
 
 
 def test_accuracy_sweep_rejects_a_negative_probe_tau_before_any_grid():
