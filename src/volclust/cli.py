@@ -10,9 +10,10 @@ row.  Output paths are checked before any work.  Exit codes: 0 success,
 opened (naming its path), 3 numerical failure.
 CSVs have a header and 17 significant digits and rerun byte-identical.
 Independent PDE solves (figure2's etas, pde-sweep's epsilons) run in
-worker processes, one per CPU in the process's affinity set (so
-``taskset`` or a cpuset caps them) and at most one per solve; with one
-CPU or one solve they run in this process.
+worker processes by ``pde.parallel_map``, one per CPU in the process's
+affinity set (so ``taskset`` or a cpuset caps them) and at most one per
+solve; with one CPU or one solve they run in this process.  pde-sweep is
+one ``pde.accuracy_sweep`` call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import contextlib
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -104,17 +104,6 @@ def _write_csv(out: str | None, header: list[str], columns) -> None:
                 part = a[start:start + step]
                 values[..., k] = part if full else _text(part)
             fh.write(templates[block] % tuple(values.ravel().tolist()))
-
-
-def _parallel_map(fn, tasks: list):
-    """``[fn(t) for t in tasks]`` over one worker process per CPU this process may run on,
-    at most one per task; in this process when that is one."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def _load_spec(path: str | None, **overrides) -> model.ModelSpec:
@@ -218,7 +207,7 @@ def _cmd_figure2(args) -> None:
     lm_grid = np.linspace(FIGURE2_LM_SPAN[0], FIGURE2_LM_SPAN[1], FIGURE2_POINTS)
     tasks = [(_load_spec(args.config, epsilon=args.epsilon, maturity=args.tau, eta=eta),
               lm_grid, args.nx) for eta in FIGURE2_ETAS]
-    curves = _parallel_map(_figure2_curve, tasks)  # one grid for every eta: make_grid reads no eta
+    curves = pde.parallel_map(_figure2_curve, tasks)  # make_grid reads no eta: one grid for all
     _write_csv(args.out, ["log_moneyness", "iv_eta_m025", "iv_eta_0", "iv_eta_p025"],
                [curves[0][0], *(vols for _, vols in curves)])
     name = os.path.basename(args.out)
@@ -250,11 +239,6 @@ def _cmd_pde_solve(args) -> None:
                 surface.P])
 
 
-def _sweep_member(task):
-    spec, probes = task
-    return pde.accuracy_sweep(spec, [spec.epsilon], probes)[0]
-
-
 def _probe(row: list[float]) -> tuple[float, ...]:
     """A (tau, x, y) probe; a tau < 0 is a ConfigError."""
     if row[0] < 0.0:
@@ -264,9 +248,8 @@ def _probe(row: list[float]) -> tuple[float, ...]:
 
 def _cmd_pde_sweep(args) -> None:
     probes = model.read_float_rows(args.probes, ("tau", "x", "y"), _probe)
-    specs = [_load_spec(args.config, epsilon=eps) for eps in args.eps_list]
-    pde.snap_probes(specs, probes)  # a probe off any member's grid fails before any march
-    rows = _parallel_map(_sweep_member, [(spec, probes) for spec in specs])
+    specs = [_load_spec(args.config, epsilon=eps) for eps in args.eps_list]  # each one valid
+    rows = pde.accuracy_sweep(specs[0], args.eps_list, probes)
     _write_csv(args.out, ["eps", "max_abs_error", "normalized"],
                [[r.eps for r in rows], [r.max_abs_error for r in rows],
                 [r.normalized for r in rows]])

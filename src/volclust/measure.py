@@ -54,6 +54,9 @@ class InvariantMeasure:
     grid: np.ndarray     # strictly increasing quadrature nodes
     density: np.ndarray  # nonnegative, trapezoid-integrates to 1
 
+    def __reduce__(self):  # unpickling runs __post_init__, so the arrays come back read-only
+        return InvariantMeasure, (self.grid, self.density)
+
     def __post_init__(self):
         for name in ("grid", "density"):  # frozen copies: the caller's arrays stay writeable
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))

@@ -72,6 +72,9 @@ class Tabulated:
     source: str = ""  # original csv path, if any; used when serializing
     base_dir: str = "."  # the directory a relative ``source`` is read from
 
+    def __reduce__(self):  # unpickling runs __post_init__, so the arrays come back read-only
+        return Tabulated, (self.grid, self.values, self.source, self.base_dir)
+
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float)  # copies: the caller's arrays stay writeable
         values = np.array(self.values, dtype=float)

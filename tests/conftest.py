@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 from pathlib import Path
 
@@ -21,13 +22,23 @@ def pytest_collection_modifyitems(items):
 
 
 def pin_cpus(monkeypatch, count: int) -> None:
-    """Make ``count`` CPUs the process's affinity set, as the CLI sizes its worker pool from it."""
+    """Make ``count`` CPUs the process's affinity set, as ``pde.parallel_map`` sizes its worker
+    pool from it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def forbid_pool(monkeypatch) -> None:
+    """Fail a test that starts a worker pool: ``pde.parallel_map`` imports its executor when it
+    starts one."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started on one CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
 
 
 @pytest.fixture()
 def one_cpu(monkeypatch):
-    """One CPU in the affinity set: the CLI runs every solve in this process."""
+    """One CPU in the affinity set: ``pde.parallel_map`` runs every solve in this process."""
     pin_cpus(monkeypatch, 1)
 
 

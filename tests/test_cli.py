@@ -370,15 +370,26 @@ def test_console_entry_exits_2_without_a_traceback(tmp_path):
     assert "--epsilon must be finite and > 0, got -1.0" in run.stderr
 
 
+def _loaded_by_import(module: str, packages: tuple[str, ...]) -> list[str]:
+    """The modules of ``packages`` that ``import module`` loads in a fresh interpreter."""
+    src = str(Path(volclust.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+             f"print(' '.join(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120).stdout.split()
+
+
 @pytest.mark.parametrize("module", ["volclust", "volclust.cli"])
 def test_import_loads_no_scipy(module):
     """The library runs on numpy alone: scipy would cost every process its import."""
-    src = str(Path(volclust.__file__).resolve().parents[1])
-    probe = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
-             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, timeout=120).stdout.split()
-    assert loaded == []
+    assert _loaded_by_import(module, ("scipy",)) == []
+
+
+@pytest.mark.parametrize("module", ["volclust", "volclust.cli"])
+def test_import_loads_no_process_pool(module):
+    """``pde.parallel_map`` imports its executor when it starts a pool, so a command that
+    starts none does not pay for ``concurrent.futures`` and ``multiprocessing``."""
+    assert _loaded_by_import(module, ("concurrent", "multiprocessing")) == []
 
 
 def test_pde_sweep_command(cheap_config, tmp_path, capsys):

@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import pin_cpus
-from volclust import cli
+from conftest import forbid_pool, pin_cpus
 from volclust.asymptotics import corrected_iv
 from volclust.cli import main
 from volclust.model import arctangent_model, write_config
@@ -91,16 +90,12 @@ WORKER_CASES = [pytest.param(name, 1, id=name) for name in sorted(CASES)] + [
     pytest.param(name, 2, id=f"{name}-2workers") for name in ("figure2", "pde_sweep")]
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a worker pool started on one CPU")
-
-
 @pytest.mark.parametrize("name, cpus", WORKER_CASES)
 def test_subcommand_output_matches_golden(name, cpus, tmp_path, monkeypatch):
     """On an affinity set of one CPU every solve runs in this process: no pool starts."""
     pin_cpus(monkeypatch, cpus)
     if cpus == 1:
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
+        forbid_pool(monkeypatch)
     for filename, data in _run(name, tmp_path).items():
         assert data == (GOLDEN_DIR / filename).read_bytes(), filename
 

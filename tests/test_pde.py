@@ -1,5 +1,7 @@
+import concurrent.futures
 import logging
 import math
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from conftest import random_valid_spec
+from conftest import forbid_pool, pin_cpus, random_valid_spec
 from oracles import solve_u_tilde_cole_hopf
 from volclust import pde
 from volclust.asymptotics import asymptotic_price
@@ -196,11 +198,14 @@ def test_make_grid_refuses_a_bad_tau_or_dt(fast_spec, tau, dt, named):
         make_grid(fast_spec, tau, nx=41, dt=dt)
 
 
-@pytest.mark.parametrize("make, names", [
+FROZEN = pytest.mark.parametrize("make, names", [
     (lambda a, b: Grid2D(x=a, y=b, dt=0.1, n_steps=1), ("x", "y")),
     (Tabulated, ("grid", "values")),
     (InvariantMeasure, ("grid", "density")),
 ], ids=["Grid2D", "Tabulated", "InvariantMeasure"])
+
+
+@FROZEN
 def test_a_frozen_object_freezes_a_copy_of_the_callers_arrays(make, names):
     """The object's arrays are read-only; the caller's stay writeable, and writing to them
     leaves the object as it was."""
@@ -211,6 +216,17 @@ def test_a_frozen_object_freezes_a_copy_of_the_callers_arrays(make, names):
     a[:], b[:] = 7.0, 9.0  # raises if the caller's arrays were frozen
     np.testing.assert_array_equal(held[0], np.linspace(-1.0, 1.0, 5))
     np.testing.assert_array_equal(held[1], np.linspace(0.5, 1.5, 5))
+
+
+@FROZEN
+def test_a_frozen_object_stays_frozen_through_pickle(make, names):
+    """A pickle round trip, as a worker process gets its tasks, returns equal arrays that are
+    still read-only."""
+    made = make(np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 1.5, 5))
+    copy = pickle.loads(pickle.dumps(made))
+    for name in names:
+        assert not getattr(copy, name).flags.writeable
+        np.testing.assert_array_equal(getattr(copy, name), getattr(made, name))
 
 
 def test_grid_validation():
@@ -535,8 +551,8 @@ def test_y_solve_matches_extended_precision_thomas():
         y = np.linspace(0.0, 1.0, d.size)
         rhs = np.asfortranarray(np.column_stack(  # constant, smooth, random: two column chunks
             [np.ones_like(y), np.cos(3.0 * y) + y, rng.standard_normal((y.size, factors[0]))]))
-        solved = rhs.copy(order="F")
-        pde._solve_y_system(solved, np.empty_like(solved), *factors)
+        solved = np.empty_like(rhs)
+        pde._solve_y_system(rhs.copy(order="F"), solved, *factors)
         expected = 0.75 * _thomas_longdouble(dl, d, du, rhs)
         err = np.abs(solved - expected).max(axis=0) / np.abs(expected).max(axis=0)
         assert err.max() <= 5e-14, (d.size, err)
@@ -749,6 +765,64 @@ def test_accuracy_sweep_on_two_probe_taus_is_pinned(fast_spec):
                           grid_factory=lambda spec_eps, tau: make_grid(spec_eps, tau, nx=61))
     assert [(r.max_abs_error, r.normalized) for r in rows] == [
         (0.5053704519645827, 3.9250539587471938), (0.48047068987622943, 10.433288466474753)]
+
+
+def _sweep_on(monkeypatch, cpus: int, submitted: list, *args, **kwargs):
+    """``accuracy_sweep(*args, **kwargs)`` on ``cpus`` CPUs; the epsilons go onto ``submitted``
+    in the order they go to a worker pool, which one CPU forbids."""
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, task):
+            submitted.append(task[0].epsilon)
+            return super().submit(fn, task)
+
+    with monkeypatch.context() as patch:
+        pin_cpus(patch, cpus)
+        if cpus == 1:
+            forbid_pool(patch)
+        else:
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return accuracy_sweep(*args, **kwargs)
+
+
+def test_accuracy_sweep_in_workers_returns_the_rows_of_one_process(monkeypatch):
+    """With the largest march in the middle of the list, two CPUs send it to the pool first
+    and return the same rows, bit for bit and in list order, as one CPU, which starts no
+    pool."""
+    spec = arctangent_model(epsilon=0.25, maturity=0.05)
+    factory = lambda spec_eps, tau: make_grid(spec_eps, tau, nx=41)
+    eps_list = [0.25, 0.01, 0.2]
+    assert [factory(spec.with_(epsilon=eps), 0.05).y.size for eps in eps_list] == [201, 341, 201]
+    probes = [(0.05, 0.0, 0.0), (0.025, -0.3, 0.1)]
+    submitted = {1: [], 2: []}
+    serial, pooled = (_sweep_on(monkeypatch, cpus, submitted[cpus], spec, eps_list, probes,
+                                grid_factory=factory) for cpus in (1, 2))
+    assert submitted == {1: [], 2: [0.01, 0.25, 0.2]}
+    assert [r.eps for r in serial] == eps_list
+    assert pooled == serial
+
+
+def test_accuracy_sweep_in_workers_raises_the_earliest_members_instability(monkeypatch):
+    """At tau = 100 in 8 steps, eps = 1 and 4 trip the gradient monitor after every halving,
+    and eps = 0.25 solves.  eps = 4 has the finer x-grid, so two CPUs send it to the pool
+    first.  Whatever the CPU count, the caller gets eps = 1's ``Instability``, with its
+    message, monitor and tau."""
+    spec = arctangent_model(maturity=100.0)
+    factory = lambda spec_eps, tau: make_grid(spec_eps, tau, nx=41 if spec_eps.epsilon > 2 else 21,
+                                              dt=tau / 8)
+    raised = {}
+    for eps in (1.0, 4.0):
+        with pytest.raises(Instability, match="after 6 dt halvings") as raised[eps]:
+            price_surface(spec.with_(epsilon=eps), factory(spec.with_(epsilon=eps), 100.0))
+    earliest = raised[1.0].value
+    assert str(earliest) != str(raised[4.0].value)
+    for cpus, order in ((1, []), (2, [4.0, 0.25, 1.0])):
+        submitted = []
+        with pytest.raises(Instability) as info:
+            _sweep_on(monkeypatch, cpus, submitted, spec, [0.25, 1.0, 4.0], [(100.0, 0.0, 0.0)],
+                      grid_factory=factory)
+        assert submitted == order
+        assert str(info.value) == str(earliest)
+        assert (info.value.monitor, info.value.tau) == ("gradient", earliest.tau)
 
 
 def test_accuracy_sweep_rejects_a_negative_probe_tau_before_any_grid():
