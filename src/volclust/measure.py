@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonIntegrable
-from .model import ModelSpec
+from .model import FrozenArrays, ModelSpec
 
 #: hard cap on the half-width of the quadrature domain
 MAX_HALF_WIDTH = 200.0
@@ -48,19 +48,15 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class InvariantMeasure:
+class InvariantMeasure(FrozenArrays):
     """Normalized stationary density tabulated on a uniform grid."""
 
     grid: np.ndarray     # strictly increasing quadrature nodes
     density: np.ndarray  # nonnegative, trapezoid-integrates to 1
 
-    def __reduce__(self):  # unpickling runs __post_init__, so the arrays come back read-only
-        return InvariantMeasure, (self.grid, self.density)
-
     def __post_init__(self):
-        for name in ("grid", "density"):  # frozen copies: the caller's arrays stay writeable
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
-            getattr(self, name).setflags(write=False)
+        self._freeze("grid")
+        self._freeze("density")
 
     def mean(self) -> float:
         return float(trapezoid(self.grid * self.density, self.grid))

@@ -10,6 +10,9 @@ shape.  ``ModelSpec`` defines the combinations that the PDE and the
 asymptotics share: ``risk_prefactor``, ``lam`` and ``h``.  File input
 lives here too: the ini config round trip and ``read_float_rows``, the
 one reader of numeric CSVs (coefficient tables, quotes and probes).
+``FrozenArrays`` is the one read-only-array rule of the frozen value
+types that hold arrays (``Tabulated`` here, ``Grid2D``,
+``InvariantMeasure`` and ``PhiDerivatives`` elsewhere).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import configparser
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
 import numpy as np
@@ -28,6 +31,24 @@ from .errors import ConfigError
 #: probe grid half-width and size used by validate()
 PROBE_HALF_WIDTH = 20.0
 PROBE_POINTS = 4001
+
+
+class FrozenArrays:
+    """Base of a frozen dataclass whose array fields are read-only float copies.
+
+    ``__post_init__`` calls ``_freeze`` on each array field, then checks
+    what it needs; the caller's arrays stay writeable.
+    """
+
+    def __reduce__(self):  # unpickling runs __post_init__, so the arrays come back read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def _freeze(self, name: str) -> np.ndarray:
+        """Store field ``name`` as a read-only float copy and return it."""
+        array = np.array(getattr(self, name), dtype=float)
+        array.setflags(write=False)
+        object.__setattr__(self, name, array)
+        return array
 
 
 @dataclass(frozen=True)
@@ -64,7 +85,7 @@ class Arctangent:
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(FrozenArrays):
     """Piecewise-linear table; extrapolates flat beyond its grid."""
 
     grid: np.ndarray
@@ -72,20 +93,12 @@ class Tabulated:
     source: str = ""  # original csv path, if any; used when serializing
     base_dir: str = "."  # the directory a relative ``source`` is read from
 
-    def __reduce__(self):  # unpickling runs __post_init__, so the arrays come back read-only
-        return Tabulated, (self.grid, self.values, self.source, self.base_dir)
-
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)  # copies: the caller's arrays stay writeable
-        values = np.array(self.values, dtype=float)
+        grid, values = self._freeze("grid"), self._freeze("values")
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise ConfigError("tabulated coefficient needs matching 1-d grid/values with >= 2 nodes")
         if not np.all(np.diff(grid) > 0):
             raise ConfigError("tabulated coefficient grid must be strictly increasing")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
 
     def __call__(self, y) -> np.ndarray:
         return np.asarray(np.interp(np.asarray(y, dtype=float), self.grid, self.values))

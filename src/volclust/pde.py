@@ -82,12 +82,13 @@ dy cap and g* are evaluated once per ``make_grid`` and once per attempt.
 weights.  Each implicit system is factored twice per attempt, at dt for
 the start-up step and at beta dt for the rest.  The x-system is
 eliminated without row interchanges (``_factor_x_system``) and solved
-in place as a sweep along x (``_solve_x_system``).  The y-system is cut
-into blocks of ``Y_BLOCK`` y-nodes, whose inverses, and that of the
-small system coupling the blocks' end values, are formed once
-(``_factor_y_system``); a step's y-solve is then four matrix products
-on each chunk of W's columns (``_solve_y_system``), a partition solve in
-the manner of Polizzi & Sameh's SPIKE (2006, Parallel Computing 32).
+in place as a sweep along u's interior x-nodes (``_solve_x_system``).
+The y-system is cut into blocks of ``Y_BLOCK`` y-nodes, whose inverses,
+and that of the small system coupling the blocks' end values, are
+formed once (``_factor_y_system``); a step's y-solve is then four
+matrix products on each chunk of W's columns (``_solve_y_system``), a
+partition solve in the manner of Polizzi & Sameh's SPIKE (2006,
+Parallel Computing 32).
 The chunks keep every product small enough that OpenBLAS runs it on the
 calling thread: threaded, its idle threads spin, which slows the worker
 processes of ``parallel_map`` when they share the cores.  Each function
@@ -99,9 +100,12 @@ Boundary conditions (the continuum problem lives on the whole plane,
 where the put tends to its payoff deep in and out of the money): the
 payoff at the x-ends, and zero flux in y, far enough out (6 stationary
 standard deviations) that the boundary influence is negligible.  The
-x-ends are identity rows of the x-system and take no mixed term, so they
-take only the y-parts of a step, as u_tilde does: each evolves as
-u_tilde minus the payoff there, and P stays at the payoff to rounding.
+x-system is its interior row alone: its elimination and its sweep run
+over x-nodes 1 ... nx - 2 and read the x-ends as fixed neighbours, which
+is bit for bit a system with identity rows at the ends.  The x-ends take
+no mixed term either, so they take only the y-parts of a step, as
+u_tilde does: each evolves as u_tilde minus the payoff there, and P
+stays at the payoff to rounding.
 
 An exponential substitution linearizes u-tilde's equation exactly; the
 tests keep it as an independent oracle for the quadratic term, on a
@@ -131,7 +135,7 @@ import numpy as np
 from .asymptotics import asymptotic_price
 from .errors import BadGrid, ConfigError, Instability
 from .measure import build_invariant_measure
-from .model import ModelSpec, probe_grid
+from .model import FrozenArrays, ModelSpec, probe_grid
 from .poisson import group_constants_for
 
 DEFAULT_NX = 601
@@ -149,7 +153,7 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class Grid2D:
+class Grid2D(FrozenArrays):
     """Uniform tensor grid plus the time step, finite and > 0 even with no steps."""
 
     x: np.ndarray
@@ -157,19 +161,14 @@ class Grid2D:
     dt: float
     n_steps: int
 
-    def __reduce__(self):  # unpickling runs __post_init__, so x and y come back read-only
-        return Grid2D, (self.x, self.y, self.dt, self.n_steps)
-
     def __post_init__(self):
-        for name, nodes in (("x", self.x), ("y", self.y)):
-            nodes = np.array(nodes, dtype=float)  # a copy: the caller's array stays writeable
+        for name in ("x", "y"):
+            nodes = self._freeze(name)
             if nodes.ndim != 1 or nodes.size < MIN_NODES:
                 raise BadGrid(f"{name} grid needs at least {MIN_NODES} nodes")
             steps = np.diff(nodes)
             if not np.all(steps > 0) or not np.allclose(steps, steps[0], rtol=1e-9):
                 raise BadGrid(f"{name} grid must be uniform and increasing")
-            nodes.setflags(write=False)
-            object.__setattr__(self, name, nodes)
         if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 0:
             raise BadGrid(f"n_steps must be an integer >= 0, got {self.n_steps!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -187,13 +186,14 @@ class Grid2D:
     def tau_final(self) -> float:
         return self.dt * self.n_steps
 
-    def with_halved_dt(self) -> "Grid2D":
-        return replace(self, dt=self.dt / 2.0, n_steps=self.n_steps * 2)
-
 
 @dataclass(frozen=True)
 class PriceSurface:
-    """Terminal slice of both value functions and the price P = u_tilde - u."""
+    """Terminal slice of both value functions and the price P = u_tilde - u.
+
+    Not a ``FrozenArrays``: u, u_tilde and P are the march's own arrays, and
+    a frozen copy would hold one more surface of memory per surface held.
+    """
 
     grid: Grid2D
     u: np.ndarray        # shape (nx, ny)
@@ -300,52 +300,48 @@ class _Coefficients:
 
 
 def _build_x_system(coeffs: _Coefficients, dt: float, dx: float) -> tuple:
-    """(I - dt Lx) on every x-node as its three distinct rows: first, interior, last.
+    """(I - dt Lx) on an interior x-node as its row (sub, diag, sup), each (ny,).
 
-    Each row is (sub, diag, sup), each (ny,): x-row i of the system holds
-    x-node i of every y-row, so each y-row is its own tridiagonal system in
-    x, and every x-row between the first and the last is the same row.  The
-    first and the last are identity rows: the x-ends take no x-part of a
-    step, so P stays at the payoff there (module docstring).
+    x-row i of the system holds x-node i of every y-row, so each y-row is
+    its own tridiagonal system in x, and every x-row between the x-ends is
+    this row.  The x-ends have no row: they take no x-part of a step, so P
+    stays at the payoff there (module docstring).
     """
     sub, diag, sup = _stencil(coeffs.x_diffusion, coeffs.x_drift, dx)
-    zero = np.zeros_like(diag)
-    end = (zero, np.ones_like(diag), zero)
-    return end, (-dt * sub, 1.0 - dt * diag, -dt * sup), end
+    return -dt * sub, 1.0 - dt * diag, -dt * sup
 
 
-def _factor_x_system(first, interior, last, n_rows: int) -> tuple[list, list, list]:
-    """Eliminate the x-system of ``n_rows`` x-rows from ``_build_x_system``'s rows.
+def _factor_x_system(sub, diag, sup, n_rows: int) -> tuple[list, list, list]:
+    """Eliminate ``n_rows`` x-rows 1 ... nx - 2, each the interior row (``sub``, ``diag``, ``sup``).
 
-    Returns (mult, recip, upper), lists of one (ny,) array per x-row: the
-    row's multiplier (row 0's is its zero sub), 1 / its pivot, and its sup
-    over its pivot.  Elimination runs row by row without row interchanges,
-    vectorised over the y-rows.  Every interior row is one row, so the
-    pivots reach a fixed point: once an interior row's (multiplier, pivot)
-    pair repeats the previous row's exactly, so does every later interior
-    row's, and those rows share one set of arrays.  Without pivoting,
-    elimination is stable for a row diagonally dominant matrix, and every
-    row is, at any dt: an interior row's diag - |sub| - |sup| is 1.
+    Returns (mult, recip, upper), lists of one (ny,) array per interior
+    x-row: the row's multiplier, 1 / its pivot, and its sup over its
+    pivot.  Row 1 starts from multiplier ``sub`` and pivot ``diag``, the
+    bits that elimination through an identity row 0 gives; x-node 0 is a
+    fixed neighbour.  Elimination runs row by row without row
+    interchanges, vectorised over the y-rows.  Every row is one row, so
+    the pivots reach a fixed point: once a row's (multiplier, pivot) pair
+    repeats the previous row's exactly, so does every later row's, and
+    those rows share one set of arrays.  Without pivoting, elimination is
+    stable for a row diagonally dominant matrix, and the row is, at any
+    dt: its diag - |sub| - |sup| is 1.
     """
-    mult, pivot, sup = first
+    mult, pivot = sub, diag
     rows = [(mult, 1.0 / pivot, sup / pivot)]
-    for i in range(1, n_rows):
-        sub, diag, next_sup = last if i == n_rows - 1 else interior
+    for _ in range(1, n_rows):
         next_mult = sub / pivot
         next_pivot = diag - next_mult * sup
-        repeats = (2 <= i < n_rows - 1 and np.array_equal(next_mult, mult)
-                   and np.array_equal(next_pivot, pivot))
-        rows.append(rows[-1] if repeats else (next_mult, 1.0 / next_pivot, next_sup / next_pivot))
-        mult, pivot, sup = next_mult, next_pivot, next_sup
-    mults, recips, uppers = (list(factor) for factor in zip(*rows))
-    return mults, recips, uppers
+        repeats = np.array_equal(next_mult, mult) and np.array_equal(next_pivot, pivot)
+        rows.append(rows[-1] if repeats else (next_mult, 1.0 / next_pivot, sup / next_pivot))
+        mult, pivot = next_mult, next_pivot
+    return tuple(list(factor) for factor in zip(*rows))
 
 
 def _pivot_runs(recip: list, block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """One (view, 1/pivot column) pair per run of ``block``'s x-rows that share their 1/pivot.
 
-    ``block`` is (ny, n_rows), x-row i being its column i, as u's columns
-    are in the march.
+    ``block`` is (ny, n_rows), x-row i being its column i, as u's interior
+    columns ``u[:, 1:-1]`` are in the march.
     """
     starts = [i for i in range(len(recip)) if i == 0 or recip[i] is not recip[i - 1]]
     return [(block[:, lo:hi], recip[lo][:, None])
@@ -353,20 +349,22 @@ def _pivot_runs(recip: list, block: np.ndarray) -> list[tuple[np.ndarray, np.nda
 
 
 def _solve_x_system(mult, upper, runs, cols, tmp) -> None:
-    """Solve the factored x-system in place on ``cols``, the x-rows that ``runs`` view.
+    """Solve the factored x-system in place on ``cols[1:-1]``, the x-rows that ``runs`` view.
 
-    A forward loop of two calls per x-row, one scaling by 1/pivot per run
-    of rows that share it, then a backward loop of two calls per x-row.
-    ``tmp`` is one scratch row.  The row lists and the positional ``out``
-    keep the per-call overhead down: it, not the ny-long arithmetic, is
-    most of the cost.
+    ``cols`` is every x-node's column; the first and the last are fixed
+    neighbours, read and left as they are.  A forward loop of two calls
+    per interior x-row, one scaling by 1/pivot per run of rows that share
+    it, then a backward loop of two calls per interior x-row.  ``tmp`` is
+    one scratch row.  The row lists and the positional ``out`` keep the
+    per-call overhead down: it, not the ny-long arithmetic, is most of the
+    cost.
     """
-    for lower, prev, row in zip(mult[1:], cols, cols[1:]):
+    for lower, prev, row in zip(mult, cols, cols[1:-1]):
         np.multiply(lower, prev, tmp)
         np.subtract(row, tmp, row)
     for block, recip in runs:
         np.multiply(block, recip, block)
-    for upper_over_pivot, row, nxt in zip(upper[-2::-1], cols[-2::-1], cols[:0:-1]):
+    for upper_over_pivot, row, nxt in zip(upper[::-1], cols[-2:0:-1], cols[:1:-1]):
         np.multiply(upper_over_pivot, nxt, tmp)
         np.subtract(row, tmp, row)
 
@@ -545,8 +543,9 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     bracket is formed in the array that held H^{n-1}, H^n in place of W^n,
     and the y-solve writes W^{n+1} into the free array, so the three arrays
     pass the roles round each step, with no copy; c goes into the y-solve's
-    block inverses.  The x-solve runs over all of u's columns, and its
-    identity end rows leave the x-ends with the y-parts of the step alone.
+    block inverses.  The x-solve runs over u's interior columns and reads
+    the x-ends as fixed neighbours, which leaves them the y-parts of the
+    step alone.
     The Douglas term is applied in split form, without a stencil: with
     G = k Ly W^n / c, the x-solve takes the bracket plus G and G is taken
     off its result, which is (I - k Lx)^{-1} of the bracket plus k Lx G.
@@ -592,8 +591,8 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     kinds = []
     for step_dt, scale in ((dt, 1.0), (BDF2_BETA * dt, 4.0 / 3.0)):
         y_factor = _factor_y_system(*_build_y_system(coeffs, step_dt, dy), scale)
-        mult, recip, upper = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx)
-        x_factors = [(mult, upper, _pivot_runs(recip, u)) for _, u, _, _ in sides]
+        mult, recip, upper = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx - 2)
+        x_factors = [(mult, upper, _pivot_runs(recip, u[:, 1:-1])) for _, u, _, _ in sides]
         kinds.append((x_factors, y_factor, scale, 0.75 * BDF2_BETA * dt / step_dt))
 
     sol, hist, free = 0, 1, 2  # the sides that hold W^n, H^{n-1} and nothing
@@ -671,7 +670,8 @@ def price_surface(spec: ModelSpec, grid: Grid2D) -> PriceSurface:
             if attempt == MAX_DT_RETRIES:
                 raise Instability(f"{exc} (still, after {attempt} dt halvings)",
                                   monitor=exc.monitor, tau=exc.tau) from exc
-            attempt_grid = attempt_grid.with_halved_dt()
+            attempt_grid = replace(attempt_grid, dt=attempt_grid.dt / 2.0,
+                                   n_steps=attempt_grid.n_steps * 2)
             logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue
         # views: W is this solve's own, and W[:, :-1].T is C-contiguous
@@ -693,21 +693,33 @@ def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
                    grid_factory=None) -> list[SweepRow]:
     """Measure the corrected-asymptotics gap across a decreasing epsilon list.
 
-    Probes are snapped to each epsilon's grid by ``snap_probes``, before
-    any march; the asymptotic side is evaluated at the snapped coordinates
-    so the comparison is node-exact.  P at a snapped step is the solve of
-    the grid's prefix to that step, one solve per distinct step.
+    Probes are (tau, x, y) triples with tau >= 0; one that is not is a
+    ``ValueError`` raised before any grid is built.  Each epsilon's grid
+    runs to the latest probe's tau, and every grid is built before any
+    probe is snapped to the time step and node nearest it
+    (``_snap_probe``), so a probe more than half a cell outside a grid is
+    a ``ConfigError`` raised before any march.  The asymptotic side is
+    evaluated at the snapped coordinates so the comparison is node-exact.
+    P at a snapped step is the solve of the grid's prefix to that step,
+    one solve per distinct step.
 
     Every grid is built in this process, where ``grid_factory`` runs (it
-    is never pickled), and so are the group constants, so a bad probe
-    raises before any march.  Each epsilon's solves and gap are then one
-    task of ``parallel_map``, the largest march (nx ny times the last probe
-    step) first.  The rows come back in ``eps_list`` order; when marches
-    fail, the error raised is the earliest failing epsilon's, as a loop
-    would raise it.
+    is never pickled), and so are the group constants.  Each epsilon's
+    solves and gap are then one task of ``parallel_map``, the largest
+    march (nx ny times the last probe step) first.  The rows come back in
+    ``eps_list`` order; when marches fail, the error raised is the
+    earliest failing epsilon's, as a loop would raise it.
     """
+    if not probe_points:
+        raise ValueError("need at least one probe point")
+    for probe in probe_points:
+        if not probe[0] >= 0.0:
+            raise ValueError(f"probe {tuple(probe)} needs tau >= 0, got {probe[0]}")
+    tau_final = max(p[0] for p in probe_points)
     specs = [spec.with_(epsilon=float(eps)) for eps in eps_list]
-    snapped = snap_probes(specs, probe_points, grid_factory=grid_factory)
+    grids = [grid_factory(s, tau_final) if grid_factory else make_grid(s, tau_final) for s in specs]
+    snapped = [(grid, [_snap_probe(p, grid, s.epsilon) for p in probe_points])
+               for s, grid in zip(specs, grids)]
     gc = group_constants_for(spec)  # epsilon-independent
     tasks = [(s, grid, nodes, gc) for s, (grid, nodes) in zip(specs, snapped)]
     costs = [grid.x.size * grid.y.size * max(step for step, _, _ in nodes)
@@ -756,26 +768,6 @@ def parallel_map(fn, tasks: list, costs: Sequence[float] | None = None) -> list:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {i: pool.submit(fn, tasks[i]) for i in order}
         return [futures[i].result() for i in range(len(tasks))]
-
-
-def snap_probes(specs: Sequence[ModelSpec], probe_points: Sequence[tuple[float, float, float]], *,
-                grid_factory=None) -> list[tuple[Grid2D, list[tuple[int, int, int]]]]:
-    """Each spec's grid to the latest probe's tau, and the (step, ix, jy) nearest each probe on it.
-
-    Probes are (tau, x, y) triples with tau >= 0; one that is not is a
-    ``ValueError`` raised before any grid is built.  Every grid is built
-    first, and a probe more than half a cell outside one is a
-    ``ConfigError``.
-    """
-    if not probe_points:
-        raise ValueError("need at least one probe point")
-    for probe in probe_points:
-        if not probe[0] >= 0.0:
-            raise ValueError(f"probe {tuple(probe)} needs tau >= 0, got {probe[0]}")
-    tau_final = max(p[0] for p in probe_points)
-    grids = [grid_factory(s, tau_final) if grid_factory else make_grid(s, tau_final) for s in specs]
-    return [(grid, [_snap_probe(p, grid, s.epsilon) for p in probe_points])
-            for s, grid in zip(specs, grids)]
 
 
 def _snap_probe(probe, grid: Grid2D, eps: float) -> tuple[int, int, int]:

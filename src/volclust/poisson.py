@@ -28,16 +28,20 @@ import numpy as np
 from .errors import DegenerateDensity
 from .measure import (InvariantMeasure, average, build_invariant_measure, cumulative_trapezoid,
                       trapezoid)
-from .model import ModelSpec
+from .model import FrozenArrays, ModelSpec
 
 
 @dataclass(frozen=True)
-class PhiDerivatives:
+class PhiDerivatives(FrozenArrays):
     """Derivatives of the two correctors, tabulated on the measure grid."""
 
     grid: np.ndarray
     phi1_prime: np.ndarray  # corrector for the drift/risk source
     phi2_prime: np.ndarray  # corrector for the vol-level source
+
+    def __post_init__(self):
+        for name in ("grid", "phi1_prime", "phi2_prime"):
+            self._freeze(name)
 
 
 @dataclass(frozen=True)

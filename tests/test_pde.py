@@ -18,7 +18,7 @@ from volclust.errors import BadGrid, ConfigError, Instability, NumericalError
 from volclust.measure import InvariantMeasure
 from volclust.model import Constant, ModelSpec, Tabulated, arctangent_model
 from volclust.pde import Grid2D, _march, accuracy_sweep, make_grid, payoff_initial, price_surface
-from volclust.poisson import group_constants_for
+from volclust.poisson import PhiDerivatives, group_constants_for
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = ("P", "u_tilde")  # fields of the nx=41 surface pinned under DATA
@@ -198,15 +198,18 @@ def test_make_grid_refuses_a_bad_tau_or_dt(fast_spec, tau, dt, named):
         make_grid(fast_spec, tau, nx=41, dt=dt)
 
 
-FROZEN = pytest.mark.parametrize("make, names", [
-    (lambda a, b: Grid2D(x=a, y=b, dt=0.1, n_steps=1), ("x", "y")),
-    (Tabulated, ("grid", "values")),
-    (InvariantMeasure, ("grid", "density")),
-], ids=["Grid2D", "Tabulated", "InvariantMeasure"])
+# (make from two arrays, the array fields, the other fields and their values)
+FROZEN = pytest.mark.parametrize("make, names, others", [
+    (lambda a, b: Grid2D(x=a, y=b, dt=0.125, n_steps=3), ("x", "y"), {"dt": 0.125, "n_steps": 3}),
+    (lambda a, b: Tabulated(a, b, source="table.csv", base_dir="tables"), ("grid", "values"),
+     {"source": "table.csv", "base_dir": "tables"}),
+    (InvariantMeasure, ("grid", "density"), {}),
+    (lambda a, b: PhiDerivatives(a, b, b), ("grid", "phi1_prime", "phi2_prime"), {}),
+], ids=["Grid2D", "Tabulated", "InvariantMeasure", "PhiDerivatives"])
 
 
 @FROZEN
-def test_a_frozen_object_freezes_a_copy_of_the_callers_arrays(make, names):
+def test_a_frozen_object_freezes_a_copy_of_the_callers_arrays(make, names, others):
     """The object's arrays are read-only; the caller's stay writeable, and writing to them
     leaves the object as it was."""
     a, b = np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 1.5, 5)
@@ -219,14 +222,15 @@ def test_a_frozen_object_freezes_a_copy_of_the_callers_arrays(make, names):
 
 
 @FROZEN
-def test_a_frozen_object_stays_frozen_through_pickle(make, names):
+def test_a_frozen_object_stays_frozen_through_pickle(make, names, others):
     """A pickle round trip, as a worker process gets its tasks, returns equal arrays that are
-    still read-only."""
+    still read-only, and the other fields as they were."""
     made = make(np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 1.5, 5))
     copy = pickle.loads(pickle.dumps(made))
     for name in names:
         assert not getattr(copy, name).flags.writeable
         np.testing.assert_array_equal(getattr(copy, name), getattr(made, name))
+    assert {name: getattr(copy, name) for name in others} == others
 
 
 def test_grid_validation():
@@ -346,11 +350,12 @@ def test_second_order_convergence_in_time(fast_spec, rho):
 def _dense_step(spec, grid, step_dt, rhs):
     """W with (I - step_dt Lx)(I - step_dt Ly) W = ``rhs``, by dense solves, in the march's layout.
 
-    Lx and Ly are assembled from ``_build_x_system``'s and ``_build_y_system``'s rows, so
-    the x-ends are identity rows of the x-solve; u_tilde's column has no x-part.
+    Lx and Ly are assembled from ``_build_x_system``'s and ``_build_y_system``'s rows, and
+    the x-ends are identity rows of the x-solve, built here; u_tilde's column has no x-part.
     """
     nx = grid.x.size
-    sub, diag, sup = _tiled_x_system(pde._Coefficients(spec, grid.y), replace(grid, dt=step_dt))
+    sub, diag, sup = _with_identity_ends(
+        *_tiled_x_system(pde._Coefficients(spec, grid.y), replace(grid, dt=step_dt)))
     W = rhs.copy()
     for j in range(grid.y.size):
         A = np.diag(diag[:, j]) + np.diag(sub[1:, j], -1) + np.diag(sup[:-1, j], 1)
@@ -367,7 +372,7 @@ def _douglas(spec, grid, step_dt, W):
     coeffs = pde._Coefficients(spec, grid.y)
     dl, d, du = pde._build_y_system(coeffs, step_dt, grid.dy)
     Y = (W - (np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)) @ W)[:, :nx].T
-    sub, diag, sup = _tiled_x_system(coeffs, replace(grid, dt=step_dt))
+    sub, diag, sup = _with_identity_ends(*_tiled_x_system(coeffs, replace(grid, dt=step_dt)))
     AY = diag * Y
     AY[1:] += sub[1:] * Y[:-1]
     AY[:-1] += sup[:-1] * Y[1:]
@@ -576,9 +581,9 @@ def test_implicit_systems_sign_pattern():
 
     Upwinding keeps every off-diagonal weight of ``_stencil`` >= 0 for either
     sign of drift at any cell Peclet number, so I - dt L has off-diagonals
-    <= 0 and a dominant diagonal.  The x-system's end rows are identity rows
-    and every other x-row has diag - |sub| - |sup| = 1, at any dt, so every
-    x-block's inverse is >= 0.
+    <= 0 and a dominant diagonal.  The x-system's interior row has
+    diag - |sub| - |sup| = 1, at any dt, and the x-ends are identity rows,
+    which the x-solve leaves as they are, so every x-block's inverse is >= 0.
     """
     rng = np.random.default_rng(11)
     specs = [arctangent_model()] + [random_valid_spec(rng) for _ in range(3)]
@@ -599,16 +604,16 @@ def test_implicit_systems_sign_pattern():
         assert np.all(d > np.abs(np.r_[0.0, dl]) + np.abs(np.r_[du, 0.0]))
 
         for dt in (grid.dt, 100.0 * grid.dt):
-            first, (sub, diag, sup), last = pde._build_x_system(c, dt, grid.dx)
-            assert all(w.shape == (grid.y.size,) for w in first + (sub, diag, sup) + last)
-            for end in (first, last):
-                assert [w.tolist() for w in end] == [[0.0] * grid.y.size, [1.0] * grid.y.size,
-                                                     [0.0] * grid.y.size]
+            sub, diag, sup = pde._build_x_system(c, dt, grid.dx)
+            assert all(w.shape == (grid.y.size,) for w in (sub, diag, sup))
+            rhs = rng.standard_normal((grid.x.size, grid.y.size))
+            ends = _sweep_x_solve(spec, replace(grid, dt=dt), rhs)[[0, -1]]
+            assert ends.tobytes() == rhs[[0, -1]].tobytes()  # the identity end rows
             assert sub.max() < 0.0 and sup.max() < 0.0
             np.testing.assert_allclose(diag - np.abs(sub) - np.abs(sup), 1.0, rtol=1e-12)
 
         a = np.abs(c.x_drift)
-        sub, diag, sup = _tiled_x_system(c, grid)
+        sub, diag, sup = _with_identity_ends(*_tiled_x_system(c, grid))
         for j in {0, int(np.argmin(a)), int(np.argmax(a)), grid.y.size - 1}:
             block = np.diag(diag[:, j]) + np.diag(sub[1:, j], -1) + np.diag(sup[:-1, j], 1)
             inverse = np.linalg.inv(block)
@@ -616,10 +621,15 @@ def test_implicit_systems_sign_pattern():
 
 
 def _tiled_x_system(coeffs, grid):
-    """``_build_x_system``'s three rows as the full (nx, ny) sub, diag and sup."""
-    first, interior, last = pde._build_x_system(coeffs, grid.dt, grid.dx)
-    return tuple(np.vstack([f, np.tile(i, (grid.x.size - 2, 1)), l])
-                 for f, i, l in zip(first, interior, last))
+    """``_build_x_system``'s row at every interior x-node, as (nx - 2, ny) sub, diag and sup."""
+    return tuple(np.tile(w, (grid.x.size - 2, 1))
+                 for w in pde._build_x_system(coeffs, grid.dt, grid.dx))
+
+
+def _with_identity_ends(sub, diag, sup):
+    """The interior rows between identity rows at the x-ends: the whole (nx, ny) x-system."""
+    zero, one = np.zeros_like(diag[:1]), np.ones_like(diag[:1])
+    return np.vstack([zero, sub, zero]), np.vstack([one, diag, one]), np.vstack([zero, sup, zero])
 
 
 def _lapack_x_solve(spec, grid, rhs):
@@ -627,7 +637,7 @@ def _lapack_x_solve(spec, grid, rhs):
 
     Returns the solution in ``rhs``'s (nx, ny) layout and whether dgttrf pivoted.
     """
-    sub, diag, sup = _tiled_x_system(pde._Coefficients(spec, grid.y), grid)
+    sub, diag, sup = _with_identity_ends(*_tiled_x_system(pde._Coefficients(spec, grid.y), grid))
     dl, d, du, du2, ipiv, info = dgttrf(sub.T.ravel()[1:], diag.T.ravel(), sup.T.ravel()[:-1])
     assert info == 0
     x, info = dgttrs(dl, d, du, du2, ipiv, rhs.T.ravel())
@@ -637,14 +647,14 @@ def _lapack_x_solve(spec, grid, rhs):
 
 def _x_factor(spec, grid):
     rows = pde._build_x_system(pde._Coefficients(spec, grid.y), grid.dt, grid.dx)
-    return pde._factor_x_system(*rows, grid.x.size)
+    return pde._factor_x_system(*rows, grid.x.size - 2)
 
 
 def _sweep_x_solve(spec, grid, rhs):
     """``_march``'s x-solve: factor once, then the column sweep on a copy of ``rhs``."""
     mult, recip, upper = _x_factor(spec, grid)
     cols = rhs.copy()  # (nx, ny): x-row i is cols[i], and cols.T is the march's block
-    pde._solve_x_system(mult, upper, pde._pivot_runs(recip, cols.T), list(cols),
+    pde._solve_x_system(mult, upper, pde._pivot_runs(recip, cols.T[:, 1:-1]), list(cols),
                         np.empty(grid.y.size))
     return cols
 
@@ -669,7 +679,8 @@ def test_x_sweep_matches_lapack():
 
 
 def test_x_factor_shares_the_fixed_point_rows_bit_for_bit():
-    """The shared rows are what a plain row-by-row elimination gives, and few are distinct."""
+    """The shared rows are what a plain row-by-row elimination of the whole system, identity
+    end rows included, gives on the interior rows, and few are distinct."""
     rng = np.random.default_rng(3)
     demo = arctangent_model()
     skew3 = make_grid(demo, 0.25, nx=201, x_span=(-1.0, 1.0))
@@ -677,7 +688,7 @@ def test_x_factor_shares_the_fixed_point_rows_bit_for_bit():
     cases += [(spec, make_grid(spec, spec.maturity, nx=61))
               for spec in (random_valid_spec(rng) for _ in range(3))]
     for spec, grid in cases:
-        sub, diag, sup = _tiled_x_system(pde._Coefficients(spec, grid.y), grid)
+        sub, diag, sup = _with_identity_ends(*_tiled_x_system(pde._Coefficients(spec, grid.y), grid))
         factor = _x_factor(spec, grid)
         pivot = diag[0]
         plain = [(sub[0], 1.0 / pivot, sup[0] / pivot)]
@@ -685,12 +696,12 @@ def test_x_factor_shares_the_fixed_point_rows_bit_for_bit():
             mult = sub[i] / pivot
             pivot = diag[i] - mult * sup[i - 1]
             plain.append((mult, 1.0 / pivot, sup[i] / pivot))
-        for got, want in zip(factor, zip(*plain)):
-            assert len(got) == len(want) == grid.x.size
+        for got, want in zip(factor, zip(*plain[1:-1])):
+            assert len(got) == len(want) == grid.x.size - 2
             assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
     mult, recip, upper = _x_factor(demo, skew3)
     distinct = {id(r) for r in recip}
-    assert len(distinct) < 40  # 34 of 201 rows
+    assert len(distinct) < 40  # 32 of 199 rows
     assert len({id(m) for m in mult}) == len({id(u) for u in upper}) == len(distinct)
     assert len(pde._pivot_runs(recip, np.empty((skew3.y.size, len(recip))))) == len(distinct)
 
