@@ -72,15 +72,23 @@ comparison that a NaN fails too, and halves dt when a monitor trips.
 Both value functions march in one Fortran-ordered (ny, nx + 1) array W:
 columns ``:nx`` hold u and the last holds u-tilde, which does not depend
 on x and so takes only the y-parts of a step.  Those (the y-differences,
-the quadratic term and source, the y-solve) are one pass over all of W;
-the mixed term and the x-solve act on u's columns.
+the quadratic term and source, the y-solve) act on all of W; the mixed
+term and the x-solve act on u's columns.  Between steps a march keeps
+three full arrays: W, the BDF2 history and the Douglas term.  Everything
+else a step needs is sized by one block of ``X_BLOCK`` x-columns, over
+which the explicit part runs, or by one chunk of y-columns, on which the
+y-solve runs in place.  A solve hands back one array: ``price_surface``
+writes P over u's columns, beside u-tilde, and ``PriceSurface.u`` is
+derived from the two.
 
 Everything fixed during a solve is set up once per attempt, so a step
 only subtracts, multiplies and adds; the coefficient ranges behind the
 dy cap and g* are evaluated once per ``make_grid`` and once per attempt.
 ``_explicit_weights`` folds dt and the spacings into the explicit step's
-weights.  Each implicit system is factored twice per attempt, at dt for
-the start-up step and at beta dt for the rest.  The x-system is
+weights.  Each implicit system is factored once per step kind, at dt for
+the start-up step and at beta dt for the rest, and only the kind in use
+is held: the start-up kind's factors go before the BDF2 kind's are
+built.  The x-system is
 eliminated without row interchanges (``_factor_x_system``) and solved
 in place as a sweep along u's interior x-nodes (``_solve_x_system``).
 The y-system is cut into blocks of ``Y_BLOCK`` y-nodes, whose inverses,
@@ -144,6 +152,7 @@ MIN_NODES = 5  # per direction, on any Grid2D
 MIN_NY = 201
 MIN_STEPS = 80
 Y_BLOCK = 32  # y-nodes per block of the y-solve (``_factor_y_system``)
+X_BLOCK = 32  # x-columns per block of a step's explicit part (``_march``)
 SERIAL_GEMM = 2 ** 18  # OpenBLAS runs a product of m n k multiply-adds up to this on one thread
 BDF2_BETA = 2.0 / 3.0  # the implicit weight of an IMEX-BDF2 step, in units of dt
 BAND_SLACK = 1e-6  # relative to strike; explicit mixed term is not exactly monotone
@@ -189,17 +198,22 @@ class Grid2D(FrozenArrays):
 
 @dataclass(frozen=True)
 class PriceSurface:
-    """Terminal slice of both value functions and the price P = u_tilde - u.
+    """Terminal slice of u_tilde and the price P = u_tilde - u, from which ``u`` is derived.
 
-    Not a ``FrozenArrays``: u, u_tilde and P are the march's own arrays, and
-    a frozen copy would hold one more surface of memory per surface held.
+    Not a ``FrozenArrays``: u_tilde and P are views of the march's own array,
+    P written in place of u, and a frozen copy would hold one more surface of
+    memory per surface held.
     """
 
     grid: Grid2D
-    u: np.ndarray        # shape (nx, ny)
     u_tilde: np.ndarray  # shape (ny,)
     P: np.ndarray        # shape (nx, ny)
     tau: float
+
+    @property
+    def u(self) -> np.ndarray:
+        """u = u_tilde - P, shape (nx, ny), formed on each read: the march's u to about an ulp."""
+        return self.u_tilde[None, :] - self.P
 
 
 def _coefficient_bounds(spec: ModelSpec) -> tuple[float, float]:
@@ -441,19 +455,24 @@ def _solve_y_system(X: np.ndarray, out: np.ndarray, width, ends, last_ends, inte
                     dl_seam, du_seam, scaled, last_scaled) -> None:
     """Solve the y-system for ``X``'s y-columns into ``out``, with ``_factor_y_system``'s factors.
 
-    ``X`` and ``out`` are distinct (ny, nc) arrays of any layout; with both
-    F-ordered, BLAS runs every product without a copy.  The columns go
-    ``width`` at a time; on each, four steps: g, as (blocks - 1, 2, Y_BLOCK)
-    @ (blocks - 1, Y_BLOCK, width) on a view of ``X``, plus the last block
-    on its own; z = R^-1 g; dl z and du z off the first and last row of
-    each block, in ``X``, whose rows beside a seam are left changed; and the
-    scaled block inverses, into ``out``.
+    ``X`` and ``out`` are (ny, nc) arrays of any layout, and ``out`` may be
+    ``X``: the march solves in place.  The columns go ``width`` at a time,
+    each chunk copied first into one F-ordered buffer, so ``X`` is only read
+    when it is not ``out``; with ``out`` F-ordered too, BLAS runs every
+    product without a copy.  On each chunk, four steps: g, as
+    (blocks - 1, 2, Y_BLOCK) @ (blocks - 1, Y_BLOCK, width) on a view of the
+    buffer, plus the last block on its own; z = R^-1 g; dl z and du z off
+    the first and last row of each block, in the buffer; and the scaled
+    block inverses, into ``out``.
     """
     n_full = scaled.shape[0]
     cut = n_full * Y_BLOCK
+    chunk = np.empty((X.shape[0], min(width, X.shape[1])), order="F")
     for lo in range(0, X.shape[1], width):
-        cols, dest = X[:, lo:lo + width], out[:, lo:lo + width]
-        nc = cols.shape[1]
+        dest = out[:, lo:lo + width]
+        nc = dest.shape[1]
+        cols = chunk[:, :nc]
+        np.copyto(cols, X[:, lo:lo + width])
         full, rest = cols[:cut].reshape(n_full, Y_BLOCK, nc), cols[cut:]  # views, for any strides
         g = np.empty((n_full + 1, 2, nc))
         np.matmul(ends, full, out=g[:-1])
@@ -521,11 +540,11 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     attempt: one ``_coefficient_bounds``, then dy against the
     boundary-layer cap (a ``BadGrid``).  A grid of no steps
     returns W as it starts, before anything that depends on dt.  Otherwise
-    come the monitors' caps; the explicit weights; the solution array, the
-    history array, which starts at zero, and a free array; the difference
-    array and the Douglas array, which starts at zero too; and a table of
-    the two step kinds, each with its x-factors, its y-factors with c
-    folded in, and c.
+    come the monitors' caps; the explicit weights; the three full arrays,
+    the solution, the history and the Douglas array, the last two starting
+    at zero; and two buffers of one block of ``X_BLOCK`` columns.  Each step
+    kind's x-factors and y-factors, with c folded in, are built at its
+    first step, the start-up kind's released first.
 
     Every step is one IMEX-BDF2 step (Ascher, Ruuth & Wetton 1995) with the
     Douglas term: with E dt (quadratic term + source), M dt times the mixed
@@ -539,13 +558,21 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     + beta^2 dt^2 Lx Ly W^n: Q and M extrapolated (see the module docstring).
     The start-up step has H^{-1} = 0, no Douglas term and (k, c) = (dt, 1),
     so it is IMEX Euler, W^1 = W^0 + E^0 + M^0 solved at dt, and it leaves
-    H^0 for step 2.  The mixed term is formed in the free array; the
-    bracket is formed in the array that held H^{n-1}, H^n in place of W^n,
-    and the y-solve writes W^{n+1} into the free array, so the three arrays
-    pass the roles round each step, with no copy; c goes into the y-solve's
-    block inverses.  The x-solve runs over u's interior columns and reads
-    the x-ends as fixed neighbours, which leaves them the y-parts of the
-    step alone.
+    H^0 for step 2.
+
+    The explicit part runs over blocks of ``X_BLOCK`` columns of W, u_tilde's
+    included.  A block takes the raw y-differences of its columns and of its
+    right neighbour; its left neighbour's were kept from the block before,
+    before that block turned them into E + M.  It then adds its share to
+    the gradient monitor, forms the mixed term in a block buffer, turns its
+    differences into E + M, and updates its columns of the solution and the
+    history.  Each element sees the operations and the order of one pass
+    over W, so the block width changes no bit.  The bracket is formed in the
+    array that held H^{n-1}, H^n in place of W^n, and the y-solve runs in
+    place on the bracket, so the solution and history arrays swap roles
+    each step, with no copy; c goes into the y-solve's block inverses.  The
+    x-solve runs over u's interior columns and reads the x-ends as fixed
+    neighbours, which leaves them the y-parts of the step alone.
     The Douglas term is applied in split form, without a stencil: with
     G = k Ly W^n / c, the x-solve takes the bracket plus G and G is taken
     off its result, which is (I - k Lx)^{-1} of the bracket plus k Lx G.
@@ -553,10 +580,11 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     k' Ly W^n = W^n - c' X for the kind (k', c') that made W^n, so each
     step keeps c X in the Douglas array and turns it into the next step's
     G after the y-solve: three passes, and no stencil.  Each step checks
-    max |u_y| over W against the cap g*, |u| and |u_tilde| against their
-    caps, and 0 <= u_tilde - u <= K, each in one comparison that a NaN
-    fails too; each trip's ``Instability`` names its monitor and tau.  It
-    only subtracts, multiplies and adds: the y-solve's products included.
+    max |u_y| over W against the cap g*, once, after the blocks and before
+    the x-solve, |u| and |u_tilde| against their caps, and
+    0 <= u_tilde - u <= K, each in one comparison that a NaN fails too;
+    each trip's ``Instability`` names its monitor and tau.  It only
+    subtracts, multiplies and adds: the y-solve's products included.
     """
     coeffs = _Coefficients(spec, grid.y)
     dt, dx, dy = grid.dt, grid.dx, grid.dy
@@ -577,59 +605,71 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     u_cap = (np.abs(U0).max() + growth) * 1.5 + spec.strike
     tilde_cap = growth * 1.5 + spec.strike
     band_lo, band_hi = -BAND_SLACK * spec.strike, spec.strike + BAND_SLACK * spec.strike
-    D = np.empty_like(W)  # raw y-differences, then the explicit increment E + M
-    D_u, D_inner = D[:, :nx], D[:, 1:nx - 1]
     douglas = np.zeros((ny, nx), order="F")  # G = k Ly W^n / c on u; zero for the start-up
     x_tmp = np.empty(ny)
-    # (W, u, u_tilde, u's y-columns) for the solution, the history, which starts at zero,
-    # and the free array, which takes the mixed term and then the y-solve's product
+    # a block of nb columns: its raw y-differences in columns 1 ... nb, its neighbours' in 0
+    # and nb + 1, then its E + M; and its mixed term
+    raw = np.empty((ny, X_BLOCK + 2), order="F")
+    mixed_block = np.empty((ny, X_BLOCK), order="F")
+    blocks = [(lo, min(lo + X_BLOCK, nx + 1)) for lo in range(0, nx + 1, X_BLOCK)]
+    # (W, u, u_tilde, u's y-columns) for the solution and the history, which starts at zero
     sides = [(array, array[:, :nx], array[:, nx], list(array[:, :nx].T))
-             for array in (W, np.zeros_like(W), np.empty_like(W))]
-    # the step kinds, start-up then BDF2: (x-factor on each side, y-factor scaled by c, c,
-    # next_share), where next_share = (beta dt / (4/3)) / k turns k Ly W^{n+1} into the next
-    # step's G
-    kinds = []
-    for step_dt, scale in ((dt, 1.0), (BDF2_BETA * dt, 4.0 / 3.0)):
-        y_factor = _factor_y_system(*_build_y_system(coeffs, step_dt, dy), scale)
-        mult, recip, upper = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx - 2)
-        x_factors = [(mult, upper, _pivot_runs(recip, u[:, 1:-1])) for _, u, _, _ in sides]
-        kinds.append((x_factors, y_factor, scale, 0.75 * BDF2_BETA * dt / step_dt))
+             for array in (W, np.zeros_like(W))]
 
-    sol, hist, free = 0, 1, 2  # the sides that hold W^n, H^{n-1} and nothing
+    sol, hist = 0, 1  # the sides that hold W^n and H^{n-1}
     for step in range(1, grid.n_steps + 1):
-        x_factors, y_factor, scale, next_share = kinds[step > 1]  # start-up for step 1 only
-        (W, *_), (H, H_u, *_), (_, F_u, *_) = sides[sol], sides[hist], sides[free]
+        if step <= 2:  # the start-up kind for step 1 only; its factors go before BDF2's are built
+            x_factors = y_factor = mult = recip = upper = None
+            step_dt, scale = (dt, 1.0) if step == 1 else (BDF2_BETA * dt, 4.0 / 3.0)
+            y_factor = _factor_y_system(*_build_y_system(coeffs, step_dt, dy), scale)
+            mult, recip, upper = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx - 2)
+            x_factors = [(mult, upper, _pivot_runs(recip, u[:, 1:-1])) for _, u, _, _ in sides]
+            # (beta dt / (4/3)) / k turns k Ly W^{n+1} into the next step's G
+            next_share = 0.75 * BDF2_BETA * dt / step_dt
+        (W, *_), (H, H_u, *_) = sides[sol], sides[hist]
+        grad_max = 0.0
+        for lo, hi in blocks:
+            nb, right = hi - lo, min(hi + 1, nx + 1)
+            # the block's raw y-differences and its right neighbour's; the left neighbour's
+            # are in column 0 from the block before
+            block_max = _abs_max(_y_diff(W[:, lo:right], raw[:, 1:1 + right - lo]))
+            grad_max = np.maximum(grad_max, block_max)  # not max(): np.maximum passes a NaN on
+            # the weights fold in dt and the differences' spacings; the mixed term goes on u's
+            # interior x-nodes: the x-ends and u_tilde take none
+            m_lo = max(lo, 1)
+            m_hi = max(min(hi, nx - 1), m_lo)  # the block's mixed columns are m_lo ... m_hi - 1
+            mix = mixed_block[:, :m_hi - m_lo]
+            np.subtract(raw[:, m_lo - lo + 2:m_hi - lo + 2], raw[:, m_lo - lo:m_hi - lo], out=mix)
+            np.multiply(mix, mixed, out=mix)
+            raw[:, 0] = raw[:, nb]  # the next block's left neighbour, before it turns into E + M
+            E, E_mix = raw[:, 1:nb + 1], raw[:, m_lo - lo + 1:m_hi - lo + 1]
+            np.square(E, out=E)
+            np.multiply(E, quad, out=E)
+            np.add(E, source, out=E)
+            np.add(E_mix, mix, out=E_mix)
+            # H^{n-1} += W^n + E^n + M^n + G, then W^n becomes H^n
+            W_b, H_b, H_ub = W[:, lo:hi], H[:, lo:hi], H_u[:, lo:hi]
+            np.add(W_b, E, out=W_b)
+            np.add(H_b, W_b, out=H_b)
+            np.add(W_b, E, out=W_b)
+            np.multiply(W_b, -0.25, out=W_b)
+            np.add(H_ub, douglas[:, lo:hi], out=H_ub)
         # rounding is monotone, so this is max |u_y| of the central u_y to the bit
-        grad_max = _abs_max(_y_diff(W, D)) / two_dy
+        grad_max = grad_max / two_dy
         if not grad_max <= grad_cap:
             raise Instability(f"dt {dt:.3e} exceeds the gradient bound at step {step} "
                               f"(|u_y| = {grad_max:.3e} > {grad_cap:.3e})",
                               monitor="gradient", tau=step * dt)
-        # the weights fold in dt and the differences' spacings; the mixed term goes on u's
-        # interior x-nodes, formed in the free array: the x-ends and u_tilde take none
-        mixed_u = F_u[:, 1:-1]
-        np.subtract(D_u[:, 2:], D_u[:, :-2], out=mixed_u)
-        np.multiply(mixed_u, mixed, out=mixed_u)
-        np.square(D, out=D)
-        np.multiply(D, quad, out=D)
-        np.add(D, source, out=D)
-        np.add(D_inner, mixed_u, out=D_inner)
-        # H^{n-1} += W^n + E^n + M^n + G, then W^n becomes H^n; G goes in last, so the
-        # x-solve starts on the array just written
-        np.add(W, D, out=W)
-        np.add(H, W, out=H)
-        np.add(W, D, out=W)
-        np.multiply(W, -0.25, out=W)
-        np.add(H_u, douglas, out=H_u)
-        sol, hist, free = free, sol, hist
-        (X, X_u, _, x_cols), (W, u, u_tilde, _) = sides[free], sides[sol]
+        # the bracket, in the array that held H^{n-1}, becomes W^{n+1} in place
+        sol, hist = hist, sol
+        W, u, u_tilde, x_cols = sides[sol]
 
         # the x-solve took the bracket plus G, and G comes off its result
-        _solve_x_system(*x_factors[free], x_cols, x_tmp)
-        np.subtract(X_u, douglas, out=X_u)
+        _solve_x_system(*x_factors[sol], x_cols, x_tmp)
+        np.subtract(u, douglas, out=u)
         # (I - k Ly) W^{n+1} = c X leaves k Ly W^{n+1} = W^{n+1} - c X: the next step's G
-        np.multiply(X_u, scale, out=douglas)
-        _solve_y_system(X, W, *y_factor)
+        np.multiply(u, scale, out=douglas)
+        _solve_y_system(W, W, *y_factor)
         np.subtract(u, douglas, out=douglas)
         np.multiply(douglas, next_share, out=douglas)
 
@@ -657,9 +697,10 @@ def price_surface(spec: ModelSpec, grid: Grid2D) -> PriceSurface:
     logged at INFO level with the tripped monitor's message and the new
     step count.  After ``MAX_DT_RETRIES`` halvings, the last monitor's
     message, monitor and tau are raised again with that monitor's
-    ``Instability`` as the cause.  The surface's u and u_tilde are views of
-    the march's own array.  P at an earlier step k is the solve of
-    ``replace(grid, n_steps=k)``, which halves dt on its own.
+    ``Instability`` as the cause.  The surface's P, written over u's
+    columns, and u_tilde are views of the march's own array.  P at an
+    earlier step k is the solve of ``replace(grid, n_steps=k)``, which
+    halves dt on its own.
     """
     attempt_grid = grid
     U0 = payoff_initial(spec, grid)  # halving dt leaves the x-grid as it is
@@ -674,9 +715,11 @@ def price_surface(spec: ModelSpec, grid: Grid2D) -> PriceSurface:
                                    n_steps=attempt_grid.n_steps * 2)
             logger.info("%s; halving dt to %d steps", exc, attempt_grid.n_steps)
             continue
-        # views: W is this solve's own, and W[:, :-1].T is C-contiguous
-        return PriceSurface(grid=attempt_grid, u=W[:, :-1].T, u_tilde=W[:, -1],
-                            P=W[:, -1] - W[:, :-1].T, tau=attempt_grid.tau_final)
+        # P in place of u, with the bits of W[:, -1] - W[:, :-1].T; W is this solve's own,
+        # and W[:, :-1].T is C-contiguous
+        np.subtract(W[:, -1:], W[:, :-1], out=W[:, :-1])
+        return PriceSurface(grid=attempt_grid, u_tilde=W[:, -1], P=W[:, :-1].T,
+                            tau=attempt_grid.tau_final)
 
 
 @dataclass(frozen=True)

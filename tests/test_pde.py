@@ -257,6 +257,27 @@ def test_degenerate_black_scholes(bs_degenerate_spec):
     assert np.abs(surface.u_tilde).max() == 0.0  # b = 0 keeps the zero start at zero
 
 
+def test_a_solve_marches_in_three_arrays_and_its_surface_holds_one(fast_spec):
+    """Three steps, so both step kinds run.  A full array is ny (nx + 1) doubles; the march
+    keeps three (the solution, the BDF2 history and the Douglas term), and the rest of a
+    step is sized by one block of x-columns or one chunk of y-columns.  The surface holds
+    one: P lies in place of u, beside u_tilde."""
+    import tracemalloc
+
+    grid = make_grid(fast_spec, 0.25, nx=201, dt=0.1)
+    assert grid.n_steps == 3
+    full = grid.y.size * (grid.x.size + 1) * 8
+    tracemalloc.start()
+    try:
+        surface = price_surface(fast_spec, grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert surface.grid.n_steps == 3
+    assert peak < 6.5 * full, peak / full
+    assert held < 1.1 * full, held / full
+
+
 def test_zero_initial_is_fixed_point_without_drift(fast_spec):
     spec = fast_spec.with_(b=Constant(0.0))
     grid = make_grid(spec, 0.25, nx=61)
@@ -381,7 +402,7 @@ def _douglas(spec, grid, step_dt, W):
     return out
 
 
-def test_first_three_steps_follow_the_scheme():
+def test_first_three_steps_follow_the_scheme(monkeypatch):
     """Step 1 is IMEX Euler, later steps IMEX-BDF2 with Q and M extrapolated and the Douglas term:
 
         (I - dt Lx)(I - dt Ly) W^1 = W^0 + dt (Q^0 + M^0),
@@ -428,6 +449,10 @@ def test_first_three_steps_follow_the_scheme():
     for n in (1, 2, 3):
         W = _march(spec, replace(grid, n_steps=n), W0[:, :nx])
         np.testing.assert_allclose(W, levels[n], rtol=1e-12)
+    # the explicit part's column blocks change no bit: one column, two, three, or all at once
+    for width in (1, 2, 3, nx + 1):
+        monkeypatch.setattr(pde, "X_BLOCK", width)
+        assert _march(spec, grid, W0[:, :nx]).tobytes() == W.tobytes(), width
 
 
 def _march_operator(spec, x, y, U, drift_scale):
@@ -556,8 +581,12 @@ def test_y_solve_matches_extended_precision_thomas():
         y = np.linspace(0.0, 1.0, d.size)
         rhs = np.asfortranarray(np.column_stack(  # constant, smooth, random: two column chunks
             [np.ones_like(y), np.cos(3.0 * y) + y, rng.standard_normal((y.size, factors[0]))]))
-        solved = np.empty_like(rhs)
-        pde._solve_y_system(rhs.copy(order="F"), solved, *factors)
+        given, solved = rhs.copy(order="F"), np.empty_like(rhs)
+        pde._solve_y_system(given, solved, *factors)
+        assert given.tobytes() == rhs.tobytes()  # out of place, X is only read
+        in_place = rhs.copy(order="F")
+        pde._solve_y_system(in_place, in_place, *factors)
+        assert in_place.tobytes() == solved.tobytes()
         expected = 0.75 * _thomas_longdouble(dl, d, du, rhs)
         err = np.abs(solved - expected).max(axis=0) / np.abs(expected).max(axis=0)
         assert err.max() <= 5e-14, (d.size, err)
@@ -895,14 +924,23 @@ def test_surface_matches_golden_output(fast_spec):
         np.testing.assert_allclose(getattr(surface, name),
                                    np.load(DATA / f"golden_fast_nx41_{name}.npy"),
                                    rtol=1e-12, atol=0.0)
+    # u is derived from them, and it is the march's u to about one ulp
+    assert surface.u.tobytes() == (surface.u_tilde[None, :] - surface.P).tobytes()
+    grid = surface.grid
+    marched = _march(fast_spec, grid, payoff_initial(fast_spec, grid))[:, :-1].T
+    np.testing.assert_allclose(surface.u, marched, rtol=0.0, atol=1e-13 * fast_spec.strike)
 
 
 def test_nan_in_initial_data_raises_instability(fast_spec):
+    """A NaN in any column block reaches the gradient monitor, which the blocks' maxima share."""
     grid = make_grid(fast_spec, 0.25, nx=41)
-    U0 = np.tile(payoff_initial(fast_spec, grid), (grid.y.size, 1))
-    U0[grid.y.size // 2, grid.x.size // 2] = np.nan
-    with pytest.raises(Instability, match="gradient bound at step 1"):
-        _march(fast_spec, grid, U0)
+    nx = grid.x.size
+    assert pde.X_BLOCK < nx  # more than one block
+    for column in (1, nx // 2, nx - 2):
+        U0 = np.tile(payoff_initial(fast_spec, grid), (grid.y.size, 1))
+        U0[grid.y.size // 2, column] = np.nan
+        with pytest.raises(Instability, match="gradient bound at step 1"):
+            _march(fast_spec, grid, U0)
     assert issubclass(Instability, NumericalError)  # the CLI maps it to exit code 3
 
 
