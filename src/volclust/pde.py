@@ -59,15 +59,21 @@ g* = sqrt(eps / dt) / (2 gamma sup s2), where a^2 dt <= (1 - rho^2)^2 D / 2
 at every y-node; the tests' symbol check, with the linearised term's
 symbol e = beta dt 2 q g i sin(thy) / dy added to beta m in both places,
 finds both roots in |xi| <= 1 at g* at rho = +-0.999 on four models, and
-at rho = -0.2 and -0.7 on skew3's grid.  With lambda in
-place of gamma, a stays fixed as |rho| -> 1 and that check fails.  So
-stability asks nothing of dt, and dt = min(eps, tau / ``MIN_STEPS``) is
-set for accuracy: eps resolves the fast relaxation, and ``MIN_STEPS`` = 80
-is the least step count of a sweep (63, 72, 80, 90, 100 steps) at which
-the benchmark's skew3 surfaces keep their time error at or below that of
-the first-order march at 250 steps.  The solver monitors the cap, the
-amplitude bound and the price band at every step, each with one
-comparison that a NaN fails too, and halves dt when a monitor trips.
+at rho = -0.2 and -0.7 on skew3's grid, also at eps = 6.25e-4, where
+dt = 5 eps.  With lambda in place of gamma, a stays fixed as |rho| -> 1
+and that check fails.  So stability asks nothing of dt, and
+dt = tau / ``MIN_STEPS`` at every eps is set for accuracy:
+``MIN_STEPS`` = 80 is the least step count of a sweep (63, 72, 80, 90,
+100 steps) at which the benchmark's skew3 surfaces keep their time error
+at or below that of the first-order march at 250 steps.  dt may exceed
+eps, because the implicit y-pass damps the fast relaxation whatever dt
+is: on the demo at tau = 0.25 and nx = 101, the 80-step P at
+x = -0.9, -0.6, ..., 0.9 lies within 5.83e-5, 5.25e-5 and 5.38e-5 of the
+Richardson value from 160 and 320 steps at eps = 0.0025, 6.25e-4 and
+1.5625e-4 (dt = 1.25, 5 and 20 eps), so a surface's step count does not
+grow as eps falls.  The solver monitors the cap, the amplitude bound and
+the price band at every step, each with one comparison that a NaN fails
+too, and halves dt when a monitor trips.
 
 Both value functions march in one Fortran-ordered (ny, nx + 1) array W:
 columns ``:nx`` hold u and the last holds u-tilde, which does not depend
@@ -245,9 +251,10 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     at least ``MIN_NY`` nodes; a given ``ny`` below either is a ``BadGrid``
     naming the one that binds.  An even ny, given or not, is raised by one,
     which keeps the mean level on a node of a symmetric y-domain.  Without
-    a ``dt``, dt = min(eps, tau / ``MIN_STEPS``), whatever rho: the step's
-    stability asks nothing of dt below the gradient cap, so both candidates
-    are for accuracy (module docstring).
+    a ``dt``, dt = tau / ``MIN_STEPS``, whatever eps and rho: the step's
+    stability asks nothing of dt below the gradient cap, and at dt above
+    eps the implicit y-pass still damps the fast relaxation, so dt is set
+    for accuracy alone (module docstring).
     A given ``dt`` must be finite and positive; it is shrunk to divide tau.
     ``tau`` must be finite and >= 0; tau = 0 gives the payoff grid (no steps).
     """
@@ -276,9 +283,7 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     grid = Grid2D(x=np.linspace(*x_span, nx), y=np.linspace(y_lo, y_hi, ny), dt=1.0, n_steps=0)
     if tau == 0.0:
         return grid
-    if dt is None:
-        dt = min(eps, tau / MIN_STEPS)
-    n_steps = max(1, int(math.ceil(tau / dt)))
+    n_steps = MIN_STEPS if dt is None else max(1, int(math.ceil(tau / dt)))
     return replace(grid, dt=tau / n_steps, n_steps=n_steps)
 
 
@@ -335,18 +340,20 @@ def _factor_x_system(sub, diag, sup, n_rows: int) -> tuple[list, list, list]:
     fixed neighbour.  Elimination runs row by row without row
     interchanges, vectorised over the y-rows.  Every row is one row, so
     the pivots reach a fixed point: once a row's (multiplier, pivot) pair
-    repeats the previous row's exactly, so does every later row's, and
-    those rows share one set of arrays.  Without pivoting, elimination is
-    stable for a row diagonally dominant matrix, and the row is, at any
-    dt: its diag - |sub| - |sup| is 1.
+    repeats the previous row's exactly, so does every later row's: the
+    elimination stops there, and those rows share one set of arrays.
+    Without pivoting, elimination is stable for a row diagonally dominant
+    matrix, and the row is, at any dt: its diag - |sub| - |sup| is 1.
     """
     mult, pivot = sub, diag
     rows = [(mult, 1.0 / pivot, sup / pivot)]
-    for _ in range(1, n_rows):
+    while len(rows) < n_rows:
         next_mult = sub / pivot
         next_pivot = diag - next_mult * sup
-        repeats = np.array_equal(next_mult, mult) and np.array_equal(next_pivot, pivot)
-        rows.append(rows[-1] if repeats else (next_mult, 1.0 / next_pivot, sup / next_pivot))
+        if np.array_equal(next_mult, mult) and np.array_equal(next_pivot, pivot):
+            rows += [rows[-1]] * (n_rows - len(rows))
+            break
+        rows.append((next_mult, 1.0 / next_pivot, sup / next_pivot))
         mult, pivot = next_mult, next_pivot
     return tuple(list(factor) for factor in zip(*rows))
 

@@ -82,7 +82,7 @@ def test_price_surface_rejects_a_hand_built_grid_above_the_dy_cap(fast_spec, mon
 
 @pytest.mark.parametrize("rho", [-0.95, -0.96, -0.99, 0.99, -0.999])
 def test_near_degenerate_correlation_keeps_the_relaxation_step(rho):
-    """No dt candidate depends on rho: the demo takes the dt rule's 80 steps up to |rho| -> 1."""
+    """dt does not depend on rho: the demo takes the dt rule's 80 steps up to |rho| -> 1."""
     assert make_grid(arctangent_model().with_(rho=rho), 0.25, nx=201).n_steps == 80
 
 
@@ -167,11 +167,12 @@ def test_implicit_passes_dominate_the_explicit_mixed_term_up_to_rho_one():
 
 
 @pytest.mark.parametrize("eps, rho, unstable", [(0.004, -0.2, 3.0), (0.004, -0.7, 5.0),
-                                                 (0.04, -0.2, 2.0)])
+                                                 (0.04, -0.2, 2.0), (6.25e-4, -0.2, 15.0)])
 def test_gradient_cap_lies_below_the_symbol_limit(eps, rho, unstable):
     """On skew3's grid at the dt rule's step, the largest frozen gradient with both roots in
-    |xi| <= 1 lies between the cap and ``unstable`` times it: 2.5, 4.8 and 1.5 times the cap
-    here, so at eps = 0.04 the cap's factor 1/2 is needed."""
+    |xi| <= 1 lies between the cap and ``unstable`` times it: 2.5, 4.8, 1.5 and 14.3 times
+    the cap here, so at eps = 0.04 the cap's factor 1/2 is needed, and at eps = 6.25e-4,
+    where dt = 5 eps, the cap stays below the limit."""
     spec = arctangent_model(epsilon=eps).with_(rho=rho)
     grid = make_grid(spec, 0.25, nx=201, x_span=(-1.0, 1.0))
     cap = _gradient_cap(spec, grid)
@@ -179,15 +180,29 @@ def test_gradient_cap_lies_below_the_symbol_limit(eps, rho, unstable):
         spec, grid, unstable * cap)
 
 
-@pytest.mark.parametrize("eps, tau, binding, n_steps", [
-    (0.0025, 0.25, "relaxation", 100), (0.04, 0.25, "baseline", 80)])
-def test_each_dt_candidate_binds_somewhere(eps, tau, binding, n_steps):
-    """dt is the lesser of two candidates, and each is the lesser somewhere."""
-    spec = arctangent_model(epsilon=eps)
-    grid = make_grid(spec, tau, nx=41)
-    candidates = {"relaxation": eps, "baseline": tau / pde.MIN_STEPS}
-    assert min(candidates, key=candidates.get) == binding
-    assert grid.n_steps == math.ceil(tau / candidates[binding]) == n_steps
+@pytest.mark.parametrize("eps", [0.04, 0.0025, 6.25e-4, 1.5625e-4])
+def test_a_grid_without_a_dt_takes_min_steps_at_every_eps(eps):
+    """dt = tau / MIN_STEPS whatever eps, above eps for the last three here."""
+    assert make_grid(arctangent_model(epsilon=eps), 0.25, nx=41).n_steps == pde.MIN_STEPS
+
+
+def test_min_steps_keeps_its_time_error_target_with_dt_above_eps(caplog):
+    """At eps = 6.25e-4, where dt = 5 eps, the 80-step P at x = -0.9, -0.6, ..., 0.9 and
+    every y lies within 6.83e-5 (the target MIN_STEPS was chosen for) of the Richardson
+    value from 160 and 320 steps, with no halving: 5.25e-5 when written.  The bound holds
+    at these nodes of nx = 101; over every node of nx = 41 the error is about 1.0e-4."""
+    spec = arctangent_model(epsilon=6.25e-4)
+    grid = make_grid(spec, 0.25, nx=101)
+    assert grid.n_steps == 80 and grid.dt == 5 * spec.epsilon
+    cols = slice(35, 66, 5)
+    np.testing.assert_allclose(grid.x[cols], np.linspace(-0.9, 0.9, 7), atol=1e-12)
+    P = {}
+    with caplog.at_level(logging.INFO, logger="volclust.pde"):
+        for n in (80, 160, 320):
+            P[n] = price_surface(spec, replace(grid, dt=0.25 / n, n_steps=n)).P[cols]
+    assert [r for r in caplog.records if r.name == "volclust.pde"] == []
+    richardson = P[320] + (P[320] - P[160]) / 3.0
+    assert np.abs(P[80] - richardson).max() <= 6.83e-5
 
 
 @pytest.mark.parametrize("tau, dt, named", [
