@@ -6,8 +6,9 @@ they enter: a checked type per numeric flag, ``model.validate`` per spec
 after its overrides, and one reader, ``model.read_float_rows``, for
 probe, quote and coefficient-table files, each with a required header
 row.  Output paths are checked before any work.  Exit codes: 0 success,
-2 bad input (naming the flag or file) or an output file that cannot be
-opened (naming its path), 3 numerical failure.
+2 bad input (naming the flag or file; a missing or unknown flag too, on
+one ``error:`` line) or an output file that cannot be opened (naming
+its path), 3 numerical failure.
 CSVs have a header and 17 significant digits and rerun byte-identical.
 Independent PDE solves (figure2's etas, pde-sweep's epsilons) run in
 worker processes by ``pde.parallel_map``, one per CPU in the process's
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -292,8 +294,19 @@ def positive_list(text: str) -> list[float]:
     return [positive(token) for token in text.split(",")]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose every error, a missing or unknown flag included, raises
+    ``argparse.ArgumentError`` for ``main`` to report, instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+# built once per process: a parser is cyclic garbage once ``main`` returns, and a caller
+# that runs ``main`` many times would leave one per call for the cycle collector
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="volclust",
         description="Indifference put pricing under fast mean-reverting volatility",
         exit_on_error=False,

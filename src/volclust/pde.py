@@ -94,9 +94,11 @@ dy cap and g* are evaluated once per ``make_grid`` and once per attempt.
 weights.  Each implicit system is factored once per step kind, at dt for
 the start-up step and at beta dt for the rest, and only the kind in use
 is held: the start-up kind's factors go before the BDF2 kind's are
-built.  The x-system is
-eliminated without row interchanges (``_factor_x_system``) and solved
-in place as a sweep along u's interior x-nodes (``_solve_x_system``).
+built.  The x-system is eliminated without row interchanges until its
+rows reach their fixed point, each distinct row kept once
+(``_factor_x_system``), and solved in place as a sweep along u's
+interior x-nodes that scales them by 1/pivot in two products
+(``_solve_x_system``); both of a march's arrays share the one factor.
 The y-system is cut into blocks of ``Y_BLOCK`` y-nodes, whose inverses,
 and that of the small system coupling the blocks' end values, are
 formed once (``_factor_y_system``); a step's y-solve is then four
@@ -279,12 +281,12 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     if ny % 2 == 0:
         ny += 1  # keep the mean level on a node for symmetric domains
 
-    # the payoff grid; its placeholder dt is never stepped
-    grid = Grid2D(x=np.linspace(*x_span, nx), y=np.linspace(y_lo, y_hi, ny), dt=1.0, n_steps=0)
     if tau == 0.0:
-        return grid
-    n_steps = MIN_STEPS if dt is None else max(1, int(math.ceil(tau / dt)))
-    return replace(grid, dt=tau / n_steps, n_steps=n_steps)
+        n_steps = 0  # the payoff grid; its dt of 1.0 is never stepped
+    else:
+        n_steps = MIN_STEPS if dt is None else max(1, int(math.ceil(tau / dt)))
+    return Grid2D(x=np.linspace(*x_span, nx), y=np.linspace(y_lo, y_hi, ny),
+                  dt=tau / n_steps if n_steps else 1.0, n_steps=n_steps)
 
 
 def _stencil(diffusion, drift, h):
@@ -330,20 +332,22 @@ def _build_x_system(coeffs: _Coefficients, dt: float, dx: float) -> tuple:
     return -dt * sub, 1.0 - dt * diag, -dt * sup
 
 
-def _factor_x_system(sub, diag, sup, n_rows: int) -> tuple[list, list, list]:
+def _factor_x_system(sub, diag, sup, n_rows: int) -> tuple[list, list, np.ndarray]:
     """Eliminate ``n_rows`` x-rows 1 ... nx - 2, each the interior row (``sub``, ``diag``, ``sup``).
 
-    Returns (mult, recip, upper), lists of one (ny,) array per interior
-    x-row: the row's multiplier, 1 / its pivot, and its sup over its
-    pivot.  Row 1 starts from multiplier ``sub`` and pivot ``diag``, the
-    bits that elimination through an identity row 0 gives; x-node 0 is a
-    fixed neighbour.  Elimination runs row by row without row
-    interchanges, vectorised over the y-rows.  Every row is one row, so
-    the pivots reach a fixed point: once a row's (multiplier, pivot) pair
-    repeats the previous row's exactly, so does every later row's: the
-    elimination stops there, and those rows share one set of arrays.
-    Without pivoting, elimination is stable for a row diagonally dominant
-    matrix, and the row is, at any dt: its diag - |sub| - |sup| is 1.
+    Returns (mult, upper, recip): lists of one (ny,) array per interior
+    x-row, the row's multiplier and its sup over its pivot, and 1 / pivot
+    of each distinct row as one (ny, k) column-major array.  Row 1 starts
+    from multiplier ``sub`` and pivot ``diag``, the bits that elimination
+    through an identity row 0 gives; x-node 0 is a fixed neighbour.
+    Elimination runs row by row without row interchanges, vectorised over
+    the y-rows.  Every row is one row, so the pivots reach a fixed point:
+    once a row's (multiplier, pivot) pair repeats the previous row's
+    exactly, so does every later row's.  The elimination stops there, the
+    later rows share the lists' last arrays, and ``recip``'s last column,
+    that of x-row k, serves x-rows k ... nx - 2.  Without pivoting,
+    elimination is stable for a row diagonally dominant matrix, and the
+    row is, at any dt: its diag - |sub| - |sup| is 1.
     """
     mult, pivot = sub, diag
     rows = [(mult, 1.0 / pivot, sup / pivot)]
@@ -351,40 +355,32 @@ def _factor_x_system(sub, diag, sup, n_rows: int) -> tuple[list, list, list]:
         next_mult = sub / pivot
         next_pivot = diag - next_mult * sup
         if np.array_equal(next_mult, mult) and np.array_equal(next_pivot, pivot):
-            rows += [rows[-1]] * (n_rows - len(rows))
             break
         rows.append((next_mult, 1.0 / next_pivot, sup / next_pivot))
         mult, pivot = next_mult, next_pivot
-    return tuple(list(factor) for factor in zip(*rows))
+    mults, recips, uppers = zip(*rows)
+    tail = n_rows - len(rows)
+    return list(mults) + [mults[-1]] * tail, list(uppers) + [uppers[-1]] * tail, np.array(recips).T
 
 
-def _pivot_runs(recip: list, block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One (view, 1/pivot column) pair per run of ``block``'s x-rows that share their 1/pivot.
+def _solve_x_system(mult, upper, recip, u, cols, tmp) -> None:
+    """Solve the factored x-system in place on u's interior columns ``u[:, 1:-1]``.
 
-    ``block`` is (ny, n_rows), x-row i being its column i, as u's interior
-    columns ``u[:, 1:-1]`` are in the march.
-    """
-    starts = [i for i in range(len(recip)) if i == 0 or recip[i] is not recip[i - 1]]
-    return [(block[:, lo:hi], recip[lo][:, None])
-            for lo, hi in zip(starts, starts[1:] + [len(recip)])]
-
-
-def _solve_x_system(mult, upper, runs, cols, tmp) -> None:
-    """Solve the factored x-system in place on ``cols[1:-1]``, the x-rows that ``runs`` view.
-
-    ``cols`` is every x-node's column; the first and the last are fixed
-    neighbours, read and left as they are.  A forward loop of two calls
-    per interior x-row, one scaling by 1/pivot per run of rows that share
-    it, then a backward loop of two calls per interior x-row.  ``tmp`` is
-    one scratch row.  The row lists and the positional ``out`` keep the
-    per-call overhead down: it, not the ny-long arithmetic, is most of the
-    cost.
+    ``u`` is (ny, nx), and ``cols`` lists its columns, one per x-node; the
+    first and the last are fixed neighbours, read and left as they are.  A
+    forward loop of two calls per interior x-row; two scalings by 1/pivot,
+    of x-rows 1 ... k - 1 by ``recip``'s head and of x-rows k ... nx - 2 by
+    its last column; then a backward loop of two calls per interior x-row.
+    ``tmp`` is one scratch row.  The row lists and the positional ``out``
+    keep the per-call overhead down: it, not the ny-long arithmetic, is
+    most of the cost.
     """
     for lower, prev, row in zip(mult, cols, cols[1:-1]):
         np.multiply(lower, prev, tmp)
         np.subtract(row, tmp, row)
-    for block, recip in runs:
-        np.multiply(block, recip, block)
+    k = recip.shape[1]
+    np.multiply(u[:, 1:k], recip[:, :-1], u[:, 1:k])
+    np.multiply(u[:, k:-1], recip[:, -1:], u[:, k:-1])
     for upper_over_pivot, row, nxt in zip(upper[::-1], cols[-2:0:-1], cols[:1:-1]):
         np.multiply(upper_over_pivot, nxt, tmp)
         np.subtract(row, tmp, row)
@@ -458,28 +454,27 @@ def _factor_y_system(dl, d, du, scale: float) -> tuple:
             scaled.transpose(0, 2, 1), np.asfortranarray(scale * last))
 
 
-def _solve_y_system(X: np.ndarray, out: np.ndarray, width, ends, last_ends, interface_inv,
-                    dl_seam, du_seam, scaled, last_scaled) -> None:
-    """Solve the y-system for ``X``'s y-columns into ``out``, with ``_factor_y_system``'s factors.
+def _solve_y_system(W: np.ndarray, width, ends, last_ends, interface_inv, dl_seam, du_seam,
+                    scaled, last_scaled) -> None:
+    """Solve the y-system in place for ``W``'s y-columns, with ``_factor_y_system``'s factors.
 
-    ``X`` and ``out`` are (ny, nc) arrays of any layout, and ``out`` may be
-    ``X``: the march solves in place.  The columns go ``width`` at a time,
-    each chunk copied first into one F-ordered buffer, so ``X`` is only read
-    when it is not ``out``; with ``out`` F-ordered too, BLAS runs every
-    product without a copy.  On each chunk, four steps: g, as
-    (blocks - 1, 2, Y_BLOCK) @ (blocks - 1, Y_BLOCK, width) on a view of the
-    buffer, plus the last block on its own; z = R^-1 g; dl z and du z off
-    the first and last row of each block, in the buffer; and the scaled
-    block inverses, into ``out``.
+    ``W`` is (ny, nc) and F-ordered, so BLAS runs every product without a
+    copy.  The columns go ``width`` at a time, each chunk copied first into
+    one F-ordered buffer, whose values the products read while they write
+    the chunk's columns of ``W``.  On each chunk, four steps: g, as
+    (blocks - 1, 2, Y_BLOCK) @ (blocks - 1, Y_BLOCK, width) on a view of
+    the buffer, plus the last block on its own; z = R^-1 g; dl z and du z
+    off the first and last row of each block, in the buffer; and the
+    scaled block inverses, into ``W``.
     """
     n_full = scaled.shape[0]
     cut = n_full * Y_BLOCK
-    chunk = np.empty((X.shape[0], min(width, X.shape[1])), order="F")
-    for lo in range(0, X.shape[1], width):
-        dest = out[:, lo:lo + width]
+    chunk = np.empty((W.shape[0], min(width, W.shape[1])), order="F")
+    for lo in range(0, W.shape[1], width):
+        dest = W[:, lo:lo + width]
         nc = dest.shape[1]
         cols = chunk[:, :nc]
-        np.copyto(cols, X[:, lo:lo + width])
+        np.copyto(cols, dest)
         full, rest = cols[:cut].reshape(n_full, Y_BLOCK, nc), cols[cut:]  # views, for any strides
         g = np.empty((n_full + 1, 2, nc))
         np.matmul(ends, full, out=g[:-1])
@@ -550,8 +545,9 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     come the monitors' caps; the explicit weights; the three full arrays,
     the solution, the history and the Douglas array, the last two starting
     at zero; and two buffers of one block of ``X_BLOCK`` columns.  Each step
-    kind's x-factors and y-factors, with c folded in, are built at its
-    first step, the start-up kind's released first.
+    kind's x-factor, which both arrays share, and its y-factor, with c
+    folded in, are built at its first step, the start-up kind's released
+    first.
 
     Every step is one IMEX-BDF2 step (Ascher, Ruuth & Wetton 1995) with the
     Douglas term: with E dt (quadratic term + source), M dt times the mixed
@@ -626,11 +622,10 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     sol, hist = 0, 1  # the sides that hold W^n and H^{n-1}
     for step in range(1, grid.n_steps + 1):
         if step <= 2:  # the start-up kind for step 1 only; its factors go before BDF2's are built
-            x_factors = y_factor = mult = recip = upper = None
+            x_factor = y_factor = None
             step_dt, scale = (dt, 1.0) if step == 1 else (BDF2_BETA * dt, 4.0 / 3.0)
             y_factor = _factor_y_system(*_build_y_system(coeffs, step_dt, dy), scale)
-            mult, recip, upper = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx - 2)
-            x_factors = [(mult, upper, _pivot_runs(recip, u[:, 1:-1])) for _, u, _, _ in sides]
+            x_factor = _factor_x_system(*_build_x_system(coeffs, step_dt, dx), nx - 2)
             # (beta dt / (4/3)) / k turns k Ly W^{n+1} into the next step's G
             next_share = 0.75 * BDF2_BETA * dt / step_dt
         (W, *_), (H, H_u, *_) = sides[sol], sides[hist]
@@ -672,11 +667,11 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
         W, u, u_tilde, x_cols = sides[sol]
 
         # the x-solve took the bracket plus G, and G comes off its result
-        _solve_x_system(*x_factors[sol], x_cols, x_tmp)
+        _solve_x_system(*x_factor, u, x_cols, x_tmp)
         np.subtract(u, douglas, out=u)
         # (I - k Ly) W^{n+1} = c X leaves k Ly W^{n+1} = W^{n+1} - c X: the next step's G
         np.multiply(u, scale, out=douglas)
-        _solve_y_system(W, W, *y_factor)
+        _solve_y_system(W, *y_factor)
         np.subtract(u, douglas, out=douglas)
         np.multiply(douglas, next_share, out=douglas)
 

@@ -351,6 +351,17 @@ def test_bad_counts_exit_with_2_naming_the_flag(tmp_path, capsys, command, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,name", [
+    (["constants"], "--config"),
+    (["constants", "--config", "d.cfg", "--bogus", "1"], "--bogus"),
+], ids=["missing", "unknown"])
+def test_a_missing_or_unknown_flag_exits_2_on_one_line(capsys, command, name):
+    assert main(command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and name in err
+    assert "usage:" not in err
+
+
 def test_no_numeric_flag_is_a_bare_float():
     """Every number a subcommand takes goes through one of the CLI's checked types."""
     (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

@@ -596,12 +596,8 @@ def test_y_solve_matches_extended_precision_thomas():
         y = np.linspace(0.0, 1.0, d.size)
         rhs = np.asfortranarray(np.column_stack(  # constant, smooth, random: two column chunks
             [np.ones_like(y), np.cos(3.0 * y) + y, rng.standard_normal((y.size, factors[0]))]))
-        given, solved = rhs.copy(order="F"), np.empty_like(rhs)
-        pde._solve_y_system(given, solved, *factors)
-        assert given.tobytes() == rhs.tobytes()  # out of place, X is only read
-        in_place = rhs.copy(order="F")
-        pde._solve_y_system(in_place, in_place, *factors)
-        assert in_place.tobytes() == solved.tobytes()
+        solved = rhs.copy(order="F")
+        pde._solve_y_system(solved, *factors)
         expected = 0.75 * _thomas_longdouble(dl, d, du, rhs)
         err = np.abs(solved - expected).max(axis=0) / np.abs(expected).max(axis=0)
         assert err.max() <= 5e-14, (d.size, err)
@@ -696,23 +692,30 @@ def _x_factor(spec, grid):
 
 def _sweep_x_solve(spec, grid, rhs):
     """``_march``'s x-solve: factor once, then the column sweep on a copy of ``rhs``."""
-    mult, recip, upper = _x_factor(spec, grid)
-    cols = rhs.copy()  # (nx, ny): x-row i is cols[i], and cols.T is the march's block
-    pde._solve_x_system(mult, upper, pde._pivot_runs(recip, cols.T[:, 1:-1]), list(cols),
-                        np.empty(grid.y.size))
+    cols = rhs.copy()  # (nx, ny): x-row i is cols[i], and cols.T is the march's u
+    pde._solve_x_system(*_x_factor(spec, grid), cols.T, list(cols), np.empty(grid.y.size))
     return cols
 
 
 def test_x_sweep_matches_lapack():
-    """The sweep is dgttrf + dgttrs to rounding, whether or not dgttrf pivots."""
+    """The sweep is dgttrf + dgttrs to rounding, whether or not dgttrf pivots, and leaves the
+    x-ends as given.
+
+    The nx = 7 cases put the two scalings at their edges: at dt = 0.05 all
+    five interior rows are distinct, so ``recip``'s last column serves the
+    last x-row alone; at the default dt the last row alone repeats the one
+    before it.
+    """
     rng = np.random.default_rng(5)
     demo = arctangent_model()
     default = make_grid(demo, demo.maturity)
+    seven = make_grid(demo, demo.maturity, nx=7)
     cases = [(demo, replace(default, dt=0.001), False),
              (demo, make_grid(demo, 0.25, nx=201, x_span=(-1.0, 1.0), dt=0.001), False)]
     cases += [(spec, make_grid(spec, spec.maturity), None)  # either way
               for spec in (random_valid_spec(rng) for _ in range(3))]
     cases += [(demo, replace(default, dt=dt), True) for dt in (default.dt, 0.002, 0.01, 0.05)]
+    cases += [(demo, replace(seven, dt=dt), None) for dt in (seven.dt, 0.05)]
     for spec, grid, pivots in cases:
         rhs = rng.standard_normal((grid.x.size, grid.y.size))
         expected, pivoted = _lapack_x_solve(spec, grid, rhs)
@@ -720,6 +723,9 @@ def test_x_sweep_matches_lapack():
         swept = _sweep_x_solve(spec, grid, rhs)
         # reciprocal pivots round differently from dgttrs's divisions
         assert np.abs(swept - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert swept[[0, -1]].tobytes() == rhs[[0, -1]].tobytes()
+    distinct = [_x_factor(demo, replace(seven, dt=dt))[2].shape[1] for dt in (seven.dt, 0.05)]
+    assert distinct == [4, 5]
 
 
 def test_x_factor_shares_the_fixed_point_rows_bit_for_bit():
@@ -733,21 +739,22 @@ def test_x_factor_shares_the_fixed_point_rows_bit_for_bit():
               for spec in (random_valid_spec(rng) for _ in range(3))]
     for spec, grid in cases:
         sub, diag, sup = _with_identity_ends(*_tiled_x_system(pde._Coefficients(spec, grid.y), grid))
-        factor = _x_factor(spec, grid)
+        mults, uppers, recip = _x_factor(spec, grid)
         pivot = diag[0]
         plain = [(sub[0], 1.0 / pivot, sup[0] / pivot)]
         for i in range(1, diag.shape[0]):
             mult = sub[i] / pivot
             pivot = diag[i] - mult * sup[i - 1]
             plain.append((mult, 1.0 / pivot, sup[i] / pivot))
-        for got, want in zip(factor, zip(*plain[1:-1])):
+        k = recip.shape[1]  # x-rows k ... nx - 2 share recip's last column
+        recips = list(recip.T) + [recip[:, -1]] * (grid.x.size - 2 - k)
+        for got, want in zip((mults, recips, uppers), zip(*plain[1:-1])):
             assert len(got) == len(want) == grid.x.size - 2
             assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
-    mult, recip, upper = _x_factor(demo, skew3)
-    distinct = {id(r) for r in recip}
-    assert len(distinct) < 40  # 32 of 199 rows
-    assert len({id(m) for m in mult}) == len({id(u) for u in upper}) == len(distinct)
-    assert len(pde._pivot_runs(recip, np.empty((skew3.y.size, len(recip))))) == len(distinct)
+    mult, upper, recip = _x_factor(demo, skew3)
+    assert recip.shape[0] == skew3.y.size and recip.flags.f_contiguous
+    assert recip.shape[1] < 40  # 32 of 199 rows
+    assert len({id(m) for m in mult}) == len({id(u) for u in upper}) == recip.shape[1]
 
 
 def test_instability_raised_for_reckless_dt():
