@@ -83,9 +83,10 @@ term and the x-solve act on u's columns.  Between steps a march keeps
 three full arrays: W, the BDF2 history and the Douglas term.  Everything
 else a step needs is sized by one block of ``X_BLOCK`` x-columns, over
 which the explicit part runs, or by one chunk of y-columns, on which the
-y-solve runs in place.  A solve hands back one array: ``price_surface``
-writes P over u's columns, beside u-tilde, and ``PriceSurface.u`` is
-derived from the two.
+y-solve runs in place: its products read and write W's own columns, and
+NumPy copies the inputs of the two that write back.  A solve hands back
+one array: ``price_surface`` writes P over u's columns, beside u-tilde,
+and ``PriceSurface.u`` is derived from the two.
 
 Everything fixed during a solve is set up once per attempt, so a step
 only subtracts, multiplies and adds; the coefficient ranges behind the
@@ -132,9 +133,10 @@ solver the march does not use.
 solve of the prefix grid, ``price_surface(spec, replace(grid, n_steps=k)).P``:
 when neither solve halves dt, it is bit for bit the whole march's P at step k.
 
-``accuracy_sweep`` checks its probes and builds every grid here, then
-solves each epsilon in a worker process of ``parallel_map``, largest
-march first; its rows are the same bits whatever the worker count.
+``accuracy_sweep`` checks its probes and builds every grid here, through
+its ``grid_factory`` (``make_grid`` unless one is given), then solves
+each epsilon in a worker process of ``parallel_map``, largest march
+first; its rows are the same bits whatever the worker count.
 """
 
 from __future__ import annotations
@@ -257,13 +259,19 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     stability asks nothing of dt below the gradient cap, and at dt above
     eps the implicit y-pass still damps the fast relaxation, so dt is set
     for accuracy alone (module docstring).
-    A given ``dt`` must be finite and positive; it is shrunk to divide tau.
-    ``tau`` must be finite and >= 0; tau = 0 gives the payoff grid (no steps).
+    A given ``dt`` must be finite and positive, and tau / dt finite; it is
+    shrunk to divide tau.  ``tau`` must be finite and >= 0; tau = 0 gives
+    the payoff grid (no steps).  An nx or ny above
+    ``np.iinfo(np.intp).max // 8``, which no array of doubles can hold, is
+    a ``BadGrid`` naming it; a smaller count that does not fit in memory
+    ends in ``MemoryError``.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise BadGrid(f"tau must be finite and >= 0, got {tau}")
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise BadGrid(f"dt must be finite and > 0, got {dt}")
+    if dt is not None and not math.isfinite(tau / dt):
+        raise BadGrid(f"tau / dt must be finite, got {tau} / {dt}")
     if nx < MIN_NODES:
         raise BadGrid(f"nx = {nx} too coarse: the x grid needs at least {MIN_NODES} nodes")
     eps = spec.epsilon
@@ -280,6 +288,10 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
         raise BadGrid(f"ny = {ny} too coarse: {bound} needs at least {ny_required} nodes")
     if ny % 2 == 0:
         ny += 1  # keep the mean level on a node for symmetric domains
+    limit = np.iinfo(np.intp).max // 8  # the most doubles an array's byte count can index
+    for name, count in (("nx", nx), ("ny", ny)):
+        if count > limit:
+            raise BadGrid(f"{name} = {count:.3g} nodes: an array holds at most {limit} doubles")
 
     if tau == 0.0:
         n_steps = 0  # the payoff grid; its dt of 1.0 is never stepped
@@ -458,23 +470,21 @@ def _solve_y_system(W: np.ndarray, width, ends, last_ends, interface_inv, dl_sea
                     scaled, last_scaled) -> None:
     """Solve the y-system in place for ``W``'s y-columns, with ``_factor_y_system``'s factors.
 
-    ``W`` is (ny, nc) and F-ordered, so BLAS runs every product without a
-    copy.  The columns go ``width`` at a time, each chunk copied first into
-    one F-ordered buffer, whose values the products read while they write
-    the chunk's columns of ``W``.  On each chunk, four steps: g, as
-    (blocks - 1, 2, Y_BLOCK) @ (blocks - 1, Y_BLOCK, width) on a view of
-    the buffer, plus the last block on its own; z = R^-1 g; dl z and du z
-    off the first and last row of each block, in the buffer; and the
-    scaled block inverses, into ``W``.
+    ``W`` is (ny, nc) and F-ordered, so its y-columns are contiguous and
+    BLAS takes the blocks of a chunk as they lie.  The columns go ``width``
+    at a time, each chunk a view of ``W``'s columns.  On each chunk, four steps: g, as
+    (blocks - 1, 2, Y_BLOCK) @ (blocks - 1, Y_BLOCK, width), plus the last
+    block on its own; z = R^-1 g; dl z and du z off the first and last row
+    of each block, in place; and the scaled block inverses, written back
+    over the chunk.  Those two products read the memory they write, so
+    NumPy copies each one's input first (the ufunc overlap rule): a copy of
+    the full blocks, then one of the last block, each smaller than a chunk.
     """
     n_full = scaled.shape[0]
     cut = n_full * Y_BLOCK
-    chunk = np.empty((W.shape[0], min(width, W.shape[1])), order="F")
     for lo in range(0, W.shape[1], width):
-        dest = W[:, lo:lo + width]
-        nc = dest.shape[1]
-        cols = chunk[:, :nc]
-        np.copyto(cols, dest)
+        cols = W[:, lo:lo + width]
+        nc = cols.shape[1]
         full, rest = cols[:cut].reshape(n_full, Y_BLOCK, nc), cols[cut:]  # views, for any strides
         g = np.empty((n_full + 1, 2, nc))
         np.matmul(ends, full, out=g[:-1])
@@ -482,8 +492,8 @@ def _solve_y_system(W: np.ndarray, width, ends, last_ends, interface_inv, dl_sea
         z = (interface_inv @ g.reshape(-1, nc)).reshape(-1, 2, nc)
         cols[Y_BLOCK:cut + 1:Y_BLOCK] -= dl_seam * z[:-1, 1]  # the first row of blocks 1, 2, ...
         cols[Y_BLOCK - 1:cut:Y_BLOCK] -= du_seam * z[1:, 0]   # the last row of blocks 0, 1, ...
-        np.matmul(scaled, full, out=dest[:cut].reshape(n_full, Y_BLOCK, nc))
-        np.matmul(last_scaled, rest, out=dest[cut:])
+        np.matmul(scaled, full, out=full)
+        np.matmul(last_scaled, rest, out=rest)
 
 
 def _y_diff(W: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -540,14 +550,14 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     from ``U0``, an (ny, nx) array or an (nx,) row broadcast to every y,
     and column ``nx`` holds u_tilde, started from zero.  Set up once per
     attempt: one ``_coefficient_bounds``, then dy against the
-    boundary-layer cap (a ``BadGrid``).  A grid of no steps
-    returns W as it starts, before anything that depends on dt.  Otherwise
-    come the monitors' caps; the explicit weights; the three full arrays,
-    the solution, the history and the Douglas array, the last two starting
-    at zero; and two buffers of one block of ``X_BLOCK`` columns.  Each step
-    kind's x-factor, which both arrays share, and its y-factor, with c
-    folded in, are built at its first step, the start-up kind's released
-    first.
+    boundary-layer cap (a ``BadGrid``); the explicit weights and the
+    monitors' caps; the three full arrays, the solution, the history and
+    the Douglas array, the last two starting at zero; and two buffers of
+    one block of ``X_BLOCK`` columns.  Each step kind's x-factor, which
+    both arrays share, and its y-factor, with c folded in, are built at its
+    first step, the start-up kind's released first.  A grid of no steps,
+    whose dt is a placeholder, sets up the same and takes no step, so it
+    factors nothing, runs no monitor and returns W as it started.
 
     Every step is one IMEX-BDF2 step (Ascher, Ruuth & Wetton 1995) with the
     Douglas term: with E dt (quadratic term + source), M dt times the mixed
@@ -598,8 +608,6 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
         raise BadGrid(f"y spacing {dy:.3e} exceeds the boundary-layer cap {dy_cap:.3e}")
     W = np.zeros((ny, nx + 1), order="F")  # y-columns contiguous: the y-solve works in place
     W[:, :nx] = U0
-    if grid.n_steps == 0:  # no step is taken, so nothing that depends on dt is set up
-        return W
     mixed, quad, source = _explicit_weights(coeffs, dt, dx, dy)
     two_dy = 2.0 * dy
 
@@ -735,7 +743,7 @@ class SweepRow:
 
 def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
                    probe_points: Sequence[tuple[float, float, float]], *,
-                   grid_factory=None) -> list[SweepRow]:
+                   grid_factory=make_grid) -> list[SweepRow]:
     """Measure the corrected-asymptotics gap across a decreasing epsilon list.
 
     Probes are (tau, x, y) triples with tau >= 0; one that is not is a
@@ -748,7 +756,8 @@ def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
     P at a snapped step is the solve of the grid's prefix to that step,
     one solve per distinct step.
 
-    Every grid is built in this process, where ``grid_factory`` runs (it
+    Every grid is built by ``grid_factory(spec_eps, tau_final)``, which is
+    ``make_grid`` unless one is given, in this process, where it runs (it
     is never pickled), and so are the group constants.  Each epsilon's
     solves and gap are then one task of ``parallel_map``, the largest
     march (nx ny times the last probe step) first.  The rows come back in
@@ -762,7 +771,7 @@ def accuracy_sweep(spec: ModelSpec, eps_list: Sequence[float],
             raise ValueError(f"probe {tuple(probe)} needs tau >= 0, got {probe[0]}")
     tau_final = max(p[0] for p in probe_points)
     specs = [spec.with_(epsilon=float(eps)) for eps in eps_list]
-    grids = [grid_factory(s, tau_final) if grid_factory else make_grid(s, tau_final) for s in specs]
+    grids = [grid_factory(s, tau_final) for s in specs]
     snapped = [(grid, [_snap_probe(p, grid, s.epsilon) for p in probe_points])
                for s, grid in zip(specs, grids)]
     gc = group_constants_for(spec)  # epsilon-independent

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -170,3 +171,15 @@ def test_p1_matches_the_operator_form_in_high_precision(seed):
             assert abs(p1 - exact) <= 1e-12 * abs(exact), (tau, x, p1, float(exact))
         compared += 1
     assert compared >= 30
+
+
+@pytest.mark.parametrize("sigma1_bar_sq", [0.0, math.nan], ids=["zero", "nan"])
+def test_the_corrected_smile_needs_a_positive_sigma_bar(demo_gc, demo_spec, sigma1_bar_sq):
+    with pytest.raises(ValueError, match="sigma_bar must be positive"):
+        corrected_iv(replace(demo_gc, sigma1_bar_sq=sigma1_bar_sq), demo_spec)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1])
+def test_the_corrected_iv_is_undefined_at_tau_zero_and_below(demo_gc, demo_spec, tau):
+    with pytest.raises(ValueError, match="undefined at tau = 0"):
+        corrected_iv(demo_gc, demo_spec).iv(tau, 0.0)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from volclust import bs
 from volclust.bs import _cdf, _log_cdf, bs_put, bs_vega, implied_vol, no_arbitrage_band
-from volclust.errors import ConfigError, OutOfBand
+from volclust.errors import ConfigError, NoConvergence, OutOfBand
 
 
 def test_payoff_at_expiry():
@@ -165,3 +166,17 @@ def test_implied_vol_rejects_a_bad_tau_by_name(tau):
         implied_vol(5.0, tau, 0.0, 100.0)
     assert type(info.value) is ConfigError
     assert str(info.value).endswith(repr(tau))
+
+
+@pytest.mark.parametrize("tau, sigma", [(0.0, 0.2), (-0.1, 0.2), (0.5, 0.0), (0.5, -0.2)],
+                         ids=["tau-zero", "tau-negative", "sigma-zero", "sigma-negative"])
+def test_vega_needs_a_positive_tau_and_sigma(tau, sigma):
+    with pytest.raises(ValueError, match="vega needs tau > 0 and sigma > 0"):
+        bs_vega(tau, 0.0, 100.0, sigma)
+
+
+def test_implied_vol_raises_no_convergence_when_its_iterations_run_out(monkeypatch):
+    """Two iterations are one bisection and one Newton step: too few to settle sigma."""
+    monkeypatch.setattr(bs, "MAX_ITERATIONS", 2)
+    with pytest.raises(NoConvergence, match="did not converge in 2 iterations"):
+        implied_vol(bs_put(1.0, 0.0, 100.0, 0.2), 1.0, 0.0, 100.0)

@@ -171,3 +171,12 @@ def test_quote_validation():
         IVQuote(tau=0.0, x=0.1, iv=0.2)
     with pytest.raises(ConfigError):
         IVQuote(tau=0.5, x=0.1, iv=0.2, weight=-1.0)
+
+
+@pytest.mark.parametrize("sigma_bar, epsilon", [(0.0, 0.004), (-0.2, 0.004), (math.nan, 0.004),
+                                                (0.2, 0.0), (0.2, -0.004), (0.2, math.nan)],
+                         ids=["sigma-bar-zero", "sigma-bar-negative", "sigma-bar-nan",
+                              "eps-zero", "eps-negative", "eps-nan"])
+def test_recover_constants_needs_a_positive_sigma_bar_and_epsilon(sigma_bar, epsilon):
+    with pytest.raises(ConfigError, match="needs sigma_bar > 0 and epsilon > 0"):
+        recover_constants((-0.154, 0.149), sigma_bar, epsilon)

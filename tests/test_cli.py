@@ -214,10 +214,18 @@ def _input_files(tmp_path):
     (["iv-surface", "--tau", "0.5"], "need either --a and --d, or --config to derive them"),
     (["pde-solve", "--nx", "4"], "nx = 4 too coarse: the x grid needs at least 5 nodes"),
     (["figure2", "--nx", "4"], "nx = 4 too coarse: the x grid needs at least 5 nodes"),
+    (["pde-solve", "--dt", "1e-320"], "tau / dt must be finite, got 0.05 / 1e-320"),
+    (["pde-solve", "--tau", "1e308", "--dt", "1e-10"], "tau / dt must be finite, got 1e+308 / 1e-10"),
+    (["pde-solve", "--nx", "99999999999999999999"], "nx = 1e+20 nodes: an array holds at most"),
+    (["pde-solve", "--ny", "99999999999999999999"], "ny = 1e+20 nodes: an array holds at most"),
+    (["pde-sweep", "--eps-list", "1e-300"], "ny = 3.39e+151 nodes: an array holds at most"),
+    (["figure2", "--epsilon", "1e-300"], "ny = 3.39e+151 nodes: an array holds at most"),
 ], ids=["price", "measure-dump", "iv-surface", "pde-solve", "figure2-eps-neg", "figure2-eps-0",
         "figure2-eps-nan", "figure2-tau-0", "pde-sweep-eps-neg", "pde-sweep-eps-0", "pde-sweep-eps-nan",
         "pde-sweep-eps-empty", "iv-surface-x-min-nan", "figure1-a-nan", "calibrate-eps-inf",
-        "calibrate-sigma-bar-inf", "iv-surface-no-line", "pde-solve-nx-4", "figure2-nx-4"])
+        "calibrate-sigma-bar-inf", "iv-surface-no-line", "pde-solve-nx-4", "figure2-nx-4",
+        "pde-solve-dt-subnormal", "pde-solve-tau-over-dt-inf", "pde-solve-nx-huge", "pde-solve-ny-huge",
+        "pde-sweep-eps-tiny", "figure2-eps-tiny"])
 def test_bad_numbers_exit_with_2_naming_the_flag(cheap_config, tmp_path, capsys, command, message):
     out = tmp_path / "out.csv"
     probes, quotes = _input_files(tmp_path)
@@ -225,7 +233,8 @@ def test_bad_numbers_exit_with_2_naming_the_flag(cheap_config, tmp_path, capsys,
               "pde-sweep": ["--config", cheap_config, "--probes", probes]
               }.get(command[0], ["--config", cheap_config])
     assert main(command + inputs + ["--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()  # one error line, no traceback
+    assert line.startswith("error: ") and message in line
     assert not out.exists()
 
 
@@ -279,6 +288,9 @@ def test_an_output_that_cannot_be_opened_exits_2_naming_it(tmp_path, capsys):
     out = tmp_path / "fig1.csv"
     assert main(["figure1", "--a", "-0.1", "--d", "0.2", "--out", str(out)]) == 2
     assert f"cannot write {tmp_path / 'fig1.gp'}: Is a directory" in capsys.readouterr().err
+    out = tmp_path / ("p" * 256 + ".csv")  # its directory exists: only opening it fails
+    assert main(["figure1", "--a", "-0.1", "--d", "0.2", "--out", str(out)]) == 2
+    assert f"cannot write {out}: " in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -127,3 +127,9 @@ def test_huge_vol_of_vol_is_nonintegrable_on_capped_domain(demo_spec):
 def test_average_rejects_wrong_length(demo_measure):
     with pytest.raises(ValueError):
         average(demo_measure, np.ones(7))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan], ids=["zero", "negative", "nan"])
+def test_the_measure_needs_a_positive_tolerance(demo_spec, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        build_invariant_measure(demo_spec, tol=tol)

@@ -273,3 +273,9 @@ def test_config_missing_section_or_key_is_named(tmp_path, demo_spec, section, ke
     with pytest.raises(ConfigError) as info:
         read_config(str(path))
     assert str(info.value).endswith(repr(key or section))
+
+
+def test_a_table_without_a_source_cannot_be_written_to_a_config():
+    table = Tabulated(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 2.0]))
+    with pytest.raises(ConfigError, match="has no backing csv path"):
+        table.config_value()
