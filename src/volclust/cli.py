@@ -2,13 +2,14 @@
 
 Subcommands: constants, price, iv-surface, pde-solve, pde-sweep,
 calibrate, figure1, figure2, measure-dump.  Inputs are checked where
-they enter: a checked type per numeric flag, ``model.validate`` per spec
-after its overrides, and one reader, ``model.read_float_rows``, for
-probe, quote and coefficient-table files, each with a required header
-row.  Output paths are checked before any work.  Exit codes: 0 success,
-2 bad input (naming the flag or file; a missing or unknown flag too, on
-one ``error:`` line) or an output file that cannot be opened (naming
-its path), 3 numerical failure.
+they enter: a checked type per numeric flag, ``model.validate`` once per
+command on the config after its overrides, and one reader,
+``model.read_float_rows``, for probe, quote and coefficient-table files,
+each with a required header row.  Output paths are checked before any
+work.  Exit codes: 0 success, 2 bad input (naming the flag or file; a
+missing or unknown flag too, on one ``error:`` line), an output file that
+cannot be opened (naming its path) or a request no memory can serve
+(``MemoryError``), 3 numerical failure.
 CSVs have a header and 17 significant digits and rerun byte-identical.
 Independent PDE solves (figure2's etas, pde-sweep's epsilons) run in
 worker processes by ``pde.parallel_map``, one per CPU in the process's
@@ -38,12 +39,8 @@ CSV_BLOCK_ROWS = 1024  # rows formatted and written at a time
 CELL_FORMAT = "%.17g"  # every number in every CSV: 17 significant digits
 
 
-def _fmt(value) -> str:
-    return CELL_FORMAT % float(value)
-
-
 def _text(a: np.ndarray) -> np.ndarray:
-    """``_fmt`` of each element of ``a``, in one ``%``, as an object array of ``a``'s shape."""
+    """``CELL_FORMAT`` of each element of ``a``, in one ``%``, as an object array of ``a``'s shape."""
     cells = ((CELL_FORMAT + "\n") * a.size % tuple(a.ravel().tolist())).split("\n")
     return np.array(cells[:-1], dtype=object).reshape(a.shape)
 
@@ -189,8 +186,7 @@ def _figure2_curve(task) -> tuple[np.ndarray, list[float]]:
     point asked for.  A PDE price outside the no-arbitrage band comes from
     the grid's x error, not from the input, so it is a ``NumericalError``.
     """
-    spec, lm_grid, nx = task
-    grid = pde.make_grid(spec, spec.maturity, nx=nx)
+    spec, grid, lm_grid = task
     surface = pde.price_surface(spec, grid)
     jy = int(np.argmin(np.abs(grid.y - spec.m)))
     nodes = np.argmin(np.abs(grid.x[None, :] - (-lm_grid)[:, None]), axis=1)
@@ -207,9 +203,10 @@ def _figure2_curve(task) -> tuple[np.ndarray, list[float]]:
 
 def _cmd_figure2(args) -> None:
     lm_grid = np.linspace(FIGURE2_LM_SPAN[0], FIGURE2_LM_SPAN[1], FIGURE2_POINTS)
-    tasks = [(_load_spec(args.config, epsilon=args.epsilon, maturity=args.tau, eta=eta),
-              lm_grid, args.nx) for eta in FIGURE2_ETAS]
-    curves = pde.parallel_map(_figure2_curve, tasks)  # make_grid reads no eta: one grid for all
+    spec = _load_spec(args.config, epsilon=args.epsilon, maturity=args.tau, eta=FIGURE2_ETAS[0])
+    grid = pde.make_grid(spec, spec.maturity, nx=args.nx)  # make_grid reads no eta: one grid for all
+    curves = pde.parallel_map(_figure2_curve, [(spec.with_(eta=eta), grid, lm_grid)
+                                               for eta in FIGURE2_ETAS])
     _write_csv(args.out, ["log_moneyness", "iv_eta_m025", "iv_eta_0", "iv_eta_p025"],
                [curves[0][0], *(vols for _, vols in curves)])
     name = os.path.basename(args.out)
@@ -250,8 +247,8 @@ def _probe(row: list[float]) -> tuple[float, ...]:
 
 def _cmd_pde_sweep(args) -> None:
     probes = model.read_float_rows(args.probes, ("tau", "x", "y"), _probe)
-    specs = [_load_spec(args.config, epsilon=eps) for eps in args.eps_list]  # each one valid
-    rows = pde.accuracy_sweep(specs[0], args.eps_list, probes)
+    # the flag's type keeps every epsilon valid, so the first one validates the config
+    rows = pde.accuracy_sweep(_load_spec(args.config, epsilon=args.eps_list[0]), args.eps_list, probes)
     _write_csv(args.out, ["eps", "max_abs_error", "normalized"],
                [[r.eps for r in rows], [r.max_abs_error for r in rows],
                 [r.normalized for r in rows]])
@@ -393,6 +390,9 @@ def main(argv=None) -> int:
     except VolclustError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
+    except MemoryError as exc:  # NumPy's names the size it could not allocate; a worker's too
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

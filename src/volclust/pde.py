@@ -259,19 +259,17 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     stability asks nothing of dt below the gradient cap, and at dt above
     eps the implicit y-pass still damps the fast relaxation, so dt is set
     for accuracy alone (module docstring).
-    A given ``dt`` must be finite and positive, and tau / dt finite; it is
-    shrunk to divide tau.  ``tau`` must be finite and >= 0; tau = 0 gives
-    the payoff grid (no steps).  An nx or ny above
-    ``np.iinfo(np.intp).max // 8``, which no array of doubles can hold, is
-    a ``BadGrid`` naming it; a smaller count that does not fit in memory
-    ends in ``MemoryError``.
+    A given ``dt`` must be finite and positive; it is shrunk to divide tau.
+    ``tau`` must be finite and >= 0; tau = 0 gives the payoff grid (no
+    steps).  nx, ny and tau / dt must lie within
+    ``np.iinfo(np.intp).max // 8``, the most doubles an array can hold; a
+    count above it is a ``BadGrid`` naming it, and a smaller node count
+    that does not fit in memory ends in ``MemoryError``.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise BadGrid(f"tau must be finite and >= 0, got {tau}")
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise BadGrid(f"dt must be finite and > 0, got {dt}")
-    if dt is not None and not math.isfinite(tau / dt):
-        raise BadGrid(f"tau / dt must be finite, got {tau} / {dt}")
     if nx < MIN_NODES:
         raise BadGrid(f"nx = {nx} too coarse: the x grid needs at least {MIN_NODES} nodes")
     eps = spec.epsilon
@@ -289,9 +287,13 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     if ny % 2 == 0:
         ny += 1  # keep the mean level on a node for symmetric domains
     limit = np.iinfo(np.intp).max // 8  # the most doubles an array's byte count can index
-    for name, count in (("nx", nx), ("ny", ny)):
-        if count > limit:
-            raise BadGrid(f"{name} = {count:.3g} nodes: an array holds at most {limit} doubles")
+    holds = f"nodes: an array holds at most {limit} doubles"
+    # no step count without a dt; an infinite tau / dt fails the same comparison
+    for name, count, reason in (("nx", nx, holds), ("ny", ny, holds),
+                                ("tau / dt", tau / dt if dt else 0.0,
+                                 f"steps: a grid takes at most {limit}")):
+        if not count <= limit:
+            raise BadGrid(f"{name} = {count:.3g} {reason}")
 
     if tau == 0.0:
         n_steps = 0  # the payoff grid; its dt of 1.0 is never stepped
@@ -531,11 +533,6 @@ def _explicit_weights(coeffs: _Coefficients, dt: float, dx: float, dy: float) ->
             (dt * coeffs.source)[:, None])
 
 
-def _abs_max(a: np.ndarray) -> float:
-    """max |a| as max(max a, -min a): two read passes, no abs pass; a NaN propagates."""
-    return float(np.maximum(a.max(), -a.min()))
-
-
 def payoff_initial(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
     """Negative put payoff on the x-grid, shape (nx,): one row, the same at every y, that
     broadcasts into u's start.  By np.exp: for some x that differs in the last bit from
@@ -642,7 +639,7 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
             nb, right = hi - lo, min(hi + 1, nx + 1)
             # the block's raw y-differences and its right neighbour's; the left neighbour's
             # are in column 0 from the block before
-            block_max = _abs_max(_y_diff(W[:, lo:right], raw[:, 1:1 + right - lo]))
+            block_max = np.abs(_y_diff(W[:, lo:right], raw[:, 1:1 + right - lo])).max()
             grad_max = np.maximum(grad_max, block_max)  # not max(): np.maximum passes a NaN on
             # the weights fold in dt and the differences' spacings; the mixed term goes on u's
             # interior x-nodes: the x-ends and u_tilde take none
@@ -687,7 +684,7 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
         # is monotone, min/max of u_tilde - u come from the row extremes
         row_max, row_min = u.max(axis=1), u.min(axis=1)
         for name, peak, cap in (("u", float(np.maximum(row_max.max(), -row_min.min())), u_cap),
-                                ("u_tilde", _abs_max(u_tilde), tilde_cap)):
+                                ("u_tilde", float(np.abs(u_tilde).max()), tilde_cap)):
             if not peak <= cap:
                 raise Instability(f"{name} left the amplitude bound at step {step} "
                                   f"(|{name}| = {peak:.3e})", monitor=name, tau=step * dt)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import logging
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy._core._exceptions import _ArrayMemoryError
 
 import volclust
-from volclust.cli import build_parser, main
+from conftest import pin_cpus
+from volclust.cli import CELL_FORMAT, build_parser, main
 from volclust.model import arctangent_model, write_config
 from volclust.pde import make_grid
 
@@ -214,8 +217,8 @@ def _input_files(tmp_path):
     (["iv-surface", "--tau", "0.5"], "need either --a and --d, or --config to derive them"),
     (["pde-solve", "--nx", "4"], "nx = 4 too coarse: the x grid needs at least 5 nodes"),
     (["figure2", "--nx", "4"], "nx = 4 too coarse: the x grid needs at least 5 nodes"),
-    (["pde-solve", "--dt", "1e-320"], "tau / dt must be finite, got 0.05 / 1e-320"),
-    (["pde-solve", "--tau", "1e308", "--dt", "1e-10"], "tau / dt must be finite, got 1e+308 / 1e-10"),
+    (["pde-solve", "--dt", "1e-320"], "tau / dt = inf steps: a grid takes at most"),
+    (["pde-solve", "--tau", "1e308", "--dt", "1e-10"], "tau / dt = inf steps: a grid takes at most"),
     (["pde-solve", "--nx", "99999999999999999999"], "nx = 1e+20 nodes: an array holds at most"),
     (["pde-solve", "--ny", "99999999999999999999"], "ny = 1e+20 nodes: an array holds at most"),
     (["pde-sweep", "--eps-list", "1e-300"], "ny = 3.39e+151 nodes: an array holds at most"),
@@ -477,6 +480,46 @@ def test_figure2_price_outside_the_band_on_a_coarse_grid_is_a_numerical_failure(
     assert not out.exists()
 
 
+def test_a_step_count_above_the_bound_exits_2_before_any_march(cheap_config, tmp_path, capsys,
+                                                              monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a march started")
+
+    monkeypatch.setattr(volclust.pde, "price_surface", no_march)
+    out = tmp_path / "pde.csv"
+    assert main(["pde-solve", "--config", cheap_config, "--dt", "1e-300", "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: tau / dt = 5e+298 steps: a grid takes at most {np.iinfo(np.intp).max // 8}"
+    assert not out.exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    """Raise what NumPy raises for an array no memory can serve, without allocating it."""
+    raise _ArrayMemoryError((10 ** 12 + 1,), np.dtype(float))
+
+
+@pytest.mark.parametrize("command, cpus", [
+    (["pde-solve", "--nx", "41"], 1),
+    (["figure2", "--nx", "41", "--epsilon", "0.25", "--tau", "0.05"], 1),
+    (["figure2", "--nx", "41", "--epsilon", "0.25", "--tau", "0.05"], 2),
+    (["pde-sweep", "--eps-list", "0.25"], 1),
+], ids=["pde-solve", "figure2", "figure2-in-workers", "pde-sweep"])
+def test_a_failed_allocation_exits_2_on_one_line_with_numpys_size(cheap_config, tmp_path, capsys,
+                                                                  monkeypatch, command, cpus):
+    if cpus > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("only a forked worker inherits the patched march")
+    pin_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(volclust.pde, "_march", _out_of_memory)
+    probes, _ = _input_files(tmp_path)
+    inputs = ["--probes", probes] if command[0] == "pde-sweep" else []
+    out = tmp_path / "out.csv"
+    assert main(command + ["--config", cheap_config, *inputs, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()  # no traceback
+    assert line == ("error: out of memory: Unable to allocate 7.28 TiB for an array with shape "
+                    "(1000000000001,) and data type float64")
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path):
     assert main(["constants", "--config", "/nonexistent.cfg"]) == 2
     quotes = tmp_path / "one.csv"
@@ -495,14 +538,12 @@ def test_seventeen_significant_digits(demo_config, capsys):
 # --- the columnar CSV writer --------------------------------------------------
 
 def _oracle_csv(path, header, rows):
-    """The row-at-a-time writer the columnar one replaced: csv.writer over _fmt."""
-    from volclust.cli import _fmt
-
+    """The row-at-a-time writer the columnar one replaced: csv.writer over CELL_FORMAT."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([CELL_FORMAT % float(v) for v in row])
 
 
 SPECIAL_VALUES = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
@@ -517,12 +558,12 @@ def _broadcast_rows(columns):
 
 
 def test_text_is_fmt_of_each_element():
-    from volclust.cli import _fmt, _text
+    from volclust.cli import _text
 
     values = np.array(SPECIAL_VALUES + (-1.2345678901234567e300, 2.0 ** 53 + 2, 3))
-    assert _text(values).tolist() == [_fmt(v) for v in values]
+    assert _text(values).tolist() == [CELL_FORMAT % float(v) for v in values]
     grid = values[:10].reshape(2, 5)
-    assert _text(grid).tolist() == [[_fmt(v) for v in row] for row in grid]
+    assert _text(grid).tolist() == [[CELL_FORMAT % float(v) for v in row] for row in grid]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -205,13 +205,30 @@ def test_min_steps_keeps_its_time_error_target_with_dt_above_eps(caplog):
     assert np.abs(P[80] - richardson).max() <= 6.83e-5
 
 
-@pytest.mark.parametrize("tau, dt, named", [
-    (math.nan, None, "tau"), (-1.0, None, "tau"), (0.25, 0.0, "dt"), (0.25, math.inf, "dt"),
-    (0.25, 1e-320, "tau / dt"), (1e308, 1e-10, "tau / dt"),
-], ids=["tau-nan", "tau-negative", "dt-zero", "dt-inf", "dt-subnormal", "tau-over-dt-inf"])
-def test_make_grid_refuses_a_bad_tau_or_dt(fast_spec, tau, dt, named):
-    with pytest.raises(BadGrid, match=f"{named} must be finite"):
+STEP_BOUND = f"steps: a grid takes at most {np.iinfo(np.intp).max // 8}"
+
+
+@pytest.mark.parametrize("tau, dt, message", [
+    (math.nan, None, "tau must be finite and >= 0, got nan"),
+    (-1.0, None, "tau must be finite and >= 0, got -1.0"),
+    (0.25, 0.0, "dt must be finite and > 0, got 0.0"),
+    (0.25, math.inf, "dt must be finite and > 0, got inf"),
+    (0.25, 1e-320, f"tau / dt = inf {STEP_BOUND}"), (1e308, 1e-10, f"tau / dt = inf {STEP_BOUND}"),
+    (0.25, 1e-300, f"tau / dt = 2.5e+299 {STEP_BOUND}"),
+    (1.0, 2.0 ** -60, f"tau / dt = 1.15e+18 {STEP_BOUND}"),  # 2 ** 60, one above the bound
+], ids=["tau-nan", "tau-negative", "dt-zero", "dt-inf", "dt-subnormal", "tau-over-dt-inf",
+        "dt-tiny", "steps-one-above"])
+def test_make_grid_refuses_a_bad_tau_or_dt(fast_spec, tau, dt, message):
+    with pytest.raises(BadGrid) as info:
         make_grid(fast_spec, tau, nx=41, dt=dt)
+    assert str(info.value) == message
+
+
+def test_make_grid_takes_a_long_finite_step_count_as_asked(fast_spec):
+    assert make_grid(fast_spec, 0.25, nx=41, dt=0.25 / 1e10).n_steps == 10 ** 10
+    # the largest double below 1, over 2 ** -60, is 2 ** 60 - 128 steps: within the bound
+    grid = make_grid(fast_spec, 1.0 - 2.0 ** -53, nx=41, dt=2.0 ** -60)
+    assert grid.n_steps == 2 ** 60 - 128 <= np.iinfo(np.intp).max // 8
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -555,10 +572,10 @@ def test_gradient_monitor_reads_max_abs_central_u_y_to_the_bit(shape):
         U = np.asfortranarray(rng.standard_normal(shape) * rng.uniform(1e-3, 1e3))
         u_y = np.zeros(shape)
         u_y[1:-1] = (U[2:] - U[:-2]) / (2.0 * dy)
-        got = pde._abs_max(pde._y_diff(U, np.empty_like(U))) / (2.0 * dy)
-        assert np.float64(got).view(np.uint64) == np.float64(pde._abs_max(u_y)).view(np.uint64)
+        got = np.abs(pde._y_diff(U, np.empty_like(U))).max() / (2.0 * dy)
+        assert np.float64(got).view(np.uint64) == np.float64(np.abs(u_y).max()).view(np.uint64)
     U[shape[0] // 2, shape[1] // 2] = np.nan
-    assert math.isnan(pde._abs_max(pde._y_diff(U, np.empty_like(U))) / (2.0 * dy))
+    assert math.isnan(np.abs(pde._y_diff(U, np.empty_like(U))).max() / (2.0 * dy))
 
 
 def test_central_y_rejects_layouts_it_cannot_write_flat():
