@@ -13,12 +13,18 @@ The cumulative normal is N(z) = erfc(-z / sqrt 2) / 2 by ``math.erfc``,
 which keeps relative accuracy in the lower tail: against 50-digit mpmath
 it is as close as scipy's ``ndtr`` on z in [-37, 8].  Where K e^x
 overflows, the put takes log N(-d1) from N's asymptotic series instead.
+
+The payoff, the put at tau = 0, is ``put_payoff``, of a float or an array:
+the one payoff formula, which ``bs_put``, ``implied_vol``'s band and the
+PDE march's start all take.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+
+import numpy as np
 
 from .errors import ConfigError, NoConvergence, OutOfBand
 
@@ -67,9 +73,13 @@ def _d12(tau: float, x: float, sigma: float) -> tuple[float, float]:
     return d1, d1 - srt
 
 
-def _payoff(x: float, strike: float) -> float:
-    """The put's payoff ``max(K - K e^x, 0)``: 0 for x >= 0, where e^x may overflow."""
-    return 0.0 if x >= 0.0 else max(strike - strike * math.exp(x), 0.0)
+def put_payoff(x: float | np.ndarray, strike: float) -> float | np.ndarray:
+    """The put's payoff ``max(K - K e^x, 0)``, of a float or an array of x.
+
+    e^x is taken at min(x, 0), so it never overflows and never exceeds 1:
+    the payoff is 0.0 for every x >= 0 and K - K e^x >= 0 below it.
+    """
+    return strike - strike * np.exp(np.minimum(x, 0.0))
 
 
 def bs_put(tau: float, x: float, strike: float, sigma: float) -> float:
@@ -79,7 +89,7 @@ def bs_put(tau: float, x: float, strike: float, sigma: float) -> float:
     which stays finite: N(-d1) falls faster than e^x grows.
     """
     if tau == 0.0:
-        return _payoff(x, strike)
+        return float(put_payoff(x, strike))
     d1, d2 = _d12(tau, x, sigma)
     if x > _LOG_MAX_FLOAT or math.isinf(forward := strike * math.exp(x)):
         return strike * _cdf(-d2) - strike * math.exp(x + _log_cdf(-d1))
@@ -94,21 +104,16 @@ def bs_vega(tau: float, x: float, strike: float, sigma: float) -> float:
     return strike * _pdf(d2) * math.sqrt(tau)
 
 
-def no_arbitrage_band(x: float, strike: float) -> tuple[float, float]:
-    """Open interval of attainable put prices: (intrinsic, K)."""
-    return _payoff(x, strike), strike
-
-
 def implied_vol(price: float, tau: float, x: float, strike: float) -> float:
     """Invert the put price for sigma by bisection plus a Newton polish.
 
     tau must be finite and > 0, and the price must lie strictly inside the
-    no-arbitrage band.  Converges to |price error| < 1e-10 K; the bracket
-    guarantees progress, Newton supplies the terminal rate.
+    no-arbitrage band (payoff, K).  Converges to |price error| < 1e-10 K;
+    the bracket guarantees progress, Newton supplies the terminal rate.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ConfigError(f"implied vol needs a finite tau > 0, got tau = {tau!r}")
-    lo_price, hi_price = no_arbitrage_band(x, strike)
+    lo_price, hi_price = float(put_payoff(x, strike)), strike
     if not (lo_price < price < hi_price):
         raise OutOfBand(
             f"price {price!r} outside the attainable band ({lo_price!r}, {hi_price!r})"

@@ -25,6 +25,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -293,7 +294,16 @@ def positive_list(text: str) -> list[float]:
 
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` whose every error, a missing or unknown flag included, raises
-    ``argparse.ArgumentError`` for ``main`` to report, instead of printing usage and exiting."""
+    ``argparse.ArgumentError`` for ``main`` to report, instead of printing usage and exiting.
+
+    It reads a negative number with an exponent, such as ``-1e-3``, as a value and not as a
+    flag: before Python 3.13 argparse takes only the forms ``-1``, ``-1.5`` and ``-.5`` for
+    numbers.  ``add_subparsers`` makes every subcommand's parser a ``_Parser`` too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)

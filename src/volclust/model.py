@@ -292,26 +292,36 @@ _COEFFICIENT_FIELDS = ("b", "sigma1", "sigma2")  # stored as config_value() text
 
 
 def read_config(path: str) -> ModelSpec:
-    """Load a ModelSpec from an ini-style config file."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
+    """Load a ModelSpec from an ini-style config file.
+
+    A file that cannot be opened or decoded, that configparser rejects, or
+    that lacks a field or holds one that does not parse, is a ConfigError
+    naming the file.  Values are literal: no ``%`` interpolation.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     base_dir = os.path.dirname(os.path.abspath(path))
     fields = {}
     try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         for section, keys in _CONFIG_LAYOUT:
             for key in keys:
                 text = parser[section][key]
                 fields[key] = (coefficient_from_string(text, base_dir)
                                if key in _COEFFICIENT_FIELDS else float(text))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad config file {path!r}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    except (KeyError, ValueError, configparser.Error) as exc:  # UnicodeError is a ValueError
+        # some of configparser's messages span lines; the CLI's error is one line
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"bad config file {path!r}: {message}") from exc
     return ModelSpec(**fields)
 
 
 def write_config(spec: ModelSpec, path: str) -> None:
-    """Serialize a ModelSpec to an ini-style config file."""
-    parser = configparser.ConfigParser()
+    """Serialize a ModelSpec to an ini-style config file, its values literal as
+    ``read_config`` reads them."""
+    parser = configparser.ConfigParser(interpolation=None)
     config_dir = os.path.dirname(os.path.abspath(path))
     for section, keys in _CONFIG_LAYOUT:
         parser[section] = {}
@@ -319,5 +329,5 @@ def write_config(spec: ModelSpec, path: str) -> None:
             value = getattr(spec, key)
             parser[section][key] = (value.config_value(config_dir) if key in _COEFFICIENT_FIELDS
                                     else repr(value))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

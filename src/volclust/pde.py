@@ -7,7 +7,9 @@ time-to-maturity under
               + [ (m - y)/eps - prefactor b s2 / (s1 sqrt(eps)) ] u_y
               - s1^2/2 u_x - h + lambda s2^2 / (2 eps) (u_y)^2,
 
-and the put price is P = u_tilde - u.  The model combinations in it are
+and the put price is P = u_tilde - u.  u starts at minus the put's payoff,
+``bs.put_payoff``, the one payoff formula: at tau = 0 P is bit for bit
+``bs_put`` and the asymptotic P0.  The model combinations in it are
 ``ModelSpec``'s: ``risk_prefactor`` = rho + eta sqrt(1 - rho^2), shared
 with the constants A~ and B; ``lam`` = gamma (1 - rho^2), which also
 scales the oracle below; and ``h`` = b^2 / (2 gamma s1^2), the
@@ -151,6 +153,7 @@ from typing import Sequence
 import numpy as np
 
 from .asymptotics import asymptotic_price
+from .bs import put_payoff
 from .errors import BadGrid, ConfigError, Instability
 from .measure import build_invariant_measure
 from .model import FrozenArrays, ModelSpec, probe_grid
@@ -533,13 +536,6 @@ def _explicit_weights(coeffs: _Coefficients, dt: float, dx: float, dy: float) ->
             (dt * coeffs.source)[:, None])
 
 
-def payoff_initial(spec: ModelSpec, grid: Grid2D) -> np.ndarray:
-    """Negative put payoff on the x-grid, shape (nx,): one row, the same at every y, that
-    broadcasts into u's start.  By np.exp: for some x that differs in the last bit from
-    the math.exp of ``bs``'s scalar payoff."""
-    return -np.maximum(spec.strike - spec.strike * np.exp(grid.x), 0.0)
-
-
 def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     """The IMEX march of both value functions; returns W at the grid's last step.
 
@@ -710,7 +706,8 @@ def price_surface(spec: ModelSpec, grid: Grid2D) -> PriceSurface:
     halves dt on its own.
     """
     attempt_grid = grid
-    U0 = payoff_initial(spec, grid)  # halving dt leaves the x-grid as it is
+    # u starts at minus the payoff, one (nx,) row for every y; halving dt leaves x as it is
+    U0 = -put_payoff(grid.x, spec.strike)
     for attempt in range(MAX_DT_RETRIES + 1):
         try:
             W = _march(spec, attempt_grid, U0)

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtr
 
 from volclust import bs
-from volclust.bs import _cdf, _log_cdf, bs_put, bs_vega, implied_vol, no_arbitrage_band
+from volclust.bs import _cdf, _log_cdf, bs_put, bs_vega, implied_vol, put_payoff
 from volclust.errors import ConfigError, NoConvergence, OutOfBand
 
 
@@ -80,7 +80,15 @@ def test_log_normal_cdf_against_mpmath(z):
 
 @pytest.mark.parametrize("x", [709.7, 710.0, 800.0, 1e308])
 def test_payoff_at_expiry_where_e_to_the_x_overflows(x):
-    assert bs_put(0.0, x, 100.0, 0.2) == no_arbitrage_band(x, 100.0)[0] == 0.0
+    assert bs_put(0.0, x, 100.0, 0.2) == put_payoff(x, 100.0) == 0.0
+
+
+def test_put_payoff_of_an_array_is_bs_put_at_expiry_node_by_node():
+    """One formula for a float and an array: no overflow branch, and the same bits."""
+    x = np.array([-800.0, -3.0, -0.5, -1e-3, -0.0, 0.0, 0.25, 709.7, 710.0, 1e308])
+    payoff = put_payoff(x, 100.0)
+    assert payoff.tobytes() == np.array([bs_put(0.0, v, 100.0, 0.2) for v in x]).tobytes()
+    assert payoff[0] == 100.0 and (payoff[4:] == 0.0).all()
 
 
 def test_payoff_consistency_small_tau():
@@ -138,7 +146,7 @@ def draw_invertible_points(rng, count):
         tau = rng.uniform(0.05, 2.0)
         x = rng.uniform(-1.0, 1.0)
         sigma = rng.uniform(0.05, 1.0)
-        lo, hi = no_arbitrage_band(x, 100.0)
+        lo, hi = put_payoff(x, 100.0), 100.0
         price = bs_put(tau, x, 100.0, sigma)
         if lo + 1e-8 * 100.0 < price < hi - 1e-8 * 100.0:
             points.append((tau, x, sigma, price))
@@ -154,7 +162,7 @@ def test_implied_vol_round_trip_random():
 def test_out_of_band_prices_rejected():
     with pytest.raises(OutOfBand):
         implied_vol(100.0, 1.0, 0.0, 100.0)  # price == strike: upper edge
-    lo, _ = no_arbitrage_band(-0.5, 100.0)
+    lo = put_payoff(-0.5, 100.0)
     with pytest.raises(OutOfBand):
         implied_vol(lo - 1e-9, 1.0, -0.5, 100.0)
 

@@ -98,6 +98,16 @@ def test_iv_surface_direct_coefficients(capsys):
         assert iv == pytest.approx(-0.154 * lmmr + 0.149, abs=1e-14)
 
 
+@pytest.mark.parametrize("argv,name,value", [
+    (["price", "--config", "m.cfg", "--x", "-1e-3"], "x", [-1e-3]),
+    (["figure1", "--a", "-1.54e-1", "--d", "0.149"], "a", -0.154),
+    (["iv-surface", "--x-min", "-5e-1"], "x_min", -0.5),
+    (["iv-surface", "--x-max", "-1E+0"], "x_max", -1.0),
+], ids=["price-x", "figure1-a", "iv-surface-x-min", "iv-surface-x-max"])
+def test_a_negative_number_with_an_exponent_is_a_value_not_a_flag(argv, name, value):
+    assert getattr(build_parser().parse_args(argv), name) == value
+
+
 @pytest.mark.parametrize("flag,partner", [("--a", "--d"), ("--d", "--a")])
 @pytest.mark.parametrize("with_config", [True, False], ids=["config", "no-config"])
 def test_iv_surface_refuses_a_lone_line_flag_naming_its_partner(demo_config, tmp_path, capsys,

@@ -204,6 +204,37 @@ def test_config_round_trip_with_table(tmp_path, out_dir, absolute):
     assert math.isclose(loaded.sigma2(-7.0), 0.15)
 
 
+def test_a_table_path_holding_a_percent_round_trips(tmp_path):
+    """Config values are literal: a ``%`` in a table's path is no interpolation."""
+    (tmp_path / "s1 100%.csv").write_text("y,value\n-5.0,0.15\n0.0,0.2\n5.0,0.3\n")
+    spec = arctangent_model().with_(
+        sigma2=coefficient_from_string("table:s1 100%.csv", str(tmp_path)))
+    path = tmp_path / "model.cfg"
+    write_config(spec, str(path))
+    assert "sigma2 = table:s1 100%.csv\n" in path.read_text()
+    assert read_config(str(path)).sigma2(1.0) == spec.sigma2(1.0)
+
+
+# config files that configparser rejects or that are not text, each from a valid file's bytes
+MALFORMED_CONFIGS = {
+    "no-section-header": lambda good: good.split(b"\n", 1)[1],
+    "duplicate-section": lambda good: good + b"[model]\nrho = 0.1\n",
+    "duplicate-key": lambda good: good.replace(b"[driver]\n", b"[driver]\neta = 0.1\n"),
+    "not-text": lambda good: good.replace(b"[option]", b"[opt\xffion]"),
+    "percent": lambda good: good.replace(b"eta = 0.0", b"eta = 5%"),
+}
+
+
+@pytest.mark.parametrize("fault", MALFORMED_CONFIGS)
+def test_a_malformed_config_exits_2_with_one_line_naming_the_file(tmp_path, capsys, fault):
+    path = tmp_path / "model.cfg"
+    write_config(arctangent_model(), str(path))
+    path.write_bytes(MALFORMED_CONFIGS[fault](path.read_bytes()))
+    assert main(["constants", "--config", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()  # one error line, no traceback
+    assert line.startswith(f"error: bad config file {str(path)!r}: ")
+
+
 def test_missing_config_raises():
     with pytest.raises(ConfigError):
         read_config("/nonexistent/model.cfg")

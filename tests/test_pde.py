@@ -13,11 +13,11 @@ from conftest import forbid_pool, pin_cpus, random_valid_spec
 from oracles import solve_u_tilde_cole_hopf
 from volclust import pde
 from volclust.asymptotics import asymptotic_price
-from volclust.bs import bs_put
+from volclust.bs import bs_put, put_payoff
 from volclust.errors import BadGrid, ConfigError, Instability, NumericalError
 from volclust.measure import InvariantMeasure
 from volclust.model import Constant, ModelSpec, Tabulated, arctangent_model
-from volclust.pde import Grid2D, _march, accuracy_sweep, make_grid, payoff_initial, price_surface
+from volclust.pde import Grid2D, _march, accuracy_sweep, make_grid, price_surface
 from volclust.poisson import PhiDerivatives, group_constants_for
 
 DATA = Path(__file__).parent / "data"
@@ -329,7 +329,7 @@ def test_a_solve_marches_in_three_arrays_and_its_surface_holds_one(fast_spec):
 def test_zero_initial_is_fixed_point_without_drift(fast_spec):
     spec = fast_spec.with_(b=Constant(0.0))
     grid = make_grid(spec, 0.25, nx=61)
-    W = _march(spec, grid, payoff_initial(spec, grid))
+    W = _march(spec, grid, -put_payoff(grid.x, spec.strike))
     assert np.abs(W[:, -1]).max() == 0.0  # u_tilde, the zero start
 
 
@@ -354,6 +354,22 @@ def test_tau_zero_on_the_demo_is_the_payoff_without_a_halving(nx, caplog):
     assert surface.P.tobytes() == payoff.tobytes()
 
 
+def test_tau_zero_price_is_bs_put_and_the_asymptotic_price_at_every_node():
+    """The march starts from ``bs.put_payoff``, the formula of ``bs_put`` at tau = 0 and so
+    of the asymptotic P0: at tau = 0 the PDE price is both, bit for bit, and a sweep of
+    tau = 0 probes at every node finds no gap."""
+    spec = arctangent_model()
+    grid = make_grid(spec, 0.0, nx=601)
+    surface = price_surface(spec, grid)
+    sigma_bar = group_constants_for(spec).sigma_bar
+    expected = np.array([bs_put(0.0, x, spec.strike, sigma_bar) for x in grid.x])
+    assert surface.P.tobytes() == np.tile(expected[:, None], (1, grid.y.size)).tobytes()
+    y_mid = float(grid.y[grid.y.size // 2])
+    (row,) = accuracy_sweep(spec, [spec.epsilon], [(0.0, float(x), y_mid) for x in grid.x],
+                            grid_factory=lambda s, tau: make_grid(s, tau, nx=601))
+    assert row.max_abs_error == 0.0
+
+
 def test_price_band(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=121)
     surface = price_surface(fast_spec, grid)
@@ -372,7 +388,7 @@ def test_u_tilde_is_x_independent_on_full_grid(fast_spec):
 def test_ordered_initial_data_stay_ordered(fast_spec):
     """Checked at every tenth step, each the last step of a prefix of the grid."""
     grid = make_grid(fast_spec, 0.25, nx=101, dt=0.25 / 100)
-    starts = payoff_initial(fast_spec, grid), np.zeros((grid.y.size, grid.x.size))
+    starts = -put_payoff(grid.x, fast_spec.strike), np.zeros((grid.y.size, grid.x.size))
     worst = math.inf
     for k in range(0, grid.n_steps + 1, 10):
         marched = (_march(fast_spec, replace(grid, n_steps=k), U0) for U0 in starts)
@@ -387,7 +403,7 @@ def test_cole_hopf_oracle_for_u_tilde(fast_spec):
     gaps = []
     for n_steps in (100, 400):
         grid = make_grid(spec, 0.25, nx=61, dt=0.25 / n_steps)
-        u_tilde = _march(spec, grid, payoff_initial(spec, grid))[:, -1]
+        u_tilde = _march(spec, grid, -put_payoff(grid.x, spec.strike))[:, -1]
         gaps.append(np.abs(u_tilde - solve_u_tilde_cole_hopf(spec, grid)).max())
     assert gaps[1] < 5e-3              # both converge to the same function
     assert gaps[0] / gaps[1] > 2.5     # gap shrinks ~first order in dt
@@ -469,7 +485,7 @@ def test_first_three_steps_follow_the_scheme(monkeypatch):
     c = pde._Coefficients(spec, y)
     nx = x.size
     W0 = np.zeros((y.size, nx + 1))
-    W0[:, :nx] = payoff_initial(spec, grid) * (1.0 + 0.2 * y[:, None])
+    W0[:, :nx] = -put_payoff(grid.x, spec.strike) * (1.0 + 0.2 * y[:, None])
 
     def u_y(W):
         out = np.zeros_like(W)
@@ -796,7 +812,7 @@ def test_instability_raised_for_reckless_dt():
     spec = arctangent_model(epsilon=1.0)
     grid = make_grid(spec, 1.0, nx=41)
     reckless = replace(grid, dt=0.5, n_steps=2)
-    U0 = payoff_initial(spec, reckless)
+    U0 = -put_payoff(reckless.x, spec.strike)
     with pytest.raises(Instability) as info:
         _march(spec, reckless, U0)
     # step 1 starts from a y-independent payoff and a zero u_tilde, so |u_y| = 0 there;
@@ -960,9 +976,9 @@ def test_accuracy_sweep_rejects_a_probe_outside_a_grid_before_any_march(probe, m
     assert grids == [0.25, 0.2]
 
 
-def test_payoff_initial_matches_contract(fast_spec):
+def test_put_payoff_on_the_x_grid_matches_contract(fast_spec):
     grid = make_grid(fast_spec, 0.25, nx=61)
-    u0 = payoff_initial(fast_spec, grid)
+    u0 = -put_payoff(grid.x, fast_spec.strike)  # u's start
     assert u0.shape == (grid.x.size,)  # one row: the payoff does not depend on y
     assert u0.max() == 0.0
     assert u0.min() == pytest.approx(-(100 - 100 * math.exp(grid.x[0])))
@@ -983,7 +999,7 @@ def test_surface_matches_golden_output(fast_spec):
     # u is derived from them, and it is the march's u to about one ulp
     assert surface.u.tobytes() == (surface.u_tilde[None, :] - surface.P).tobytes()
     grid = surface.grid
-    marched = _march(fast_spec, grid, payoff_initial(fast_spec, grid))[:, :-1].T
+    marched = _march(fast_spec, grid, -put_payoff(grid.x, fast_spec.strike))[:, :-1].T
     np.testing.assert_allclose(surface.u, marched, rtol=0.0, atol=1e-13 * fast_spec.strike)
 
 
@@ -993,7 +1009,7 @@ def test_nan_in_initial_data_raises_instability(fast_spec):
     nx = grid.x.size
     assert pde.X_BLOCK < nx  # more than one block
     for column in (1, nx // 2, nx - 2):
-        U0 = np.tile(payoff_initial(fast_spec, grid), (grid.y.size, 1))
+        U0 = np.tile(-put_payoff(grid.x, fast_spec.strike), (grid.y.size, 1))
         U0[grid.y.size // 2, column] = np.nan
         with pytest.raises(Instability, match="gradient bound at step 1"):
             _march(fast_spec, grid, U0)
@@ -1066,7 +1082,7 @@ def test_price_is_the_payoff_at_both_x_ends(nx, x_span):
     spec = arctangent_model()
     grid = make_grid(spec, spec.maturity, nx=nx, x_span=x_span)
     surface = price_surface(spec, grid)
-    payoff = -payoff_initial(spec, grid)
+    payoff = put_payoff(grid.x, spec.strike)
     for end in (0, -1):
         assert np.abs(surface.P[end] - payoff[end]).max() <= 1e-10 * spec.strike
 
@@ -1084,7 +1100,7 @@ def test_amplitude_monitor_trips_when_u_and_u_tilde_move_together(monkeypatch, c
     grid = make_grid(spec, spec.maturity, nx=21)
     first = "u left the amplitude bound at step 1 (|u| = 8.868e+03)"
     with pytest.raises(Instability) as info:
-        _march(spec, grid, payoff_initial(spec, grid))
+        _march(spec, grid, -put_payoff(grid.x, spec.strike))
     assert str(info.value) == first
 
     monkeypatch.setattr(pde, "MAX_DT_RETRIES", 1)
@@ -1102,7 +1118,7 @@ def test_price_band_monitor_trips_on_either_side(fast_spec, monkeypatch):
     grid = make_grid(fast_spec, 0.25, nx=41)
     one_step = Grid2D(x=grid.x, y=grid.y, dt=grid.dt, n_steps=1)
     for shift in (1.0, -(fast_spec.strike + 1.0)):  # P below 0, then above K
-        U0 = payoff_initial(fast_spec, grid) + shift
+        U0 = -put_payoff(grid.x, fast_spec.strike) + shift
         with monkeypatch.context() as unbanded:  # the step the tripping march takes, unchecked
             unbanded.setattr(pde, "BAND_SLACK", math.inf)
             W1 = _march(fast_spec, one_step, U0)
