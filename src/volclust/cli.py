@@ -296,14 +296,17 @@ class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` whose every error, a missing or unknown flag included, raises
     ``argparse.ArgumentError`` for ``main`` to report, instead of printing usage and exiting.
 
-    It reads a negative number with an exponent, such as ``-1e-3``, as a value and not as a
-    flag: before Python 3.13 argparse takes only the forms ``-1``, ``-1.5`` and ``-.5`` for
-    numbers.  ``add_subparsers`` makes every subcommand's parser a ``_Parser`` too.
+    It reads a negative number with an exponent, such as ``-1e-3``, and ``-inf``,
+    ``-infinity`` and ``-nan`` in any case, as a value and not as a flag, so the option's
+    type names what is wrong with it: before Python 3.13 argparse takes only the forms
+    ``-1``, ``-1.5`` and ``-.5`` for numbers.  ``add_subparsers`` makes every subcommand's
+    parser a ``_Parser`` too.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)

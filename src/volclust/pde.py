@@ -111,9 +111,8 @@ Parallel Computing 32).
 The chunks keep every product small enough that OpenBLAS runs it on the
 calling thread: threaded, its idle threads spin, which slows the worker
 processes of ``parallel_map`` when they share the cores.  Each function
-says how; the README has why and the timings.  A y-system that is not an
-M-matrix or whose blocks cannot be inverted is a fault, raised as
-RuntimeError and not retried.
+says how; the README has why and the timings.  A y-system whose blocks
+cannot be inverted is a fault, raised as RuntimeError and not retried.
 
 Boundary conditions (the continuum problem lives on the whole plane,
 where the put tends to its payoff deep in and out of the money): the
@@ -253,11 +252,11 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     """Build a grid satisfying the resolution precondition and the dt policy.
 
     The y-domain spans 6 stationary standard deviations each side of the
-    mean level (stretched below when epsilon > 1) and the y-spacing
-    resolves the boundary layer: dy <= sqrt(eps) * inf(sigma2) / 4, with
-    at least ``MIN_NY`` nodes; a given ``ny`` below either is a ``BadGrid``
-    naming the one that binds.  An even ny, given or not, is raised by one,
-    which keeps the mean level on a node of a symmetric y-domain.  Without
+    mean level m, at every eps: the invariant law does not depend on eps.
+    The y-spacing resolves the boundary layer: dy <= sqrt(eps) * inf(sigma2)
+    / 4, with at least ``MIN_NY`` nodes; a given ``ny`` below either is a
+    ``BadGrid`` naming the one that binds.  An even ny, given or not, is
+    raised by one, which puts m on the middle node.  Without
     a ``dt``, dt = tau / ``MIN_STEPS``, whatever eps and rho: the step's
     stability asks nothing of dt below the gradient cap, and at dt above
     eps the implicit y-pass still damps the fast relaxation, so dt is set
@@ -275,11 +274,8 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
         raise BadGrid(f"dt must be finite and > 0, got {dt}")
     if nx < MIN_NODES:
         raise BadGrid(f"nx = {nx} too coarse: the x grid needs at least {MIN_NODES} nodes")
-    eps = spec.epsilon
-    measure = build_invariant_measure(spec)
-    std = measure.std()
-    y_lo = spec.m - 6.0 * std * max(1.0, math.sqrt(eps))
-    y_hi = spec.m + 6.0 * std
+    std = build_invariant_measure(spec).std()
+    y_lo, y_hi = spec.m - 6.0 * std, spec.m + 6.0 * std
     s2_min, _ = _coefficient_bounds(spec)
     ny_cap = int(math.ceil((y_hi - y_lo) / _max_dy(spec, s2_min))) + 1
     ny_required, bound = max((MIN_NY, "the MIN_NY floor"), (ny_cap, "the boundary-layer dy cap"))
@@ -288,7 +284,7 @@ def make_grid(spec: ModelSpec, tau: float, *, nx: int = DEFAULT_NX,
     elif ny < ny_required:
         raise BadGrid(f"ny = {ny} too coarse: {bound} needs at least {ny_required} nodes")
     if ny % 2 == 0:
-        ny += 1  # keep the mean level on a node for symmetric domains
+        ny += 1  # puts m on the middle node
     limit = np.iinfo(np.intp).max // 8  # the most doubles an array's byte count can index
     holds = f"nodes: an array holds at most {limit} doubles"
     # no step count without a dt; an infinite tau / dt fails the same comparison
@@ -438,15 +434,14 @@ def _factor_y_system(dl, d, du, scale: float) -> tuple:
       is column-major, as W's y-columns are, so BLAS multiplies without a
       transposed copy.
 
-    Upwinding makes every off-diagonal negative and leaves every row
+    Upwinding makes every off-diagonal <= 0 (0 where a weight underflows,
+    as the y-diffusion does at a huge eps) and leaves every row
     diag - |sub| - |sup| = 1 at any dt, so A and each block are nonsingular
     M-matrices; det A is det R times the blocks' determinants, so R is
-    nonsingular too.  An off-diagonal that is not negative, or a block or
-    R that cannot be inverted, is a fault of the code, raised as
-    RuntimeError.
+    nonsingular too.  A block or R that cannot be inverted is a fault of
+    the code, raised as RuntimeError; a NaN weight passes through to the
+    march, whose monitors fail on it.
     """
-    if not (np.all(dl < 0.0) and np.all(du < 0.0)):
-        raise RuntimeError("y-system is not an M-matrix: an off-diagonal is >= 0 in some row")
     ny = d.size
     bounds = list(range(0, max(ny // Y_BLOCK - 1, 0) * Y_BLOCK + 1, Y_BLOCK)) + [ny]
     try:

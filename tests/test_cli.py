@@ -233,12 +233,16 @@ def _input_files(tmp_path):
     (["pde-solve", "--ny", "99999999999999999999"], "ny = 1e+20 nodes: an array holds at most"),
     (["pde-sweep", "--eps-list", "1e-300"], "ny = 3.39e+151 nodes: an array holds at most"),
     (["figure2", "--epsilon", "1e-300"], "ny = 3.39e+151 nodes: an array holds at most"),
+    (["price", "--tau", "0.1", "--x", "-inf"], "--x must be finite, got -inf"),
+    (["figure2", "--epsilon", "-Infinity"], "--epsilon must be finite and > 0, got -inf"),
+    (["iv-surface", "--a", "-0.1", "--d", "0.2", "--x-min", "-NaN"], "--x-min must be finite, got nan"),
 ], ids=["price", "measure-dump", "iv-surface", "pde-solve", "figure2-eps-neg", "figure2-eps-0",
         "figure2-eps-nan", "figure2-tau-0", "pde-sweep-eps-neg", "pde-sweep-eps-0", "pde-sweep-eps-nan",
         "pde-sweep-eps-empty", "iv-surface-x-min-nan", "figure1-a-nan", "calibrate-eps-inf",
         "calibrate-sigma-bar-inf", "iv-surface-no-line", "pde-solve-nx-4", "figure2-nx-4",
         "pde-solve-dt-subnormal", "pde-solve-tau-over-dt-inf", "pde-solve-nx-huge", "pde-solve-ny-huge",
-        "pde-sweep-eps-tiny", "figure2-eps-tiny"])
+        "pde-sweep-eps-tiny", "figure2-eps-tiny", "price-x-minus-inf", "figure2-eps-minus-infinity",
+        "iv-surface-x-min-minus-nan"])
 def test_bad_numbers_exit_with_2_naming_the_flag(cheap_config, tmp_path, capsys, command, message):
     out = tmp_path / "out.csv"
     probes, quotes = _input_files(tmp_path)
@@ -278,19 +282,40 @@ def test_pde_sweep_rejects_a_negative_probe_tau_naming_the_file_and_line(cheap_c
 
 def test_pde_sweep_rejects_a_probe_outside_a_grid_before_any_march(cheap_config, tmp_path, capsys,
                                                                    monkeypatch, one_cpu):
-    """y = -1.2 lies inside the eps = 4 grid, whose y-domain is stretched below, and
-    outside the eps = 0.25 one; every member is checked before the first one marches."""
+    """y = 0.8515 lies within half a cell of the eps = 4 grid's top node (dy 0.0085) and
+    outside the finer eps = 0.01 grid (dy 0.0050); every member is checked before the
+    first one marches."""
     def no_march(*args, **kwargs):
         raise AssertionError("a member marched before every probe was checked")
 
     monkeypatch.setattr(volclust.pde, "price_surface", no_march)
     probes, out = tmp_path / "probes.csv", tmp_path / "out.csv"
-    probes.write_text("tau,x,y\n0.05,0.0,0.0\n0.05,0.0,-1.2\n")
-    assert main(["pde-sweep", "--config", cheap_config, "--eps-list", "4,0.25",
+    probes.write_text("tau,x,y\n0.05,0.0,0.0\n0.05,0.0,0.8515\n")
+    assert main(["pde-sweep", "--config", cheap_config, "--eps-list", "4,0.01",
                  "--probes", str(probes), "--out", str(out)]) == 2
-    assert ("error: probe (0.05, 0.0, -1.2) lies outside the eps = 0.25 grid: "
+    assert ("error: probe (0.05, 0.0, 0.8515) lies outside the eps = 0.01 grid: "
             "x in [-3, 3], y in [-0.848528, 0.848528]") in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["1e163", "1.7e308"])
+def test_figure2_at_a_huge_eps_prices_in_band(tmp_path, one_cpu, eps):
+    """The y-span does not grow with eps, and at 1.7e308 the y-diffusion weight underflows
+    to 0, which leaves an M-matrix; every PDE price lies inside the band that its implied
+    vol inverts from, so exit 0."""
+    out = tmp_path / "figure2.csv"
+    assert main(["figure2", "--epsilon", eps, "--nx", "41", "--out", str(out)]) == 0
+    vols = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:]
+    assert np.all(np.isfinite(vols)) and vols.min() > 0.0
+
+
+def test_figure2_at_a_huge_eps_and_a_tiny_tau_exits_3(tmp_path, capsys, one_cpu):
+    """At tau = 1e-200 the price out of the money is its payoff, 0, which no vol inverts:
+    a numerical failure, exit 3, not a traceback."""
+    out = tmp_path / "figure2.csv"
+    assert main(["figure2", "--epsilon", "1e100", "--tau", "1e-200", "--nx", "41",
+                 "--out", str(out)]) == 3
+    assert "outside the attainable band" in capsys.readouterr().err
 
 
 def test_an_output_that_cannot_be_opened_exits_2_naming_it(tmp_path, capsys):

@@ -15,7 +15,7 @@ from volclust import pde
 from volclust.asymptotics import asymptotic_price
 from volclust.bs import bs_put, put_payoff
 from volclust.errors import BadGrid, ConfigError, Instability, NumericalError
-from volclust.measure import InvariantMeasure
+from volclust.measure import InvariantMeasure, build_invariant_measure
 from volclust.model import Constant, ModelSpec, Tabulated, arctangent_model
 from volclust.pde import Grid2D, _march, accuracy_sweep, make_grid, price_surface
 from volclust.poisson import PhiDerivatives, group_constants_for
@@ -48,6 +48,31 @@ def test_make_grid_respects_boundary_layer(fast_spec):
     assert grid.n_steps * grid.dt == pytest.approx(0.25)
     with pytest.raises(BadGrid):
         make_grid(fast_spec, 0.25, ny=11)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.004, 1.0, 4.0, 1e3, 1e300])
+def test_the_y_span_is_six_stationary_stds_about_m_at_every_eps(eps):
+    """The fast factor's invariant law does not depend on eps, and neither does the span
+    m +- 6 std; the odd ny puts m on the middle node."""
+    rng = np.random.default_rng(37)
+    for spec in (random_valid_spec(rng) for _ in range(3)):
+        std = build_invariant_measure(spec).std()
+        y = make_grid(replace(spec, epsilon=eps), 0.25, nx=21).y
+        assert y[0] == pytest.approx(spec.m - 6.0 * std, abs=1e-12)
+        assert y[-1] == pytest.approx(spec.m + 6.0 * std, abs=1e-12)
+        assert y.size % 2 == 1 and abs(y[y.size // 2] - spec.m) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [4.0, 100.0])
+def test_the_price_at_m_above_eps_one_does_not_see_the_y_span(eps):
+    """On the demo at eps > 1, P on the middle node is P at m on a span twice as wide,
+    m +- 12 std, at the same dy."""
+    spec = arctangent_model(epsilon=eps)
+    grid = make_grid(spec, 0.25, nx=41)
+    ny = grid.y.size
+    wide = replace(grid, y=spec.m + grid.dy * np.arange(1 - ny, ny))
+    P = price_surface(spec, grid).P[:, ny // 2]
+    assert np.abs(P - price_surface(spec, wide).P[:, ny - 1]).max() <= 1e-8 * spec.strike
 
 
 def test_a_coarse_ny_is_rejected_naming_the_bound_that_binds(fast_spec):
@@ -653,17 +678,24 @@ def test_y_solve_matches_extended_precision_thomas():
         assert err.max() <= 5e-14, (d.size, err)
 
 
-def test_y_system_with_a_wrong_signed_off_diagonal_or_a_singular_block_is_a_fault():
-    """An off-diagonal >= 0 breaks the M-matrix pattern; a singular block cannot be inverted."""
-    d = np.full(3, 2.0)
-    with pytest.raises(RuntimeError, match="not an M-matrix"):
-        pde._factor_y_system(np.array([-1.0, 0.5]), d, np.array([-1.0, -1.0]), 1.0)
-    with pytest.raises(RuntimeError, match="not an M-matrix"):
-        pde._factor_y_system(np.array([-1.0, -1.0]), d, np.array([0.0, -1.0]), 1.0)
+def test_y_system_with_a_singular_block_is_a_fault():
+    """A block that cannot be inverted is a fault of the code, raised as RuntimeError."""
     d = np.full(2 * pde.Y_BLOCK, 2.0)
     d[[0, pde.Y_BLOCK - 1]] = 1.0  # every row of the first block sums to zero
     with pytest.raises(RuntimeError, match="cannot be inverted"):
         pde._factor_y_system(-np.ones(d.size - 1), d, -np.ones(d.size - 1), 1.0)
+
+
+def test_a_y_system_whose_off_diagonals_underflow_to_zero_solves_in_band():
+    """At eps = 1.7e308 the y-diffusion weight underflows to 0 in most rows: still an
+    M-matrix, whose blocks invert, so the solve runs to maturity and stays in band."""
+    spec = arctangent_model(epsilon=1.7e308)
+    grid = make_grid(spec, 0.25, nx=41)
+    dl, _, du = pde._build_y_system(pde._Coefficients(spec, grid.y), grid.dt, grid.dy)
+    assert np.any(dl == 0.0) and dl.max() <= 0.0 and du.max() <= 0.0
+    surface = price_surface(spec, grid)
+    assert surface.grid.n_steps == grid.n_steps
+    assert -pde.BAND_SLACK * spec.strike <= surface.P.min() <= surface.P.max() <= spec.strike
 
 
 def test_implicit_systems_sign_pattern():
