@@ -11,6 +11,11 @@ the fitted line inverts to the group constants:
 and, with the correlation rho fixed by the model, the volatility risk
 premium eta solves ``B = (rho + eta sqrt(1 - rho^2)) J_b`` where J_b is a
 model integral independent of eta.
+
+``smile_from_surface`` reads the quotes off a solved PDE surface: the
+vol that inverts P at y = m, at the node ``pde.Grid2D.nearest`` picks for
+each log-moneyness point.  figure2 and the acceptance test AC-2 take
+their smiles from it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDesign, Unidentifiable
+from .bs import implied_vol
+from .errors import ConfigError, DegenerateDesign, NumericalError, OutOfBand, Unidentifiable
 from .measure import (InvariantMeasure, average, build_invariant_measure, cumulative_trapezoid,
                       trapezoid)
 from .model import ModelSpec, read_float_rows
@@ -149,6 +155,29 @@ def _j_b_scale(spec: ModelSpec, measure: InvariantMeasure) -> float:
     s1, s2, b = spec.sigma1(y), spec.sigma2(y), spec.b(y)
     mass = cumulative_trapezoid(s1 ** 2 * measure.density, y)
     return float(trapezoid(np.abs(b / (s1 * s2)) * np.minimum(mass, mass[-1] - mass), y))
+
+
+def smile_from_surface(surface, spec: ModelSpec, log_moneyness) -> list[IVQuote]:
+    """The smile of a solved ``pde.PriceSurface`` at y = m: one quote per log-moneyness point.
+
+    Each point reads P at ``surface.grid.nearest(-lm, spec.m)``, the node
+    nearest (-lm, m), and its quote is that node's x, not the point asked
+    for, with the vol that inverts P there at ``surface.tau``.  A P outside
+    the no-arbitrage band, which no vol inverts, is a ``NumericalError``
+    naming eta, the node's log-moneyness and tau: the upwind x error of a
+    coarse grid can put a price below the payoff, and at a tiny tau the
+    price out of the money is its payoff to the bit, which no grid lifts.
+    """
+    quotes = []
+    for ix, jy in (surface.grid.nearest(-lm, spec.m) for lm in log_moneyness):
+        x = float(surface.grid.x[ix])
+        try:
+            quotes.append(IVQuote(tau=surface.tau, x=x, iv=implied_vol(
+                float(surface.P[ix, jy]), surface.tau, x, spec.strike)))
+        except OutOfBand as exc:
+            raise NumericalError(f"eta = {spec.eta:g}, log-moneyness {-x:g}, "
+                                 f"tau = {surface.tau:g}: the PDE {exc}") from exc
+    return quotes
 
 
 def read_quotes_csv(path: str) -> list[IVQuote]:

@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, bs, calibrate, measure, model, pde, poisson
-from .errors import ConfigError, NumericalError, OutOfBand, VolclustError
+from .errors import ConfigError, VolclustError
 
 FIGURE2_ETAS = (-0.25, 0.0, 0.25)
 FIGURE2_LM_SPAN = (-0.3, 0.3)
@@ -190,29 +190,10 @@ def _cmd_figure1(args) -> None:
     ])
 
 
-def _figure2_curve(task) -> tuple[np.ndarray, list[float]]:
-    """One eta member of the skew plot: (log-moneyness, implied vols) at the nearest x-nodes.
-
-    Each vol inverts the price at the x-node nearest a point of the
-    log-moneyness grid, and its log-moneyness is -x of that node, not the
-    point asked for.  A PDE price outside the no-arbitrage band, which no
-    vol inverts, is a ``NumericalError``: the upwind x error of a coarse
-    grid can put a price below the payoff, and at a tiny tau the price out
-    of the money is its payoff to the bit, which no grid lifts.
-    """
+def _figure2_curve(task) -> list[calibrate.IVQuote]:
+    """One eta member of the skew plot: ``calibrate.smile_from_surface`` of its solved surface."""
     spec, grid, lm_grid = task
-    surface = pde.price_surface(spec, grid)
-    jy = int(np.argmin(np.abs(grid.y - spec.m)))
-    nodes = np.argmin(np.abs(grid.x[None, :] - (-lm_grid)[:, None]), axis=1)
-    vols = []
-    for ix in nodes:
-        x = float(grid.x[ix])
-        try:
-            vols.append(bs.implied_vol(float(surface.P[ix, jy]), surface.tau, x, spec.strike))
-        except OutOfBand as exc:
-            raise NumericalError(f"eta = {spec.eta:g}, log-moneyness {-x:g}, tau = {surface.tau:g}: "
-                                 f"the PDE {exc}") from exc
-    return 0.0 - grid.x[nodes], vols  # 0.0 - x, so that the node x = 0 reads 0 and not -0
+    return calibrate.smile_from_surface(pde.price_surface(spec, grid), spec, lm_grid)
 
 
 def _cmd_figure2(args) -> None:
@@ -222,7 +203,8 @@ def _cmd_figure2(args) -> None:
     curves = pde.parallel_map(_figure2_curve, [(spec.with_(eta=eta), grid, lm_grid)
                                                for eta in FIGURE2_ETAS])
     _write_csv(args.out, ["log_moneyness", "iv_eta_m025", "iv_eta_0", "iv_eta_p025"],
-               [curves[0][0], *(vols for _, vols in curves)])
+               # 0.0 - x, so that the node x = 0 reads 0 and not -0
+               [0.0 - np.array([q.x for q in curves[0]]), *([q.iv for q in c] for c in curves)])
     name = os.path.basename(args.out)
     _write_gnuplot(args.out, [
         "set datafile separator ','",

@@ -82,7 +82,8 @@ columns ``:nx`` hold u and the last holds u-tilde, which does not depend
 on x and so takes only the y-parts of a step.  Those (the y-differences,
 the quadratic term and source, the y-solve) act on all of W; the mixed
 term and the x-solve act on u's columns.  Between steps a march keeps
-three full arrays: W, the BDF2 history and the Douglas term.  Everything
+three full arrays: W, the BDF2 history and the Douglas term, the last two
+allocated at step 1, so a grid of no steps holds W alone.  Everything
 else a step needs is sized by one block of ``X_BLOCK`` x-columns, over
 which the explicit part runs, or by one chunk of y-columns, on which the
 y-solve runs in place: its products read and write W's own columns, and
@@ -133,6 +134,10 @@ solver the march does not use.
 ``PriceSurface`` at the grid's last step.  P at an earlier step k is the
 solve of the prefix grid, ``price_surface(spec, replace(grid, n_steps=k)).P``:
 when neither solve halves dt, it is bit for bit the whole march's P at step k.
+``Grid2D.nearest`` is the one rule that reads a surface: the node nearest
+a point, the ``np.argmin`` of the distance on each axis, the lower index
+on a tie.  ``_snap_probe``, figure2's smile (``calibrate.smile_from_surface``)
+and the acceptance tests read P through it.
 
 ``accuracy_sweep`` checks its probes and builds every grid here, through
 its ``grid_factory`` (``make_grid`` unless one is given), then solves
@@ -206,6 +211,12 @@ class Grid2D(FrozenArrays):
     @property
     def tau_final(self) -> float:
         return self.dt * self.n_steps
+
+    def nearest(self, x: float, y: float) -> tuple[int, int]:
+        """(ix, jy) of the node nearest (x, y), each the ``np.argmin`` of |node - value| on its
+        axis: a point midway between two nodes reads the lower index.  The one rule that reads
+        a solved surface off its grid (module docstring)."""
+        return int(np.argmin(np.abs(self.x - x))), int(np.argmin(np.abs(self.y - y)))
 
 
 @dataclass(frozen=True)
@@ -538,13 +549,14 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     and column ``nx`` holds u_tilde, started from zero.  Set up once per
     attempt: one ``_coefficient_bounds``, then dy against the
     boundary-layer cap (a ``BadGrid``); the explicit weights and the
-    monitors' caps; the three full arrays, the solution, the history and
-    the Douglas array, the last two starting at zero; and two buffers of
-    one block of ``X_BLOCK`` columns.  Each step kind's x-factor, which
-    both arrays share, and its y-factor, with c folded in, are built at its
-    first step, the start-up kind's released first.  A grid of no steps,
-    whose dt is a placeholder, sets up the same and takes no step, so it
-    factors nothing, runs no monitor and returns W as it started.
+    monitors' caps; and W, the solution.  Step 1 allocates the other two
+    full arrays, the history and the Douglas array, both starting at zero,
+    and two buffers of one block of ``X_BLOCK`` columns.  Each step kind's
+    x-factor, which both arrays share, and its y-factor, with c folded in,
+    are built at its first step, the start-up kind's released first.  A
+    grid of no steps, whose dt is a placeholder, sets up the same and takes
+    no step, so it allocates no array but W, factors nothing, runs no
+    monitor and returns W as it started.
 
     Every step is one IMEX-BDF2 step (Ascher, Ruuth & Wetton 1995) with the
     Douglas term: with E dt (quadratic term + source), M dt times the mixed
@@ -603,19 +615,21 @@ def _march(spec: ModelSpec, grid: Grid2D, U0: np.ndarray) -> np.ndarray:
     u_cap = (np.abs(U0).max() + growth) * 1.5 + spec.strike
     tilde_cap = growth * 1.5 + spec.strike
     band_lo, band_hi = -BAND_SLACK * spec.strike, spec.strike + BAND_SLACK * spec.strike
-    douglas = np.zeros((ny, nx), order="F")  # G = k Ly W^n / c on u; zero for the start-up
-    x_tmp = np.empty(ny)
-    # a block of nb columns: its raw y-differences in columns 1 ... nb, its neighbours' in 0
-    # and nb + 1, then its E + M; and its mixed term
-    raw = np.empty((ny, X_BLOCK + 2), order="F")
-    mixed_block = np.empty((ny, X_BLOCK), order="F")
-    blocks = [(lo, min(lo + X_BLOCK, nx + 1)) for lo in range(0, nx + 1, X_BLOCK)]
-    # (W, u, u_tilde, u's y-columns) for the solution and the history, which starts at zero
-    sides = [(array, array[:, :nx], array[:, nx], list(array[:, :nx].T))
-             for array in (W, np.zeros_like(W))]
 
     sol, hist = 0, 1  # the sides that hold W^n and H^{n-1}
     for step in range(1, grid.n_steps + 1):
+        if step == 1:  # the arrays a step uses: a grid of no steps allocates none of them
+            # G = k Ly W^n / c on u, zero for the start-up
+            douglas = np.zeros((ny, nx), order="F")
+            x_tmp = np.empty(ny)
+            # a block of nb columns: its raw y-differences in columns 1 ... nb, its neighbours'
+            # in 0 and nb + 1, then its E + M; and its mixed term
+            raw = np.empty((ny, X_BLOCK + 2), order="F")
+            mixed_block = np.empty((ny, X_BLOCK), order="F")
+            blocks = [(lo, min(lo + X_BLOCK, nx + 1)) for lo in range(0, nx + 1, X_BLOCK)]
+            # (W, u, u_tilde, u's y-columns) for the solution and the history, which starts at 0
+            sides = [(array, array[:, :nx], array[:, nx], list(array[:, :nx].T))
+                     for array in (W, np.zeros_like(W))]
         if step <= 2:  # the start-up kind for step 1 only; its factors go before BDF2's are built
             x_factor = y_factor = None
             step_dt, scale = (dt, 1.0) if step == 1 else (BDF2_BETA * dt, 4.0 / 3.0)
@@ -813,10 +827,10 @@ def parallel_map(fn, tasks: list, costs: Sequence[float] | None = None) -> list:
 
 
 def _snap_probe(probe, grid: Grid2D, eps: float) -> tuple[int, int, int]:
-    """(step, ix, jy) of the time step and node nearest ``probe``; a probe more than
-    half a cell outside the grid is a ``ConfigError``."""
+    """(step, ix, jy) of the time step and node nearest ``probe``, the node by
+    ``Grid2D.nearest``; a probe more than half a cell outside the grid is a ``ConfigError``."""
     tau_p, x_p, y_p = probe
-    ix, jy = (int(np.argmin(np.abs(nodes - v))) for nodes, v in ((grid.x, x_p), (grid.y, y_p)))
+    ix, jy = grid.nearest(x_p, y_p)
     if not (abs(grid.x[ix] - x_p) <= 0.5 * grid.dx and abs(grid.y[jy] - y_p) <= 0.5 * grid.dy):
         raise ConfigError(f"probe {tuple(probe)} lies outside the eps = {eps:g} grid: "
                           f"x in [{grid.x[0]:g}, {grid.x[-1]:g}], y in [{grid.y[0]:.6g}, {grid.y[-1]:.6g}]")

@@ -13,7 +13,7 @@ from test_poisson import centered_rhs, poisson_residual
 from volclust.asymptotics import asymptotic_price, corrected_iv
 from volclust.bs import bs_put, implied_vol, put_payoff
 from volclust.calibrate import (IVQuote, calibrate_from_surface, fit_affine,
-                                recover_constants)
+                                recover_constants, smile_from_surface)
 from volclust.measure import build_invariant_measure
 from volclust.model import Constant, ModelSpec, arctangent_model
 from volclust.pde import accuracy_sweep, make_grid, price_surface
@@ -71,15 +71,8 @@ def test_ac1_accuracy_scaling(sweep_rows):
 
 def test_ac2_skew_reproduction(skew_surfaces):
     lm_grid = np.linspace(-0.3, 0.3, 61)
-    curves = {}
-    for eta, (spec, grid, surface) in skew_surfaces.items():
-        jy = int(np.argmin(np.abs(grid.y - spec.m)))
-        ivs = []
-        for lm in lm_grid:
-            ix = int(np.argmin(np.abs(grid.x + lm)))
-            ivs.append(implied_vol(float(surface.P[ix, jy]), TAU,
-                                   float(grid.x[ix]), spec.strike))
-        curves[eta] = np.array(ivs)
+    curves = {eta: np.array([q.iv for q in smile_from_surface(surface, spec, lm_grid)])
+              for eta, (spec, _, surface) in skew_surfaces.items()}
 
     monotone = all(np.all(np.diff(curves[eta]) < 0) for eta in SKEW_ETAS)
     ordered = (np.all(curves[-0.25] > curves[0.0])
@@ -100,8 +93,7 @@ def test_ac3_asymptotics_vs_pde(demo, skew_surfaces):
     gc = group_constants_for(spec)
     worst = 0.0
     for _, x, y in probe_points(demo):
-        ix = int(np.argmin(np.abs(grid.x - x)))
-        jy = int(np.argmin(np.abs(grid.y - y)))
+        ix, jy = grid.nearest(x, y)
         corrected = asymptotic_price(gc, spec, TAU, float(grid.x[ix])).corrected
         worst = max(worst, abs(float(surface.P[ix, jy]) - corrected))
     bound = 0.02 * spec.strike

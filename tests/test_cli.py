@@ -555,6 +555,12 @@ def test_figure2_cheap_epsilon(tmp_path):
     for row in rows:
         assert float(row["iv_eta_m025"]) > float(row["iv_eta_0"]) > float(row["iv_eta_p025"])
     assert (tmp_path / "fig2.gp").exists()
+    # each row reads the node Grid2D.nearest(-lm, m) picks for its point lm, and is labelled
+    # 0.0 - x of that node
+    spec = arctangent_model(epsilon=0.25)
+    grid = make_grid(spec, spec.maturity, nx=121)
+    picked = [grid.nearest(-lm, spec.m)[0] for lm in np.linspace(-0.3, 0.3, 61)]
+    assert [float(row["log_moneyness"]) for row in rows] == (0.0 - grid.x[picked]).tolist()
 
 
 def test_figure2_labels_each_row_with_the_node_its_vols_came_from(tmp_path, one_cpu):

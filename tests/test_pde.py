@@ -314,6 +314,20 @@ def test_grid_validation():
             Grid2D(x=nodes, y=nodes, dt=dt, n_steps=n_steps)
 
 
+def test_nearest_reads_a_node_as_itself_and_a_midpoint_at_the_lower_index():
+    """``Grid2D.nearest`` is the one rule that reads a solved surface: the ``np.argmin`` of the
+    distance on each axis.  On nodes that are exact in binary, a point midway between two
+    nodes is exactly as far from both, and it reads the lower index."""
+    grid = Grid2D(x=np.linspace(-1.0, 1.0, 5), y=np.linspace(0.0, 4.0, 5), dt=1.0, n_steps=0)
+    for ix in range(5):
+        for jy in range(5):
+            assert grid.nearest(grid.x[ix], grid.y[jy]) == (ix, jy)
+    assert grid.nearest(0.25, 2.5) == (2, 2)  # midway between x-nodes 2, 3 and y-nodes 2, 3
+    assert grid.nearest(-0.75, 0.5) == (0, 0)
+    assert grid.nearest(0.25 + 1e-15, 2.5 + 1e-15) == (3, 3)
+    assert all(isinstance(i, int) for i in grid.nearest(0.3, 1.2))
+
+
 def test_degenerate_black_scholes(bs_degenerate_spec):
     spec = bs_degenerate_spec
     grid = make_grid(spec, 0.5)
@@ -349,6 +363,24 @@ def test_a_solve_marches_in_three_arrays_and_its_surface_holds_one(fast_spec):
     assert surface.grid.n_steps == 3
     assert peak < 5.4 * full, peak / full
     assert held < 1.1 * full, held / full
+
+
+def test_a_tau_zero_solve_allocates_only_its_answer():
+    """A grid of no steps takes no step, so its march allocates W alone: no BDF2 history, no
+    Douglas array and no block buffers.  At the demo's default 601 x 539 grid the traced peak
+    is 1.03 full arrays; with those three it would be 3.18."""
+    import tracemalloc
+
+    spec = arctangent_model()
+    grid = make_grid(spec, 0.0, nx=601)
+    full = grid.y.size * (grid.x.size + 1) * 8
+    tracemalloc.start()
+    try:
+        price_surface(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * full, peak / full
 
 
 def test_zero_initial_is_fixed_point_without_drift(fast_spec):
@@ -894,7 +926,7 @@ def test_accuracy_sweep_compares_a_probe_between_steps_at_its_snapped_step(fast_
     gc = group_constants_for(fast_spec)
 
     def gap(tau, x, y):
-        ix, jy = (int(np.argmin(np.abs(nodes - v))) for nodes, v in ((grid.x, x), (grid.y, y)))
+        ix, jy = grid.nearest(x, y)
         return abs(float(P[ix, jy]) - asymptotic_price(gc, fast_spec, tau, float(grid.x[ix])).corrected)
 
     snapped = [gap(grid.n_steps * grid.dt, x, y) for _, x, y in probes]
