@@ -46,7 +46,8 @@ class IVQuote:
     def __post_init__(self):
         for name, ok, requirement in (("tau", self.tau > 0, "finite and > 0"),
                                       ("x", True, "finite"), ("iv", True, "finite"),
-                                      ("weight", self.weight >= 0, "finite and >= 0")):
+                                      ("weight", self.weight >= 0, "finite and >= 0"),
+                                      ("lmmr", True, "finite")):
             value = getattr(self, name)
             if not (ok and math.isfinite(value)):
                 raise ConfigError(f"quote {name} must be {requirement}, got {value}")
@@ -68,28 +69,37 @@ class AffineFit:
 
 
 def fit_affine(quotes: Sequence[IVQuote]) -> tuple[float, float, float]:
-    """Weighted least squares of iv on LMMR; returns (slope, intercept, r^2)."""
+    """Weighted least squares of iv on LMMR; returns (slope, intercept, r^2).
+
+    Fewer than two quotes, weights that are all zero, one shared LMMR, or
+    weighted sums that are not finite (an LMMR spread whose square
+    overflows) are a ``DegenerateDesign``.
+    """
     if len(quotes) < 2:
         raise DegenerateDesign("need at least two quotes to fit a line")
     lmmr = np.array([q.lmmr for q in quotes])
     iv = np.array([q.iv for q in quotes])
     w = np.array([q.weight for q in quotes])
-    if w.sum() <= 0:
-        raise DegenerateDesign("all quote weights are zero")
-    if np.ptp(lmmr[w > 0]) == 0.0:
-        raise DegenerateDesign("all quotes share one LMMR; slope is unidentifiable")
+    with np.errstate(all="ignore"):  # a sum that overflows is refused below
+        wsum = w.sum()
+        if wsum <= 0:
+            raise DegenerateDesign("all quote weights are zero")
+        if np.ptp(lmmr[w > 0]) == 0.0:
+            raise DegenerateDesign("all quotes share one LMMR; slope is unidentifiable")
 
-    wsum = w.sum()
-    xbar = (w * lmmr).sum() / wsum
-    ybar = (w * iv).sum() / wsum
-    sxx = (w * (lmmr - xbar) ** 2).sum()
-    sxy = (w * (lmmr - xbar) * (iv - ybar)).sum()
-    slope = sxy / sxx
-    intercept = ybar - slope * xbar
+        xbar = (w * lmmr).sum() / wsum
+        ybar = (w * iv).sum() / wsum
+        sxx = (w * (lmmr - xbar) ** 2).sum()
+        sxy = (w * (lmmr - xbar) * (iv - ybar)).sum()
+        slope = sxy / sxx
+        intercept = ybar - slope * xbar
 
-    residual = iv - (slope * lmmr + intercept)
-    ss_res = (w * residual ** 2).sum()
-    ss_tot = (w * (iv - ybar) ** 2).sum()
+        residual = iv - (slope * lmmr + intercept)
+        ss_res = (w * residual ** 2).sum()
+        ss_tot = (w * (iv - ybar) ** 2).sum()
+    if not np.isfinite([wsum, xbar, ybar, sxx, sxy, slope, intercept, ss_res, ss_tot]).all():
+        raise DegenerateDesign(f"the fit's weighted sums are not finite: its LMMRs, from "
+                               f"{lmmr.min():g} to {lmmr.max():g}, vols or weights are out of range")
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), float(r_squared)
 

@@ -166,19 +166,42 @@ def _smile_line(args, spec: model.ModelSpec) -> tuple[float, float]:
     return civ.a, civ.d
 
 
+def _smile_iv(a: float, d: float, lmmr: np.ndarray, lmmr_flags: str, line_flags: str) -> np.ndarray:
+    """The implied vols ``a * lmmr + d`` of the smile line, with ``lmmr`` checked finite too.
+
+    A non-finite LMMR (a tau too small for its x) or vol (a line too steep
+    for its LMMR range) is a ConfigError naming the flags that produced it:
+    ``lmmr_flags`` for the LMMR, and ``line_flags`` with them for the vol.
+    The callers check before they write, so such a command writes no row.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        iv = a * lmmr + d
+    for name, values, flags in (("an LMMR", lmmr, lmmr_flags),
+                                ("an implied vol", iv, f"{line_flags} with {lmmr_flags}")):
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{flags} give {name} that is not finite")
+    return iv
+
+
 def _cmd_iv_surface(args) -> None:
     spec = _load_spec(args.config)
     a, d = _smile_line(args, spec)
     taus = np.array(args.tau or [spec.maturity])[:, None]
-    xs = np.linspace(args.x_min, args.x_max, args.nx)
-    lmmr = -xs / taus
-    _write_csv(args.out, ["tau", "x", "lmmr", "iv"], [taus, xs, lmmr, a * lmmr + d])
+    with np.errstate(over="ignore", invalid="ignore"):  # _smile_iv refuses what overflows
+        xs = np.linspace(args.x_min, args.x_max, args.nx)
+        lmmr = -xs / taus
+    _write_csv(args.out, ["tau", "x", "lmmr", "iv"],
+               [taus, xs, lmmr, _smile_iv(a, d, lmmr, "--tau, --x-min and --x-max",
+                                          "--a and --d" if args.a is not None else "--config")])
 
 
 def _cmd_figure1(args) -> None:
     taus = np.linspace(args.tau_min, args.tau_max, args.n_tau)
-    lmmrs = np.linspace(args.lmmr_min, args.lmmr_max, args.n_lmmr)
-    _write_csv(args.out, ["tau", "lmmr", "iv"], [taus[:, None], lmmrs, args.a * lmmrs + args.d])
+    with np.errstate(over="ignore", invalid="ignore"):  # _smile_iv refuses what overflows
+        lmmrs = np.linspace(args.lmmr_min, args.lmmr_max, args.n_lmmr)
+    _write_csv(args.out, ["tau", "lmmr", "iv"],
+               [taus[:, None], lmmrs, _smile_iv(args.a, args.d, lmmrs, "--lmmr-min and --lmmr-max",
+                                                "--a and --d")])
     _write_gnuplot(args.out, [
         "set datafile separator ','",
         "set xlabel 'LMMR'",

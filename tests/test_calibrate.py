@@ -61,6 +61,8 @@ def test_degenerate_design_rejected():
         fit_affine([IVQuote(tau=0.5, x=0.0, iv=0.2)])
     with pytest.raises(DegenerateDesign, match="all quote weights are zero"):
         fit_affine([IVQuote(q.tau, q.x, q.iv, weight=0.0) for q in line_quotes(-0.154, 0.149)])
+    with pytest.raises(DegenerateDesign, match="weighted sums are not finite"):
+        fit_affine([IVQuote(1e-200, 0.3, 0.2), IVQuote(1e-200, -0.3, 0.21), IVQuote(0.2, -0.1, 0.19)])
 
 
 def test_recover_constants_flat_smile():
@@ -147,8 +149,9 @@ def test_quote_headers_are_case_insensitive_and_blank_lines_skipped(tmp_path):
     ("tau,x,iv,weight\n0.25,0.1,0.3,-inf\n", "line 2, column 'weight'"),
     ("tau,x,iv\n0.25,0.1,0.3\n\n0.0,0.1,0.3\n", "line 4: quote tau must be finite and > 0, got 0.0"),
     ("tau,x,iv,weight\n0.25,0.1,0.3,-1\n", "line 2: quote weight must be finite and >= 0, got -1.0"),
+    ("tau,x,iv\n5e-324,0.3,0.2\n", "line 2: quote lmmr must be finite, got -inf"),
 ], ids=["missing-column", "empty-file", "no-rows", "nan", "inf", "text", "blank", "short-row",
-        "weight-inf", "tau-zero", "weight-negative"])
+        "weight-inf", "tau-zero", "weight-negative", "lmmr-inf"])
 def test_bad_quote_files_name_the_file_and_column(tmp_path, text, named):
     path = tmp_path / "quotes.csv"
     path.write_text(text)

@@ -120,6 +120,25 @@ def test_iv_surface_refuses_a_lone_line_flag_naming_its_partner(demo_config, tmp
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command,with_config,message", [
+    (["iv-surface", "--tau", "5e-324", "--nx", "3"], True,
+     "--tau, --x-min and --x-max give an LMMR that is not finite"),
+    (["figure1", "--a", "1e308", "--d", "1e308"], False,
+     "--a and --d with --lmmr-min and --lmmr-max give an implied vol that is not finite"),
+    (["iv-surface", "--a", "1e308", "--d", "1e308", "--tau", "0.1"], False,
+     "--a and --d with --tau, --x-min and --x-max give an implied vol that is not finite"),
+], ids=["iv-surface-tiny-tau", "figure1-steep-line", "iv-surface-steep-line"])
+def test_a_smile_that_is_not_finite_exits_2_before_writing(demo_config, tmp_path, capsys, command,
+                                                           with_config, message):
+    out = tmp_path / "out.csv"
+    config = ["--config", demo_config] if with_config else []
+    assert main(command + config + ["--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {message}"
+    assert list(tmp_path.glob("out.*")) == []
+
+
 def test_measure_dump(demo_config, capsys):
     assert main(["measure-dump", "--config", demo_config]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -188,6 +207,21 @@ def test_calibrate_takes_sigma_bar_and_epsilon_from_its_config(tmp_path, capsys)
     assert from_model == run("--sigma-bar", repr(civ.sigma_bar), "--epsilon", "0.004")
     assert run("--sigma-bar", "0.2") != from_model
     assert run("--epsilon", "0.01") != from_model
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a second stderr line
+@pytest.mark.parametrize("rows,message", [
+    ("5e-324,0.3,0.2\n0.25,0.1,0.21\n0.5,-0.1,0.19\n", "line 2: quote lmmr must be finite, got -inf"),
+    ("1e-200,0.3,0.2\n1e-200,-0.3,0.21\n0.2,-0.1,0.19\n", "the fit's weighted sums are not finite"),
+], ids=["lmmr-inf", "sums-overflow"])
+def test_calibrate_refuses_quotes_whose_fit_is_not_finite(tmp_path, capsys, rows, message):
+    quotes, out = tmp_path / "quotes.csv", tmp_path / "out.csv"
+    quotes.write_text("tau,x,iv\n" + rows)
+    assert main(["calibrate", "--quotes", str(quotes), "--sigma-bar", "0.2", "--epsilon", "0.01",
+                 "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("given,missing", [
@@ -497,6 +531,7 @@ def test_console_entry_exits_2_without_a_traceback(tmp_path):
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert "--epsilon must be finite and > 0, got -1.0" in run.stderr
+    assert len(run.stderr.splitlines()) == 1
 
 
 def _loaded_by_import(module: str, packages: tuple[str, ...]) -> list[str]:
